@@ -1,6 +1,7 @@
 """Deterministic command line for building and probing tree representations.
 
-Exit codes: 0 success, 1 a requested check failed, 2 usage or input error.
+Exit codes: 0 success, 1 a requested check failed, 2 usage or input error,
+or a search too deep for the interpreter's recursion limit.
 Identical inputs always produce byte-identical output.
 """
 
@@ -300,7 +301,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

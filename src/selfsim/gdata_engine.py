@@ -176,6 +176,20 @@ class EngineMachine(SelfSimilarMachine):
                     sections.append(GroupWord.gen(self.state_of(sec)))
         return tuple(sections), Perm(images)
 
+    def element_of(self, word: GroupWord):
+        """Exact model element of a word over this machine's states."""
+        model = self.model
+        elem = model.identity()
+        for name, sign in word:
+            g = self._state_elements[name]
+            if sign < 0:
+                g = model.invert(g)
+            elem = model.multiply(elem, g)
+        return elem
+
+    def cache_key(self, letters: tuple) -> object:
+        return self.element_of(GroupWord(letters, reduced=True))
+
     def automorphism_of(self, elem) -> Automorphism:
         if self.model.is_identity(elem):
             return Automorphism(self, GroupWord.identity())
@@ -320,6 +334,32 @@ class TupleKModel(GroupModel):
         return (base, rng.randrange(len(self.perms)))
 
 
+def coset_product(majors: Sequence, endos: Sequence[VirtualEndo]):
+    """Mixed-radix letters for ``majors`` times the coset spaces of ``endos``.
+
+    The letter of ``(b, (x_1, .., x_s))`` counts the major value slowest, then
+    the coset indices ``j_i`` of the ``x_i`` with the first fastest:
+    ``pos(b) * m_1 ... m_s + j_1 + m_1 * (j_2 + m_2 * (..))``.  Returns the
+    transversal as ``(b, (t_1, .., t_s))`` pairs in letter order, and the
+    letter function ``(b, xs) -> int``.
+    """
+    points = enumerate_abelian([endo.index for endo in endos])
+    offset = {b: i * len(points) for i, b in enumerate(majors)}
+    cells = [
+        (b, tuple(endo.transversal[j] for endo, j in zip(endos, js)))
+        for b in majors
+        for js in points
+    ]
+
+    def letter(b, xs) -> int:
+        j = 0
+        for endo, x in zip(reversed(endos), reversed(xs)):
+            j = j * endo.index + endo.coset_index(x)
+        return offset[b] + j
+
+    return cells, letter
+
+
 def wreath_by_regular_data(
     data: GData, perms: Sequence[Perm], top_names: Optional[Sequence[str]] = None
 ) -> GData:
@@ -345,11 +385,7 @@ def wreath_by_regular_data(
     if top_names is None:
         top_names = ["s"] if len(perms) == 2 else [f"k{i}" for i in range(1, len(perms))]
     model = TupleKModel(data.model, perms, top_names)
-    sizes = data.orbit_sizes
-    strides = [1] * s
-    for i in range(1, s):
-        strides[i] = strides[i - 1] * sizes[i - 1]
-    block = strides[-1] * sizes[-1]
+    cells, letter = coset_product(range(len(perms)), data.endos)
 
     def contains(a) -> bool:
         g, k = a
@@ -361,16 +397,9 @@ def wreath_by_regular_data(
 
     def coset_index(a) -> int:
         g, k = a
-        return k * block + sum(
-            endo.coset_index(g[i]) * strides[i] for i, endo in enumerate(data.endos)
-        )
+        return letter(k, g)
 
-    transversal = []
-    for k in range(len(perms)):
-        for js in itertools.product(*(range(sz) for sz in reversed(sizes))):
-            js = tuple(reversed(js))
-            base = tuple(endo.transversal[j] for endo, j in zip(data.endos, js))
-            transversal.append((base, k))
+    transversal = [(base, k) for k, base in cells]
     return GData(model, [VirtualEndo(model, contains, image, transversal, coset_index)])
 
 
@@ -544,31 +573,13 @@ def lamp_extension_data(orders: Sequence[int], data: GData, cosets: Sequence[Cos
         newtops = tuple(endo.image(g) for endo, g in zip(data.endos, tops))
         return (model._norm(entries), newtops)
 
-    sizes = data.orbit_sizes
-    strides = [1] * s
-    for i in range(1, s):
-        strides[i] = strides[i - 1] * sizes[i - 1]
-    block = strides[-1] * sizes[-1]
-    belems = enumerate_abelian(orders)
+    cells, letter = coset_product(enumerate_abelian(orders), data.endos)
     ident_labels = tuple(c.identity_label for c in cosets)
 
     def coset_index(a) -> int:
-        _, tops = a
-        b = model.coeff_sum(a)
-        bidx = belems.index(b)
-        jidx = sum(
-            endo.coset_index(g) * strides[i]
-            for i, (endo, g) in enumerate(zip(data.endos, tops))
-        )
-        return bidx * block + jidx
+        return letter(model.coeff_sum(a), a[1])
 
-    transversal = []
-    for b in belems:
-        for js in itertools.product(*(range(sz) for sz in reversed(sizes))):
-            js = tuple(reversed(js))
-            phi = ((ident_labels, b),) if any(b) else ()
-            tops = tuple(endo.transversal[j] for endo, j in zip(data.endos, js))
-            transversal.append((phi, tops))
+    transversal = [(((ident_labels, b),) if any(b) else (), tops) for b, tops in cells]
 
     def chi2(a):
         phi, tops = a

@@ -10,8 +10,8 @@ section calculus
 so elements of non-finite-state representations remain fully manipulable.
 
 Equality of tree automorphisms is undecidable in general; everything here is
-depth-bounded.  Machines are immutable once built; the memo caches they carry
-are idempotent, so concurrent use may duplicate work but always agrees.
+depth-bounded, and ``trivial_to_depth`` is the one decision procedure: equality
+across two machines is triviality on their disjoint union.
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ class SelfSimilarMachine:
 
     Subclasses provide ``_compute_entry(name) -> (sections, perm)`` where
     ``sections`` is a tuple of ``alphabet_size`` words over this machine's
-    state names.  A machine may carry an exact group model (see
-    ``gdata_engine``); if it does, words are canonicalised to model elements
-    for caching and state deduplication.
+    state names.  ``cache_key`` maps a reduced word to the key of the
+    triviality memo and of state deduplication; a machine with an exact group
+    model (see ``gdata_engine``) keys by model element instead of by word.
     """
 
     model = None
@@ -45,10 +45,9 @@ class SelfSimilarMachine:
         self._entries: dict[str, tuple[tuple[GroupWord, ...], Perm]] = {}
         # name -> (section letters, inverted section letters, images, inverse images)
         self._fast: dict[str, tuple] = {}
-        # word/element -> [deepest depth proven trivial, shallowest depth seen nontrivial]
+        # cache key -> [deepest depth proven trivial, shallowest depth seen
+        # nontrivial, section letter tuples or None when the root moves]
         self._triv: dict[object, list] = {}
-        # word/element -> (root_is_identity, section letter tuples) | (False, None)
-        self._expand: dict[object, tuple] = {}
 
     def entry(self, name: str) -> tuple[tuple[GroupWord, ...], Perm]:
         got = self._entries.get(name)
@@ -76,22 +75,8 @@ class SelfSimilarMachine:
     def _compute_entry(self, name: str) -> tuple[tuple[GroupWord, ...], Perm]:
         raise NotImplementedError
 
-    def element_of(self, word: GroupWord):
-        """Exact model element of a word, when the machine carries a model."""
-        if self.model is None:
-            raise ValueError("machine carries no group model")
-        elem = self.model.identity()
-        for name, sign in word:
-            g = self._state_elements[name]
-            if sign < 0:
-                g = self.model.invert(g)
-            elem = self.model.multiply(elem, g)
-        return elem
-
     def cache_key(self, letters: tuple) -> object:
-        if self.model is None:
-            return letters
-        return self.element_of(GroupWord(letters, reduced=True))
+        return letters
 
     def automorphism(self, word) -> "Automorphism":
         if isinstance(word, str):
@@ -122,6 +107,24 @@ class TableMachine(SelfSimilarMachine):
 
     def _compute_entry(self, name: str):
         raise ValueError(f"undeclared state: {name!r}")
+
+
+class _UnionMachine(SelfSimilarMachine):
+    """Disjoint union of machines over one alphabet: state ``(i, q)`` is state
+    ``q`` of ``sides[i]``, so equal names on different sides stay apart."""
+
+    def __init__(self, sides: Sequence[SelfSimilarMachine]):
+        super().__init__(sides[0].alphabet_size)
+        self.sides = tuple(sides)
+
+    def _compute_entry(self, name):
+        i, q = name
+        sections, perm = self.sides[i].entry(q)
+        return tuple(_lift(i, w) for w in sections), perm
+
+
+def _lift(i: int, word: GroupWord) -> GroupWord:
+    return GroupWord(tuple(((i, name), sign) for name, sign in word), reduced=True)
 
 
 class Automorphism:
@@ -219,53 +222,41 @@ def apply_word(machine: SelfSimilarMachine, word: GroupWord, string: String) -> 
     return tuple(out)
 
 
-def _expansion(machine: SelfSimilarMachine, letters: tuple, key: object):
-    got = machine._expand.get(key)
-    if got is None:
-        word = GroupWord(letters, reduced=True)
-        if root_perm(machine, word).is_identity():
-            secs = tuple(
-                section_word(machine, word, y).letters for y in range(machine.alphabet_size)
-            )
-            got = (True, secs)
-        else:
-            got = (False, None)
-        machine._expand[key] = got
-    return got
-
-
 def trivial_to_depth(machine: SelfSimilarMachine, word, depth: int) -> bool:
     """True iff the word fixes every string of length <= depth.
 
-    Synchronised recursive descent with a per-machine memo keyed on reduced
-    words (or exact model elements, when available), rather than enumeration
-    of all m^depth strings.
+    Synchronised recursive descent with one per-machine memo keyed by
+    ``machine.cache_key``, rather than enumeration of all m^depth strings.  A
+    key's record holds its root test and sections from the first sighting on.
     """
     if isinstance(word, Automorphism):
         word = word.word
+    memo = machine._triv
 
     def visit(letters: tuple, d: int) -> bool:
         if d <= 0 or not letters:
             return True
         key = machine.cache_key(letters)
-        status = machine._triv.get(key)
+        status = memo.get(key)
         if status is None:
-            status = machine._triv[key] = [0, None]
+            w = GroupWord(letters, reduced=True)
+            if root_perm(machine, w).is_identity():
+                secs = tuple(
+                    section_word(machine, w, y).letters for y in range(machine.alphabet_size)
+                )
+                status = memo[key] = [0, None, secs]
+            else:
+                status = memo[key] = [0, 1, None]
         if status[1] is not None and d >= status[1]:
             return False
         if status[0] >= d:
             return True
-        root_id, secs = _expansion(machine, letters, key)
-        if not root_id:
-            status[1] = 1
-            return False
-        for sec in secs:
+        for sec in status[2]:
             if not visit(sec, d - 1):
                 if status[1] is None or d < status[1]:
                     status[1] = d
                 return False
-        if d > status[0]:
-            status[0] = d
+        status[0] = d
         return True
 
     return visit(word.letters, depth)
@@ -277,30 +268,9 @@ def equal_to_depth(a: Automorphism, b: Automorphism, depth: int) -> bool:
         return trivial_to_depth(a.machine, a.word * b.word.inverse(), depth)
     if a.machine.alphabet_size != b.machine.alphabet_size:
         raise ValueError("cannot compare automorphisms over different alphabets")
-    m = a.machine.alphabet_size
-    memo: dict[tuple, bool] = {}
-
-    def eq(u: tuple, v: tuple, d: int) -> bool:
-        if d <= 0:
-            return True
-        key = (a.machine.cache_key(u), b.machine.cache_key(v), d)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        wu = GroupWord(u, reduced=True)
-        wv = GroupWord(v, reduced=True)
-        result = root_perm(a.machine, wu) == root_perm(b.machine, wv) and all(
-            eq(
-                section_word(a.machine, wu, y).letters,
-                section_word(b.machine, wv, y).letters,
-                d - 1,
-            )
-            for y in range(m)
-        )
-        memo[key] = result
-        return result
-
-    return eq(a.word.letters, b.word.letters, depth)
+    # where a and b agree at the root, (a b^-1)_y = a_y b_y^-1: exact, not an approximation
+    union = _UnionMachine((a.machine, b.machine))
+    return trivial_to_depth(union, _lift(0, a.word) * _lift(1, b.word).inverse(), depth)
 
 
 def portrait(a: Automorphism, depth: int) -> Portrait:

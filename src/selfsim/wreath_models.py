@@ -25,6 +25,7 @@ from .gdata_engine import (
     VirtualEndo,
     build_representation,
     concatenate,
+    coset_product,
     direct_power_data,
     enumerate_abelian,
     lamp_extension_data,
@@ -527,7 +528,8 @@ def lamplighter_data(orders: Sequence[int]) -> GData:
         name = "b" if len(orders) == 1 else f"b{j + 1}"
         model.generators[name] = model.base_generator(j)
     model.generators["z"] = model.top_generator(0)
-    belems = enumerate_abelian(orders)
+    # letters: the lamp total slowest, then the top's coset in Z's halving data
+    cells, letter = coset_product(enumerate_abelian(orders), z_data().endos)
 
     def contains(g) -> bool:
         return not any(model.coeff_total(g)) and g[1][0] % 2 == 0
@@ -538,13 +540,9 @@ def lamplighter_data(orders: Sequence[int]) -> GData:
         return (model._norm_base(entries), (top[0] // 2,))
 
     def coset_index(g) -> int:
-        return belems.index(model.coeff_total(g)) * 2 + g[1][0] % 2
+        return letter(model.coeff_total(g), g[1])
 
-    transversal = []
-    for b in belems:
-        for t in (0, 1):
-            base = ((model.zero_top(), b),) if any(b) else ()
-            transversal.append((base, (t,)))
+    transversal = [(((model.zero_top(), b),) if any(b) else (), top) for b, top in cells]
     endo1 = VirtualEndo(model, contains, chi1, transversal, coset_index)
     endo2 = VirtualEndo(
         model,

@@ -5,8 +5,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from selfsim import mealy
 from selfsim.cli import main
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "benchmarks"))
+import workloads  # noqa: E402  (the benchmark's golden commands and relation files)
+
+GOLDEN = workloads.golden_commands()
 
 
 def run_cli(argv):
@@ -190,3 +197,27 @@ def test_byte_identical_across_processes():
         )
         outputs.add(result.stdout)
     assert len(outputs) == 1
+
+
+def test_deep_check_is_an_error_not_a_failure(tmp_path):
+    machine = tmp_path / "ab.txt"
+    machine.write_text(
+        "alphabet 2\nstate a: 0->1 e, 1->0 a\nstate b: 0->1 e, 1->0 b\n", encoding="utf-8"
+    )
+    relations = tmp_path / "ab.rel"
+    relations.write_text("a b^-1\n", encoding="utf-8")
+    argv = ["check", "--machine", str(machine), "--relations", str(relations)]
+    code, out, err = run_cli(argv + ["--depth", "5000"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("cmd", GOLDEN, ids=[f"{i:02d}-{c['argv'][0]}" for i, c in enumerate(GOLDEN)])
+def test_golden_outputs_are_byte_identical(cmd, tmp_path):
+    for name, text in workloads.GOLDEN_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    code, out, _ = run_cli(workloads.expand(cmd["argv"], tmp_path))
+    assert (code, out) == (cmd["exit"], cmd["stdout"])
+    for name, text in cmd["files"].items():
+        assert (tmp_path / name).read_text(encoding="utf-8") == text

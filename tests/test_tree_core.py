@@ -85,6 +85,27 @@ def test_equal_to_depth_cross_machine(adding):
     other = mealy.builtin_machine("adding")
     assert equal_to_depth(adding.automorphism("a"), other.automorphism("a"), 8)
     assert not equal_to_depth(adding.automorphism("a"), other.automorphism("a a"), 8)
+    # a = (a, e)(0 1) shares its state name with the adding machine's a = (e, a)(0 1)
+    swapped = mealy.to_machine(mealy.parse("alphabet 2\nstate a: 0->1 a, 1->0 e\n"))
+    assert equal_to_depth(adding.automorphism("a"), swapped.automorphism("a"), 1)
+    assert not equal_to_depth(adding.automorphism("a"), swapped.automorphism("a"), 2)
+
+
+@pytest.mark.parametrize("name", ["diagram1", "diagram3", "thmD(2)"])
+def test_cross_machine_equality_matches_single_machine(name):
+    one, two = mealy.builtin_machine(name), mealy.builtin_machine(name)
+    names = list(one.generators)
+    rng = random.Random(17)
+    verdicts = set()
+    for _ in range(40):
+        u = _random_word(rng, names, 6)
+        v = u if rng.random() < 0.25 else _random_word(rng, names, 6)
+        for depth in range(1, 7):
+            single = equal_to_depth(Automorphism(one, u), Automorphism(one, v), depth)
+            cross = equal_to_depth(Automorphism(one, u), Automorphism(two, v), depth)
+            assert cross is single, (str(u), str(v), depth)
+            verdicts.add(single)
+    assert verdicts == {True, False}
 
 
 def test_portrait_examples(adding, diagram1):
