@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from collections import deque
 from pathlib import Path
 
 from . import mealy, wreath_models
-from .gdata_engine import EngineMachine, build_representation
+from .gdata_engine import build_representation
 from .perm_word import GroupWord, parse_word
 from .tree_core import (
     Automorphism,
@@ -62,29 +63,7 @@ def _format_string(letters: tuple[int, ...], m: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _word_table(machine: EngineMachine, max_len: int):
-    table = getattr(machine, "_expr_table", None)
-    if table is not None:
-        return table
-    model = machine.model
-    table = {model.identity(): GroupWord.identity()}
-    frontier = [model.identity()]
-    gens = [(name, machine._state_elements[name]) for name in machine.generators]
-    for _ in range(max_len):
-        new = []
-        for elem in frontier:
-            for name, g in gens:
-                for sign in (1, -1):
-                    nxt = model.multiply(elem, g if sign > 0 else model.invert(g))
-                    if nxt not in table:
-                        table[nxt] = table[elem] * GroupWord.gen(name, sign)
-                        new.append(nxt)
-        frontier = new
-    machine._expr_table = table
-    return table
-
-
-def _express(machine: SelfSimilarMachine, word: GroupWord, todo: list, search_len: int) -> str:
+def _express(machine: SelfSimilarMachine, word: GroupWord, todo: deque, search_len: int) -> str:
     if not word:
         return "e"
     if machine.model is None:
@@ -92,10 +71,10 @@ def _express(machine: SelfSimilarMachine, word: GroupWord, todo: list, search_le
     elem = machine.element_of(word)
     if machine.model.is_identity(elem):
         return "e"
-    name = machine._state_names.get(elem)
+    name = machine.name_of(elem)
     if name in machine.generators:
         return name
-    short = _word_table(machine, search_len).get(elem)
+    short = machine.short_word(elem, search_len)
     if short is not None:
         return str(short)
     name = machine.state_of(elem)
@@ -114,9 +93,9 @@ def recursion_lines(
     """
     lines = []
     printed = set()
-    todo = list(machine.generators)
+    todo = deque(machine.generators)
     while todo:
-        name = todo.pop(0)
+        name = todo.popleft()
         if name in printed:
             continue
         if len(printed) >= max_lines:

@@ -126,7 +126,8 @@ class EngineMachine(SelfSimilarMachine):
 
     Every model element reachable by sections becomes a named state; entries
     are memoised by exact model equality, which keeps word-level aliases of the
-    same element from spawning new states.
+    same element from spawning new states.  New states are named q1, q2, ..
+    in the order that entry computations first reach them.
     """
 
     def __init__(self, data: GData, generators: Optional[dict[str, object]] = None):
@@ -147,6 +148,8 @@ class EngineMachine(SelfSimilarMachine):
             names.append(name)
         self.generators = tuple(names)
         self._fresh = itertools.count(1)
+        self._code_elements: dict[int, object] = {}  # code -> element of the letter
+        self._balls: dict[int, dict] = {}  # radius -> {element: shortest generator word}
 
     def state_of(self, elem) -> str:
         name = self._state_names.get(elem)
@@ -157,6 +160,10 @@ class EngineMachine(SelfSimilarMachine):
             self._state_names[elem] = name
             self._state_elements[name] = elem
         return name
+
+    def name_of(self, elem) -> Optional[str]:
+        """The state name of an element, or None if no state holds it."""
+        return self._state_names.get(elem)
 
     def _compute_entry(self, name: str):
         if name not in self._state_elements:
@@ -178,17 +185,44 @@ class EngineMachine(SelfSimilarMachine):
 
     def element_of(self, word: GroupWord):
         """Exact model element of a word over this machine's states."""
+        return self.cache_key(self.encode(word))
+
+    def cache_key(self, codes: tuple) -> object:
+        """Exact model element of a code tuple over this machine's states."""
         model = self.model
+        elements = self._code_elements
         elem = model.identity()
-        for name, sign in word:
-            g = self._state_elements[name]
-            if sign < 0:
-                g = model.invert(g)
+        for c in codes:
+            g = elements.get(c)
+            if g is None:
+                name = self._names[c >> 1]
+                if name not in self._state_elements:
+                    raise ValueError(f"undeclared state: {name!r}")
+                g = self._state_elements[name]
+                g = elements[c] = model.invert(g) if c & 1 else g
             elem = model.multiply(elem, g)
         return elem
 
-    def cache_key(self, letters: tuple) -> object:
-        return self.element_of(GroupWord(letters, reduced=True))
+    def short_word(self, elem, max_len: int) -> Optional[GroupWord]:
+        """A shortest word of length <= max_len in the generators for ``elem``,
+        or None if there is none."""
+        ball = self._balls.get(max_len)
+        if ball is None:
+            model = self.model
+            ball = self._balls[max_len] = {model.identity(): GroupWord.identity()}
+            frontier = [model.identity()]
+            gens = [(name, self._state_elements[name]) for name in self.generators]
+            for _ in range(max_len):
+                new = []
+                for x in frontier:
+                    for name, g in gens:
+                        for sign in (1, -1):
+                            nxt = model.multiply(x, g if sign > 0 else model.invert(g))
+                            if nxt not in ball:
+                                ball[nxt] = ball[x] * GroupWord.gen(name, sign)
+                                new.append(nxt)
+                frontier = new
+        return ball.get(elem)
 
     def automorphism_of(self, elem) -> Automorphism:
         if self.model.is_identity(elem):

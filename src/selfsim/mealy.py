@@ -14,6 +14,8 @@ omitted.  Every state's outputs must form a permutation of the alphabet.
 from __future__ import annotations
 
 import re
+from collections import deque
+
 from .perm_word import GroupWord, Perm, _validate_name
 from .tree_core import SelfSimilarMachine, TableMachine
 
@@ -348,9 +350,9 @@ def machine_to_mealy(machine: SelfSimilarMachine, max_states: int = 512) -> Meal
     seen = set(names)
     transition: dict[tuple[str, int], str] = {}
     output: dict[tuple[str, int], int] = {}
-    queue = list(names)
+    queue = deque(names)
     while queue:
-        name = queue.pop(0)
+        name = queue.popleft()
         sections, perm = machine.entry(name)
         for y, w in enumerate(sections):
             if len(w.letters) == 0:

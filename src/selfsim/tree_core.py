@@ -9,6 +9,14 @@ section calculus
 
 so elements of non-finite-state representations remain fully manipulable.
 
+Internally a machine works on code tuples: the state numbered i on first sight
+is the code 2i and its inverse the code 2i+1, so inversion is ``c ^ 1``.  The
+row of a code holds, for each letter y, the code tuple of its section at y and
+the image of y.  One cursor pass along a code word from letter y yields the
+section of the word at y and, where the cursor ends, the image of y; the m
+passes together give every section and the root permutation.  ``GroupWord``
+stays the public type: the module functions encode and decode at the boundary.
+
 Equality of tree automorphisms is undecidable in general; everything here is
 depth-bounded, and ``trivial_to_depth`` is the one decision procedure: equality
 across two machines is triviality on their disjoint union.
@@ -16,6 +24,7 @@ across two machines is triviality on their disjoint union.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Optional, Sequence
@@ -23,6 +32,7 @@ from typing import Iterable, Optional, Sequence
 from .perm_word import GroupWord, Perm
 
 String = tuple[int, ...]
+Codes = tuple[int, ...]
 
 
 class SelfSimilarMachine:
@@ -30,9 +40,12 @@ class SelfSimilarMachine:
 
     Subclasses provide ``_compute_entry(name) -> (sections, perm)`` where
     ``sections`` is a tuple of ``alphabet_size`` words over this machine's
-    state names.  ``cache_key`` maps a reduced word to the key of the
-    triviality memo and of state deduplication; a machine with an exact group
-    model (see ``gdata_engine``) keys by model element instead of by word.
+    state names.  ``encode`` turns a word into a code tuple, numbering states
+    on first sight, and ``decode`` turns it back; a code's row is compiled from
+    ``entry`` the first time a pass reads the code.  ``cache_key`` maps a
+    reduced code tuple to the key of the triviality memo and of state
+    deduplication; a machine with an exact group model (see ``gdata_engine``)
+    keys by model element instead of by codes.
     """
 
     model = None
@@ -43,10 +56,13 @@ class SelfSimilarMachine:
         self.alphabet_size = alphabet_size
         self.generators: tuple[str, ...] = ()
         self._entries: dict[str, tuple[tuple[GroupWord, ...], Perm]] = {}
-        # name -> (section letters, inverted section letters, images, inverse images)
-        self._fast: dict[str, tuple] = {}
+        self._codes: dict[object, int] = {}  # state name -> its code 2i
+        self._names: list = []  # i -> state name
+        # code -> ((section codes at y, image of y) for each letter y), or
+        # None until a pass first reads the code
+        self._rows: list = []
         # cache key -> [deepest depth proven trivial, shallowest depth seen
-        # nontrivial, section letter tuples or None when the root moves]
+        # nontrivial, section code tuples or None when the root moves]
         self._triv: dict[object, list] = {}
 
     def entry(self, name: str) -> tuple[tuple[GroupWord, ...], Perm]:
@@ -55,28 +71,38 @@ class SelfSimilarMachine:
             got = self._entries[name] = self._compute_entry(name)
         return got
 
-    def _fast_entry(self, name: str) -> tuple:
-        got = self._fast.get(name)
-        if got is None:
-            sections, perm = self.entry(name)
-            inv = perm.inverse()
-            neg = tuple(
-                tuple((n, -s) for n, s in reversed(sections[inv(y)].letters))
-                for y in range(self.alphabet_size)
-            )
-            got = self._fast[name] = (
-                tuple(w.letters for w in sections),
-                neg,
-                perm.images,
-                inv.images,
-            )
-        return got
-
     def _compute_entry(self, name: str) -> tuple[tuple[GroupWord, ...], Perm]:
         raise NotImplementedError
 
-    def cache_key(self, letters: tuple) -> object:
-        return letters
+    def encode(self, word: Iterable) -> Codes:
+        """The code tuple of a word's ``(name, sign)`` letters."""
+        codes = self._codes
+        out = []
+        for name, sign in word:
+            c = codes.get(name)
+            if c is None:
+                c = codes[name] = 2 * len(self._names)
+                self._names.append(name)
+                self._rows += (None, None)
+            out.append(c if sign > 0 else c | 1)
+        return tuple(out)
+
+    def decode(self, codes: Codes) -> GroupWord:
+        names = self._names
+        return GroupWord(tuple((names[c >> 1], -1 if c & 1 else 1) for c in codes), reduced=True)
+
+    def _row(self, c: int) -> tuple:
+        """Compile the row of ``c``: an inverse code reads its state's entry
+        through the inverse permutation and the inverted sections."""
+        sections, perm = self.entry(self._names[c >> 1])
+        if c & 1:
+            perm = perm.inverse()
+            sections = [sections[x].inverse() for x in perm.images]
+        row = self._rows[c] = tuple(zip(map(self.encode, sections), perm.images))
+        return row
+
+    def cache_key(self, codes: Codes) -> object:
+        return codes
 
     def automorphism(self, word) -> "Automorphism":
         if isinstance(word, str):
@@ -179,46 +205,59 @@ class StateSet:
         return len(self.states)
 
 
+def _pass(machine: SelfSimilarMachine, codes: Codes, y: int) -> tuple[Codes, int]:
+    """The section of a code word at ``y`` and the image of ``y``."""
+    rows = machine._rows
+    out: list = []
+    extend = out.extend
+    pop = out.pop
+    cur = y
+    for c in codes:
+        sec, cur = (rows[c] or machine._row(c))[cur]
+        if not sec:
+            continue
+        if out and out[-1] == sec[0] ^ 1:
+            # sec is reduced, so once one of its letters stays, the rest stay
+            i = 0
+            while i < len(sec) and out and out[-1] == sec[i] ^ 1:
+                pop()
+                i += 1
+            extend(sec[i:])
+        else:
+            extend(sec)
+    return tuple(out), cur
+
+
+def _expand(machine: SelfSimilarMachine, codes: Codes) -> Optional[tuple[Codes, ...]]:
+    """All sections of a code word, or None once a cursor ends away from its start."""
+    secs = []
+    for y in range(machine.alphabet_size):
+        sec, end = _pass(machine, codes, y)
+        if end != y:
+            return None
+        secs.append(sec)
+    return tuple(secs)
+
+
 def root_perm(machine: SelfSimilarMachine, word: GroupWord) -> Perm:
-    images = tuple(range(machine.alphabet_size))
-    fast = machine._fast_entry
-    for name, sign in word:
-        qi = fast(name)[2 if sign > 0 else 3]
-        images = tuple(qi[i] for i in images)
-    return Perm(images)
+    codes = machine.encode(word)
+    return Perm(_pass(machine, codes, y)[1] for y in range(machine.alphabet_size))
 
 
 def section_word(machine: SelfSimilarMachine, word: GroupWord, y: int) -> GroupWord:
     if not 0 <= y < machine.alphabet_size:
         raise ValueError(f"letter {y} out of range for alphabet of {machine.alphabet_size}")
-    out: list = []
-    push = out.append
-    pop = out.pop
-    cur = y
-    fast = machine._fast_entry
-    for name, sign in word:
-        pos, neg, images, inv_images = fast(name)
-        if sign > 0:
-            part = pos[cur]
-            cur = images[cur]
-        else:
-            part = neg[cur]
-            cur = inv_images[cur]
-        for sym in part:
-            if out and out[-1][0] == sym[0] and out[-1][1] == -sym[1]:
-                pop()
-            else:
-                push(sym)
-    return GroupWord(tuple(out), reduced=True)
+    return machine.decode(_pass(machine, machine.encode(word), y)[0])
 
 
 def apply_word(machine: SelfSimilarMachine, word: GroupWord, string: String) -> String:
+    codes = machine.encode(word)
     out = []
     for y in string:
         if not 0 <= y < machine.alphabet_size:
             raise ValueError(f"letter {y} out of range")
-        out.append(root_perm(machine, word)(y))
-        word = section_word(machine, word, y)
+        codes, image = _pass(machine, codes, y)
+        out.append(image)
     return tuple(out)
 
 
@@ -231,35 +270,29 @@ def trivial_to_depth(machine: SelfSimilarMachine, word, depth: int) -> bool:
     """
     if isinstance(word, Automorphism):
         word = word.word
-    memo = machine._triv
+    return _trivial(machine, machine.encode(word), depth)
 
-    def visit(letters: tuple, d: int) -> bool:
-        if d <= 0 or not letters:
-            return True
-        key = machine.cache_key(letters)
-        status = memo.get(key)
-        if status is None:
-            w = GroupWord(letters, reduced=True)
-            if root_perm(machine, w).is_identity():
-                secs = tuple(
-                    section_word(machine, w, y).letters for y in range(machine.alphabet_size)
-                )
-                status = memo[key] = [0, None, secs]
-            else:
-                status = memo[key] = [0, 1, None]
-        if status[1] is not None and d >= status[1]:
-            return False
-        if status[0] >= d:
-            return True
-        for sec in status[2]:
-            if not visit(sec, d - 1):
-                if status[1] is None or d < status[1]:
-                    status[1] = d
-                return False
-        status[0] = d
+
+def _trivial(machine: SelfSimilarMachine, codes: Codes, d: int) -> bool:
+    if d <= 0 or not codes:
         return True
-
-    return visit(word.letters, depth)
+    memo = machine._triv
+    key = machine.cache_key(codes)
+    status = memo.get(key)
+    if status is None:
+        secs = _expand(machine, codes)
+        status = memo[key] = [0, None if secs else 1, secs]
+    if status[1] is not None and d >= status[1]:
+        return False
+    if status[0] >= d:
+        return True
+    for sec in status[2]:
+        if not _trivial(machine, sec, d - 1):
+            if status[1] is None or d < status[1]:
+                status[1] = d
+            return False
+    status[0] = d
+    return True
 
 
 def equal_to_depth(a: Automorphism, b: Automorphism, depth: int) -> bool:
@@ -276,14 +309,15 @@ def equal_to_depth(a: Automorphism, b: Automorphism, depth: int) -> bool:
 def portrait(a: Automorphism, depth: int) -> Portrait:
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    machine = a.machine
     labels: dict[String, Perm] = {}
-    frontier: list[tuple[String, GroupWord]] = [((), a.word)]
+    frontier: list[tuple[String, Codes]] = [((), machine.encode(a.word))]
     for _ in range(depth):
         next_frontier = []
-        for path, word in frontier:
-            labels[path] = root_perm(a.machine, word)
-            for y in range(a.machine.alphabet_size):
-                next_frontier.append((path + (y,), section_word(a.machine, word, y)))
+        for path, codes in frontier:
+            passes = [_pass(machine, codes, y) for y in range(machine.alphabet_size)]
+            labels[path] = Perm(image for _, image in passes)
+            next_frontier.extend((path + (y,), sec) for y, (sec, _) in enumerate(passes))
         frontier = next_frontier
     return Portrait(depth, labels)
 
@@ -299,11 +333,11 @@ def states(a: Automorphism, max_states: int, sep_depth: int) -> StateSet:
     machine = a.machine
     reps: list[Automorphism] = []
     keys: set = set()
-    queue: list[GroupWord] = [a.word]
+    queue = deque([a.word])
     while queue:
-        word = queue.pop(0)
+        word = queue.popleft()
         if machine.model is not None:
-            key = machine.cache_key(word.letters)
+            key = machine.cache_key(machine.encode(word))
             if key in keys:
                 continue
             keys.add(key)
@@ -385,16 +419,16 @@ def find_moving_string(a: Automorphism, max_depth: int) -> Optional[String]:
     machine = a.machine
     for k in range(1, max_depth + 1):
         if not trivial_to_depth(machine, a.word, k):
-            return _extract_witness(machine, a.word, k)
+            return _extract_witness(machine, machine.encode(a.word), k)
     return None
 
 
-def _extract_witness(machine: SelfSimilarMachine, word: GroupWord, k: int) -> String:
-    p = root_perm(machine, word)
-    if not p.is_identity():
-        return (min(i for i in range(p.degree) if p(i) != i),)
-    for y in range(machine.alphabet_size):
-        sec = section_word(machine, word, y)
-        if not trivial_to_depth(machine, sec, k - 1):
+def _extract_witness(machine: SelfSimilarMachine, codes: Codes, k: int) -> String:
+    passes = [_pass(machine, codes, y) for y in range(machine.alphabet_size)]
+    for y, (_, image) in enumerate(passes):
+        if image != y:
+            return (y,)
+    for y, (sec, _) in enumerate(passes):
+        if not _trivial(machine, sec, k - 1):
             return (y,) + _extract_witness(machine, sec, k - 1)
     raise AssertionError("witness extraction reached a trivial subtree")

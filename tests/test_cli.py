@@ -143,6 +143,8 @@ def test_exit_codes_for_errors(tmp_path):
     assert code == 2
     code, _, _ = run_cli(["act", "--machine", "builtin:adding", "--word", "q", "--string", "0"])
     assert code == 2
+    code, _, err = run_cli(["witness", "--model", "zwrz", "--word", "zz", "--max-depth", "3"])
+    assert code == 2 and "undeclared state" in err
     # a non-finite-state machine cannot be exported in the line format
     code, _, err = run_cli(["build", "--data", "cp-wr-z2:p=2", "--emit", "file"])
     assert code == 2 and "closure exceeded" in err

@@ -1,10 +1,14 @@
+import gc
 import random
+import weakref
 
 import pytest
 
 from selfsim import mealy
-from selfsim.perm_word import GroupWord, Perm
+from selfsim.gdata_engine import build_representation
+from selfsim.perm_word import GroupWord, Perm, commutator
 from selfsim.tree_core import (
+    _UnionMachine,
     Automorphism,
     equal_to_depth,
     find_moving_string,
@@ -12,9 +16,12 @@ from selfsim.tree_core import (
     inflate,
     orbit_type,
     portrait,
+    root_perm,
+    section_word,
     states,
     trivial_to_depth,
 )
+from selfsim.wreath_models import data_by_selector, thmD_engine_machine
 
 
 @pytest.fixture
@@ -222,3 +229,115 @@ def test_state_closure_of_builtins_within_generators():
             for aut in closure.states:
                 for sym, _ in aut.word:
                     assert sym in declared
+
+
+# The per-letter section calculus that the compiled rows replaced, kept as the
+# reference for the code-tuple passes: every letter reads the machine's entry.
+
+
+def _reference_root_perm(machine, word):
+    images = tuple(range(machine.alphabet_size))
+    for name, sign in word:
+        _, perm = machine.entry(name)
+        q = perm if sign > 0 else perm.inverse()
+        images = tuple(q(i) for i in images)
+    return Perm(images)
+
+
+def _reference_section_word(machine, word, y):
+    out = []
+    cur = y
+    for name, sign in word:
+        sections, perm = machine.entry(name)
+        if sign > 0:
+            part = sections[cur].letters
+            cur = perm(cur)
+        else:
+            cur = perm.inverse()(cur)
+            part = sections[cur].inverse().letters
+        for sym in part:
+            if out and out[-1] == (sym[0], -sym[1]):
+                out.pop()
+            else:
+                out.append(sym)
+    return GroupWord(tuple(out), reduced=True)
+
+
+def _reference_trivial_depth(machine, word, depth, memo):
+    """The largest d <= depth such that the word fixes all strings of length d."""
+    if depth == 0 or not word:
+        return depth
+    key = (word.letters, depth)
+    if key not in memo:
+        if not _reference_root_perm(machine, word).is_identity():
+            memo[key] = 0
+        else:
+            memo[key] = 1 + min(
+                _reference_trivial_depth(
+                    machine, _reference_section_word(machine, word, y), depth - 1, memo
+                )
+                for y in range(machine.alphabet_size)
+            )
+    return memo[key]
+
+
+_MEALY_TEXT = """alphabet 3
+state x: 0->1 y, 1->2 e, 2->0 x
+state y: 0->0 x, 1->2 y, 2->1 e
+"""
+
+
+def _cross_check_machine(name):
+    """A machine and the state names its random words are drawn from."""
+    if name == "mealy-file":
+        machine = mealy.to_machine(mealy.parse(_MEALY_TEXT))
+    elif name == "union":
+        sides = (mealy.builtin_machine("thmD(2)"), mealy.builtin_machine("diagram1"))
+        machine = _UnionMachine(sides)
+        return machine, [(i, n) for i, side in enumerate(sides) for n in side.generators]
+    elif name == "cp-wr-z2:p=2":
+        machine = build_representation(data_by_selector(name))
+    else:
+        machine = mealy.builtin_machine(name)
+    return machine, list(machine.generators)
+
+
+@pytest.mark.parametrize(
+    "name", ["diagram1", "diagram3", "thmD(2)", "mealy-file", "union", "cp-wr-z2:p=2"]
+)
+def test_compiled_passes_match_per_letter_reference(name):
+    machine, names = _cross_check_machine(name)
+    m = machine.alphabet_size
+    rng = random.Random(f"cross-check/{name}")
+    memo = {}
+    verdicts = set()
+    for i in range(40):
+        if i % 2:
+            u, v = _random_word(rng, names, 15), _random_word(rng, names, 15)
+            word = u * v * u.inverse() * v.inverse()  # fixes the first level more often
+        else:
+            word = _random_word(rng, names, 60)
+        assert root_perm(machine, word) == _reference_root_perm(machine, word), str(word)
+        for y in range(m):
+            assert section_word(machine, word, y) == _reference_section_word(machine, word, y)
+        deepest = _reference_trivial_depth(machine, word, 6, memo)
+        depths = list(range(1, 7))
+        rng.shuffle(depths)  # exercise both memo bounds in every order
+        for d in depths:
+            assert trivial_to_depth(machine, word, d) is (d <= deepest), (str(word), d)
+            verdicts.add((d > 1, d <= deepest))
+    assert {(True, True), (True, False)} <= verdicts
+
+
+def test_machines_are_freed_without_the_cycle_collector():
+    word = GroupWord.gen("a") * GroupWord.gen("b") * GroupWord.gen("s", -1)
+    gc.disable()
+    try:
+        for build in (lambda: mealy.builtin_machine("thmD(2)"), lambda: thmD_engine_machine(2)):
+            machine = build()
+            trivial_to_depth(machine, commutator(word, GroupWord.gen("s")), 6)
+            ref = weakref.ref(machine)
+            del machine
+            assert ref() is None
+    finally:
+        gc.enable()
