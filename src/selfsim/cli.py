@@ -34,6 +34,16 @@ def _load_machine(spec: str) -> SelfSimilarMachine:
     return mealy.to_machine(mealy.parse(Path(spec).read_text(encoding="utf-8")))
 
 
+def _parse_word(machine: SelfSimilarMachine, text: str) -> GroupWord:
+    """Parse a word, rejecting every undeclared state name in the text, also
+    those that cancel out of the reduced word."""
+    for token in text.split():
+        for name, _ in parse_word(token):
+            if name not in machine.generators:
+                raise ValueError(f"undeclared state: {name!r}")
+    return parse_word(text)
+
+
 def _parse_string(text: str, m: int) -> tuple[int, ...]:
     text = text.strip()
     if not text or text == "-":
@@ -130,7 +140,7 @@ def _emit_machine(machine: SelfSimilarMachine, mode: str, out_path) -> None:
 
 def _cmd_act(args) -> int:
     machine = _load_machine(args.machine)
-    word = parse_word(args.word)
+    word = _parse_word(machine, args.word)
     string = _parse_string(args.string, machine.alphabet_size)
     moved = Automorphism(machine, word).apply(string)
     print(_format_string(moved, machine.alphabet_size))
@@ -145,7 +155,7 @@ def _cmd_orbit_type(args) -> int:
 
 def _cmd_portrait(args) -> int:
     machine = _load_machine(args.machine)
-    a = Automorphism(machine, parse_word(args.word))
+    a = Automorphism(machine, _parse_word(machine, args.word))
     result = portrait(a, args.depth)
     for path in sorted(result.labels, key=lambda p: (len(p), p)):
         indent = "  " * len(path)
@@ -155,7 +165,7 @@ def _cmd_portrait(args) -> int:
 
 def _cmd_states(args) -> int:
     machine = _load_machine(args.machine)
-    a = Automorphism(machine, parse_word(args.word))
+    a = Automorphism(machine, _parse_word(machine, args.word))
     result = states(a, args.max, args.sep_depth)
     for aut in result.states:
         print(aut.word)
@@ -170,7 +180,7 @@ def _cmd_check(args) -> int:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        word = parse_word(line)
+        word = _parse_word(machine, line)
         ok = trivial_to_depth(machine, word, args.depth)
         if not ok:
             failed += 1
@@ -181,7 +191,7 @@ def _cmd_check(args) -> int:
 def _cmd_witness(args) -> int:
     data = wreath_models.data_by_selector(args.model)
     machine = build_representation(data)
-    a = Automorphism(machine, parse_word(args.word))
+    a = Automorphism(machine, _parse_word(machine, args.word))
     moved = find_moving_string(a, args.max_depth)
     if moved is None:
         print(f"trivial-to-depth {args.max_depth}")
@@ -203,10 +213,9 @@ def _cmd_inflate(args) -> int:
 
 
 def _cmd_concat(args) -> int:
-    selector = args.data if args.data.startswith("concat:") else f"concat:{args.data}"
-    data = wreath_models.data_by_selector(selector)
-    _emit_machine(build_representation(data), args.emit, args.output)
-    return 0
+    if not args.data.startswith("concat:"):
+        args.data = f"concat:{args.data}"
+    return _cmd_build(args)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -218,6 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def machine_flag(p):
         p.add_argument("--machine", required=True, help="automaton file or builtin:NAME")
+
+    def emit_flags(p):
+        p.add_argument("--emit", choices=("recursions", "file", "dot"), default="recursions")
+        p.add_argument("-o", "--output")
 
     p = sub.add_parser("act", help="apply a word to a string")
     machine_flag(p)
@@ -256,21 +269,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="build the machine of a data selector")
     p.add_argument("--data", required=True)
-    p.add_argument("--emit", choices=("recursions", "file", "dot"), default="recursions")
-    p.add_argument("-o", "--output")
+    emit_flags(p)
     p.set_defaults(func=_cmd_build)
 
     p = sub.add_parser("inflate", help="re-read a machine on length-k blocks")
     machine_flag(p)
     p.add_argument("-k", type=int, required=True)
-    p.add_argument("--emit", choices=("recursions", "file", "dot"), default="recursions")
-    p.add_argument("-o", "--output")
+    emit_flags(p)
     p.set_defaults(func=_cmd_inflate)
 
     p = sub.add_parser("concat", help="concatenate two data selectors over one top group")
     p.add_argument("--data", required=True, help="<selector>+<selector>")
-    p.add_argument("--emit", choices=("recursions", "file", "dot"), default="recursions")
-    p.add_argument("-o", "--output")
+    emit_flags(p)
     p.set_defaults(func=_cmd_concat)
 
     return parser

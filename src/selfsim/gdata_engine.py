@@ -84,6 +84,11 @@ class VirtualEndo:
         if not self.transversal or self.transversal[0] != model.identity():
             raise ValueError("transversal must start with the identity")
 
+    @classmethod
+    def whole(cls, model: GroupModel, image: Callable[[object], object]) -> "VirtualEndo":
+        """An endomorphism of the whole group (index 1)."""
+        return cls(model, lambda g: True, image, (model.identity(),), lambda g: 0)
+
     @property
     def index(self) -> int:
         return len(self.transversal)
@@ -293,19 +298,8 @@ def direct_power_data(data: GData, named_copies: int = 5) -> GData:
     """Data for the restricted direct power: lifted endomorphisms acting on the
     first coordinate plus the left shift, of orbit type (m_1,...,m_s,1)."""
     model = SequenceModel(data.model, named_copies)
-    endos = []
-    for endo in data.endos:
-        endos.append(_lift_endo(model, endo))
-    endos.append(
-        VirtualEndo(
-            model,
-            contains=lambda g: True,
-            image=model.shift,
-            transversal=(model.identity(),),
-            coset_index=lambda g: 0,
-        )
-    )
-    return GData(model, endos)
+    endos = [_lift_endo(model, endo) for endo in data.endos]
+    return GData(model, endos + [VirtualEndo.whole(model, model.shift)])
 
 
 def _lift_endo(model: SequenceModel, endo: VirtualEndo) -> VirtualEndo:
@@ -465,18 +459,7 @@ class CosetSpace:
 def enumerate_abelian(orders: Sequence[int]) -> list[tuple[int, ...]]:
     """All elements of the product of cyclic groups, identity first, mixed radix
     with the first coordinate fastest."""
-    out = []
-    total = 1
-    for k in orders:
-        total *= k
-    for idx in range(total):
-        c = []
-        rest = idx
-        for k in orders:
-            c.append(rest % k)
-            rest //= k
-        out.append(tuple(c))
-    return out
+    return [c[::-1] for c in itertools.product(*(range(k) for k in reversed(orders)))]
 
 
 class ExtensionModel(GroupModel):
@@ -507,7 +490,7 @@ class ExtensionModel(GroupModel):
     def _top_identity(self) -> tuple:
         return (self.inner.identity(),) * self.s
 
-    def _norm(self, entries) -> tuple:
+    def _norm_base(self, entries) -> tuple:
         acc: dict[tuple, tuple[int, ...]] = {}
         for labs, coeff in entries:
             prev = acc.get(labs, (0,) * len(self.orders))
@@ -516,6 +499,7 @@ class ExtensionModel(GroupModel):
                 acc[labs] = coeff
             else:
                 acc.pop(labs, None)
+        # coset labels of different spaces need not be comparable, so sort by repr
         return tuple(sorted(acc.items(), key=lambda kv: repr(kv[0])))
 
     def identity(self):
@@ -528,7 +512,7 @@ class ExtensionModel(GroupModel):
         (phi1, t1), (phi2, t2) = a, b
         t1inv = tuple(self.inner.invert(g) for g in t1)
         moved = [(self._translate_point(labs, t1inv), coeff) for labs, coeff in phi2]
-        phi = self._norm(list(phi1) + moved)
+        phi = self._norm_base(list(phi1) + moved)
         tops = tuple(self.inner.multiply(x, y) for x, y in zip(t1, t2))
         return (phi, tops)
 
@@ -541,13 +525,13 @@ class ExtensionModel(GroupModel):
             )
             for labs, coeff in phi
         ]
-        return (self._norm(neg), tuple(self.inner.invert(g) for g in tops))
+        return (self._norm_base(neg), tuple(self.inner.invert(g) for g in tops))
 
     def is_identity(self, a) -> bool:
         phi, tops = a
         return not phi and all(self.inner.is_identity(g) for g in tops)
 
-    def coeff_sum(self, a) -> tuple[int, ...]:
+    def coeff_total(self, a) -> tuple[int, ...]:
         phi, _ = a
         total = [0] * len(self.orders)
         for _, coeff in phi:
@@ -564,16 +548,14 @@ class ExtensionModel(GroupModel):
             coeff = tuple(rng.randrange(k) for k in self.orders)
             entries.append((labs, coeff))
         tops = tuple(self.inner.random_element(rng) for _ in range(self.s))
-        return (self._norm(entries), tops)
+        return (self._norm_base(entries), tops)
 
 
 def lamp_extension_data(orders: Sequence[int], data: GData, cosets: Sequence[CosetSpace]) -> GData:
     """Data of orbit type ``(|B| m_1 ... m_s, 1)`` for the lamp extension of a
-    group with all orbit sizes at least 2.
+    group with all orbit sizes at least 2, carried by ``ExtensionModel``.
 
-    The first endomorphism contracts lamp positions along the inverse of the
-    induced coset map and applies each ``f_i`` on top; the second cyclically
-    rotates the s coordinates (the identity when s = 1).
+    Checks the inputs and hands the endomorphisms to ``lamp_data``.
     """
     if len(cosets) != len(data.endos):
         raise ValueError("need one coset space per endomorphism")
@@ -588,12 +570,28 @@ def lamp_extension_data(orders: Sequence[int], data: GData, cosets: Sequence[Cos
     orders = tuple(orders)
     if not orders or any(k < 2 for k in orders):
         raise ValueError("lamp group orders must all be at least 2")
-    model = ExtensionModel(data.model, orders, cosets)
-    s = model.s
+    return lamp_data(ExtensionModel(data.model, orders, cosets), orders, data, cosets)
+
+
+def lamp_data(model: GroupModel, orders: Sequence[int], data: GData, cosets: Sequence[CosetSpace]) -> GData:
+    """The two lamp endomorphisms on a carrier ``model`` of the lamp extension.
+
+    The carrier's elements are ``(support, tops)`` pairs: ``support`` holds
+    ``(point, coeff)`` entries, a point being an s-tuple of coset labels and
+    ``coeff`` an element of B (residues mod ``orders``), canonicalised by
+    ``model._norm_base``; ``tops`` is an s-tuple of elements of ``data.model``;
+    ``model.coeff_total`` sums the coefficients of an element in B.
+
+    The first endomorphism contracts lamp positions along the inverse of the
+    induced coset map and applies each ``f_i`` on top; its letters count the
+    lamp total slowest, then the cosets of the tops (``coset_product``).  The
+    second cyclically rotates the s coordinates (the identity when s = 1).
+    """
+    s = len(cosets)
 
     def contains(a) -> bool:
         _, tops = a
-        return all(c == 0 for c in model.coeff_sum(a)) and all(
+        return not any(model.coeff_total(a)) and all(
             endo.contains(g) for endo, g in zip(data.endos, tops)
         )
 
@@ -601,17 +599,17 @@ def lamp_extension_data(orders: Sequence[int], data: GData, cosets: Sequence[Cos
         phi, tops = a
         entries = []
         for labs, coeff in phi:
-            imgs = tuple(c.lambda_image(lab) for c, lab in zip(model.cosets, labs))
+            imgs = tuple(c.lambda_image(lab) for c, lab in zip(cosets, labs))
             if all(img is not None for img in imgs):
                 entries.append((imgs, coeff))
         newtops = tuple(endo.image(g) for endo, g in zip(data.endos, tops))
-        return (model._norm(entries), newtops)
+        return (model._norm_base(entries), newtops)
 
     cells, letter = coset_product(enumerate_abelian(orders), data.endos)
     ident_labels = tuple(c.identity_label for c in cosets)
 
     def coset_index(a) -> int:
-        return letter(model.coeff_sum(a), a[1])
+        return letter(model.coeff_total(a), a[1])
 
     transversal = [(((ident_labels, b),) if any(b) else (), tops) for b, tops in cells]
 
@@ -622,17 +620,10 @@ def lamp_extension_data(orders: Sequence[int], data: GData, cosets: Sequence[Cos
         # the value at x comes from rot(x) = (x_2..x_s, x_1), so a support
         # point y lands at (y_s, y_1, .., y_{s-1})
         entries = [((labs[-1:] + labs[:-1]), coeff) for labs, coeff in phi]
-        return (model._norm(entries), tops[1:] + tops[:1])
+        return (model._norm_base(entries), tops[1:] + tops[:1])
 
     endo1 = VirtualEndo(model, contains, chi1, transversal, coset_index)
-    endo2 = VirtualEndo(
-        model,
-        contains=lambda a: True,
-        image=chi2,
-        transversal=(model.identity(),),
-        coset_index=lambda a: 0,
-    )
-    return GData(model, [endo1, endo2])
+    return GData(model, [endo1, VirtualEndo.whole(model, chi2)])
 
 
 # ---------------------------------------------------------------------------

@@ -250,15 +250,20 @@ def section_word(machine: SelfSimilarMachine, word: GroupWord, y: int) -> GroupW
     return machine.decode(_pass(machine, machine.encode(word), y)[0])
 
 
-def apply_word(machine: SelfSimilarMachine, word: GroupWord, string: String) -> String:
-    codes = machine.encode(word)
+def _walk(machine: SelfSimilarMachine, codes: Codes, string: String) -> tuple[Codes, String]:
+    """The section of a code word at ``string`` and the image of ``string``."""
     out = []
+    for y in string:
+        codes, image = _pass(machine, codes, y)
+        out.append(image)
+    return codes, tuple(out)
+
+
+def apply_word(machine: SelfSimilarMachine, word: GroupWord, string: String) -> String:
     for y in string:
         if not 0 <= y < machine.alphabet_size:
             raise ValueError(f"letter {y} out of range")
-        codes, image = _pass(machine, codes, y)
-        out.append(image)
-    return tuple(out)
+    return _walk(machine, machine.encode(word), string)[1]
 
 
 def trivial_to_depth(machine: SelfSimilarMachine, word, depth: int) -> bool:
@@ -400,15 +405,10 @@ def inflate(machine: SelfSimilarMachine, k: int) -> TableMachine:
     index = {b: i for i, b in enumerate(blocks)}
     table: dict[str, tuple[list[GroupWord], Perm]] = {}
     for name in machine.generators:
-        word = GroupWord.gen(name)
-        images = [index[apply_word(machine, word, b)] for b in blocks]
-        sections = []
-        for b in blocks:
-            w = word
-            for y in b:
-                w = section_word(machine, w, y)
-            sections.append(w)
-        table[name] = (sections, Perm(images))
+        codes = machine.encode(GroupWord.gen(name))
+        walks = [_walk(machine, codes, b) for b in blocks]
+        sections = [machine.decode(sec) for sec, _ in walks]
+        table[name] = (sections, Perm(index[image] for _, image in walks))
     return TableMachine(m**k, table)
 
 

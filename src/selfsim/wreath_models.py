@@ -25,9 +25,8 @@ from .gdata_engine import (
     VirtualEndo,
     build_representation,
     concatenate,
-    coset_product,
     direct_power_data,
-    enumerate_abelian,
+    lamp_data,
     lamp_extension_data,
     wreath_by_regular_data,
 )
@@ -87,11 +86,6 @@ def z_coset_space() -> CosetSpace:
 
 def zomega_data(named_copies: int = 5) -> GData:
     return direct_power_data(z_data(), named_copies)
-
-
-def sequence_model(inner: GroupModel, named_copies: int = 5) -> SequenceModel:
-    """Finitely supported sequences over a model, trailing identities trimmed."""
-    return SequenceModel(inner, named_copies)
 
 
 TopVector = tuple[int, ...]
@@ -287,27 +281,12 @@ def prop31_endos(l: int, d: int) -> GData:
         ]
         return (model._norm_base(entries), tuple(top[(j + 1) % d] for j in range(d)))
 
-    f2 = VirtualEndo(
-        model,
-        contains=lambda g: True,
-        image=f2_image,
-        transversal=(model.identity(),),
-        coset_index=lambda g: 0,
-    )
-
     def f3_image(g):
         base, _ = g
         total = sum(coeff[0] for _, coeff in base)
         return ((), (total,) + (0,) * (d - 1))
 
-    f3 = VirtualEndo(
-        model,
-        contains=lambda g: True,
-        image=f3_image,
-        transversal=(model.identity(),),
-        coset_index=lambda g: 0,
-    )
-
+    f2, f3 = VirtualEndo.whole(model, f2_image), VirtualEndo.whole(model, f3_image)
     endos = [f1, f3] if d == 1 else [f1, f2, f3]
     return GData(model, endos)
 
@@ -455,14 +434,7 @@ def cp_wr_z2_data(p: int, inverse_transversal: bool = False) -> GData:
         entries = [(((n, m + n)), coeff) for (m, n), coeff in base]
         return (model._norm_base(entries), (j, i + j))
 
-    f2 = VirtualEndo(
-        model,
-        contains=lambda g: True,
-        image=f2_image,
-        transversal=(model.identity(),),
-        coset_index=lambda g: 0,
-    )
-    return GData(model, [f1, f2])
+    return GData(model, [f1, VirtualEndo.whole(model, f2_image)])
 
 
 def thmD_engine_machine(p: int, inverse_transversal: bool = False) -> EngineMachine:
@@ -521,37 +493,19 @@ def lamplighter_extension_data(orders: Sequence[int]) -> GData:
 
 def lamplighter_data(orders: Sequence[int]) -> GData:
     """The same lamp extension of Z carried by the wreath model, so it can be
-    concatenated with other wreath-model data over Z."""
+    concatenated with other wreath-model data over Z.
+
+    A ``WreathModel(0, orders, 1)`` element is a ``(support, tops)`` pair whose
+    points and tops are 1-tuples of integers, the labels of ``z_coset_space``,
+    so ``lamp_data`` builds the same endomorphisms as for the generic carrier.
+    """
     orders = tuple(orders)
     model = WreathModel(0, orders, 1)
     for j in range(len(orders)):
         name = "b" if len(orders) == 1 else f"b{j + 1}"
         model.generators[name] = model.base_generator(j)
     model.generators["z"] = model.top_generator(0)
-    # letters: the lamp total slowest, then the top's coset in Z's halving data
-    cells, letter = coset_product(enumerate_abelian(orders), z_data().endos)
-
-    def contains(g) -> bool:
-        return not any(model.coeff_total(g)) and g[1][0] % 2 == 0
-
-    def chi1(g):
-        base, top = g
-        entries = [((vec[0] // 2,), coeff) for vec, coeff in base if vec[0] % 2 == 0]
-        return (model._norm_base(entries), (top[0] // 2,))
-
-    def coset_index(g) -> int:
-        return letter(model.coeff_total(g), g[1])
-
-    transversal = [(((model.zero_top(), b),) if any(b) else (), top) for b, top in cells]
-    endo1 = VirtualEndo(model, contains, chi1, transversal, coset_index)
-    endo2 = VirtualEndo(
-        model,
-        contains=lambda g: True,
-        image=lambda g: g,
-        transversal=(model.identity(),),
-        coset_index=lambda g: 0,
-    )
-    return GData(model, [endo1, endo2])
+    return lamp_data(model, orders, z_data(), [z_coset_space()])
 
 
 def mixed_base_data(orders: Sequence[int], l: int) -> GData:
@@ -636,7 +590,6 @@ __all__ = [
     "poly_mul",
     "prop31_endos",
     "recompose",
-    "sequence_model",
     "mixed_base_data",
     "cp_wr_z2_data",
     "thmD_engine_machine",

@@ -145,6 +145,19 @@ def test_exit_codes_for_errors(tmp_path):
     assert code == 2
     code, _, err = run_cli(["witness", "--model", "zwrz", "--word", "zz", "--max-depth", "3"])
     assert code == 2 and "undeclared state" in err
+    # undeclared states are rejected even where no entry is read or they cancel
+    (tmp_path / "zz_a.txt").write_text("zz a\n", encoding="utf-8")
+    (tmp_path / "zz_cancel.txt").write_text("zz zz^-1\n", encoding="utf-8")
+    for argv in (
+        ["check", "--machine", "builtin:thmD(2)", "--relations", str(tmp_path / "zz_a.txt"), "--depth", "0"],
+        ["check", "--machine", "builtin:thmD(2)", "--relations", str(tmp_path / "zz_cancel.txt"), "--depth", "3"],
+        ["act", "--machine", "builtin:adding", "--word", "zz zz^-1", "--string", "01"],
+        ["states", "--machine", "builtin:adding", "--word", "zz zz^-1 a", "--max", "4", "--sep-depth", "3"],
+        ["portrait", "--machine", "builtin:adding", "--word", "zz zz^-1", "--depth", "2"],
+        ["witness", "--model", "zwrz", "--word", "zz zz^-1", "--max-depth", "3"],
+    ):
+        code, out, err = run_cli(argv)
+        assert (code, out, err) == (2, "", "error: undeclared state: 'zz'\n")
     # a non-finite-state machine cannot be exported in the line format
     code, _, err = run_cli(["build", "--data", "cp-wr-z2:p=2", "--emit", "file"])
     assert code == 2 and "closure exceeded" in err

@@ -8,6 +8,7 @@ from selfsim.gdata_engine import (
     SequenceModel,
     VirtualEndo,
     build_representation,
+    enumerate_abelian,
     fcore_witness_check,
     schreier,
     lamp_extension_data,
@@ -228,6 +229,11 @@ def test_lamp_extension_transversal_decomposition():
     for j, rep in enumerate(endo.transversal):
         assert endo.coset_index(rep) == j
         assert endo.contains(rep) == (j == 0)
+
+
+def test_enumerate_abelian_order():
+    assert enumerate_abelian((2, 3)) == [(0, 0), (1, 0), (0, 1), (1, 1), (0, 2), (1, 2)]
+    assert enumerate_abelian(()) == [()]
 
 
 def test_lamp_extension_requires_orbit_sizes_at_least_two():

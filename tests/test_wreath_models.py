@@ -1,3 +1,4 @@
+import math
 import random
 import zlib
 
@@ -290,12 +291,57 @@ def test_lamplighter_carriers_agree():
         assert equal_to_depth(wreath.automorphism(name), ext.automorphism(name), 8)
 
 
-@pytest.mark.parametrize("orders", [(2,), (3,), (2, 2)])
+@pytest.mark.parametrize("orders", [(2,), (3,), (2, 2), (2, 3), (5,)])
 def test_lamplighter_carriers_have_identical_closures(orders):
     # both carriers must compile to the same automaton, state for state
     wreath = mealy.machine_to_mealy(build_representation(lamplighter_data(orders)))
     ext = mealy.machine_to_mealy(build_representation(lamplighter_extension_data(orders)))
     assert mealy.emit(wreath) == mealy.emit(ext)
+
+
+def _reference_lamp_endo(model, orders):
+    """The contracting lamp endomorphism on ``WreathModel(0, orders, 1)``,
+    written out by hand as a reference for ``gdata_engine.lamp_data``: the
+    letter of an element counts its lamp total slowest (first coordinate
+    fastest), then the parity of its top."""
+    radix = [math.prod(orders[:i]) for i in range(len(orders))]
+
+    def contains(g):
+        return not any(model.coeff_total(g)) and g[1][0] % 2 == 0
+
+    def chi1(g):
+        base, top = g
+        entries = [((vec[0] // 2,), coeff) for vec, coeff in base if vec[0] % 2 == 0]
+        return (model._norm_base(entries), (top[0] // 2,))
+
+    def coset_index(g):
+        lamp = sum(c * r for c, r in zip(model.coeff_total(g), radix))
+        return 2 * lamp + g[1][0] % 2
+
+    transversal = []
+    for letter in range(2 * math.prod(orders)):
+        lamp, parity = divmod(letter, 2)
+        b = tuple(lamp // r % k for r, k in zip(radix, orders))
+        transversal.append(((((0,), b),) if any(b) else (), (parity,)))
+    return contains, chi1, coset_index, transversal
+
+
+@pytest.mark.parametrize("orders", [(2,), (3,), (2, 3), (2, 2)])
+def test_lamp_builder_matches_hand_written_reference(orders):
+    # both carriers run the same builder, so the carrier tests cannot see a fault in it
+    endo = lamplighter_data(orders).endos[0]
+    model = endo.model
+    contains, chi1, coset_index, transversal = _reference_lamp_endo(model, orders)
+    assert endo.transversal == tuple(transversal)
+    rng = random.Random(zlib.crc32(repr(orders).encode()))
+    for _ in range(200):
+        g = model.random_element(rng)
+        h = model.multiply(g, model.invert(transversal[coset_index(g)]))
+        assert contains(h)
+        for x in (g, h):
+            assert endo.coset_index(x) == coset_index(x)
+            assert endo.contains(x) == contains(x)
+            assert endo.image(x) == chi1(x)
 
 
 def test_lamplighter_multiple_torsion_orders():
