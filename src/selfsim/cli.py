@@ -73,7 +73,13 @@ def _format_string(letters: tuple[int, ...], m: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _express(machine: SelfSimilarMachine, word: GroupWord, todo: deque, search_len: int) -> str:
+# sections are written as generator words of at most SEARCH_LEN letters, and
+# a listing stops once MAX_LINES states are printed
+SEARCH_LEN = 5
+MAX_LINES = 512
+
+
+def _express(machine: SelfSimilarMachine, word: GroupWord, todo: deque) -> str:
     if not word:
         return "e"
     if machine.model is None:
@@ -84,7 +90,7 @@ def _express(machine: SelfSimilarMachine, word: GroupWord, todo: deque, search_l
     name = machine.name_of(elem)
     if name in machine.generators:
         return name
-    short = machine.short_word(elem, search_len)
+    short = machine.short_word(elem, SEARCH_LEN)
     if short is not None:
         return str(short)
     name = machine.state_of(elem)
@@ -92,14 +98,12 @@ def _express(machine: SelfSimilarMachine, word: GroupWord, todo: deque, search_l
     return name
 
 
-def recursion_lines(
-    machine: SelfSimilarMachine, search_len: int = 5, max_lines: int = 512
-) -> list[str]:
+def recursion_lines(machine: SelfSimilarMachine) -> list[str]:
     """Tuple-notation recursion, one line per state: ``name = (w0, .., w(m-1)) cycles``.
 
     Sections outside the generator ball get states of their own, printed after
     the generators; a machine that keeps spawning such states past
-    ``max_lines`` has no finite listing and raises instead.
+    ``MAX_LINES`` has no finite listing and raises instead.
     """
     lines = []
     printed = set()
@@ -108,11 +112,11 @@ def recursion_lines(
         name = todo.popleft()
         if name in printed:
             continue
-        if len(printed) >= max_lines:
-            raise ValueError(f"state closure exceeded {max_lines} states; not printable")
+        if len(printed) >= MAX_LINES:
+            raise ValueError(f"state closure exceeded {MAX_LINES} states; not printable")
         printed.add(name)
         sections, perm = machine.entry(name)
-        parts = [_express(machine, w, todo, search_len) for w in sections]
+        parts = [_express(machine, w, todo) for w in sections]
         suffix = "" if perm.is_identity() else f" {perm}"
         lines.append(f"{name} = ({', '.join(parts)}){suffix}")
     return lines

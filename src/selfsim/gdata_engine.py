@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import add, neg
 from typing import Callable, Optional, Sequence
 
 from .perm_word import GroupWord, Perm
@@ -135,17 +136,15 @@ class EngineMachine(SelfSimilarMachine):
     in the order that entry computations first reach them.
     """
 
-    def __init__(self, data: GData, generators: Optional[dict[str, object]] = None):
+    def __init__(self, data: GData):
         super().__init__(data.degree)
         self.data = data
         self.model = data.model
-        if generators is None:
-            generators = dict(data.model.generators)
         ident = self.model.identity()
         self._state_elements: dict[str, object] = {"e": ident}
         self._state_names: dict[object, str] = {ident: "e"}
         names = []
-        for name, g in generators.items():
+        for name, g in self.model.generators.items():
             if g in self._state_names:
                 continue
             self._state_elements[name] = g
@@ -235,10 +234,8 @@ class EngineMachine(SelfSimilarMachine):
         return Automorphism(self, GroupWord.gen(self.state_of(elem)))
 
 
-def build_representation(
-    data: GData, generators: Optional[dict[str, object]] = None
-) -> EngineMachine:
-    return EngineMachine(data, generators)
+def build_representation(data: GData) -> EngineMachine:
+    return EngineMachine(data)
 
 
 # ---------------------------------------------------------------------------
@@ -462,6 +459,28 @@ def enumerate_abelian(orders: Sequence[int]) -> list[tuple[int, ...]]:
     return [c[::-1] for c in itertools.product(*(range(k) for k in reversed(orders)))]
 
 
+def reduce_coeff(values, mods) -> tuple[int, ...]:
+    """A coefficient vector in canonical form: slot i reduced mod ``mods[i]``,
+    or left as it is where ``mods[i]`` is 0 (a free integer slot)."""
+    return tuple(v % k if k else v for v, k in zip(values, mods))
+
+
+def norm_support(entries, mods, key=None) -> tuple:
+    """The canonical support of ``(point, coeff)`` entries whose coefficients
+    are canonical under ``mods``: entries at one point add slot by slot, zero
+    coefficients are dropped, and the points are sorted by ``key``."""
+    acc: dict = {}
+    for point, coeff in entries:
+        prev = acc.get(point)
+        acc[point] = coeff if prev is None else reduce_coeff(map(add, prev, coeff), mods)
+    return tuple((p, acc[p]) for p in sorted(acc, key=key) if any(acc[p]))
+
+
+def support_total(support, mods) -> tuple[int, ...]:
+    """The canonical sum of the coefficients of a support."""
+    return reduce_coeff((sum(c[i] for _, c in support) for i in range(len(mods))), mods)
+
+
 class ExtensionModel(GroupModel):
     """Finitely supported maps from s-tuples of coset labels into a finite
     abelian group, extended by s-tuples of inner elements."""
@@ -469,7 +488,7 @@ class ExtensionModel(GroupModel):
     def __init__(self, inner: GroupModel, orders: Sequence[int], cosets: Sequence[CosetSpace]):
         super().__init__()
         self.inner = inner
-        self.orders = tuple(orders)
+        self.mods = self.orders = tuple(orders)
         self.cosets = tuple(cosets)
         self.s = len(cosets)
         self.name = f"B{self.orders} lamps over {inner.name}^{self.s}"
@@ -490,17 +509,12 @@ class ExtensionModel(GroupModel):
     def _top_identity(self) -> tuple:
         return (self.inner.identity(),) * self.s
 
-    def _norm_base(self, entries) -> tuple:
-        acc: dict[tuple, tuple[int, ...]] = {}
-        for labs, coeff in entries:
-            prev = acc.get(labs, (0,) * len(self.orders))
-            coeff = tuple((p + c) % k for p, c, k in zip(prev, coeff, self.orders))
-            if any(coeff):
-                acc[labs] = coeff
-            else:
-                acc.pop(labs, None)
+    def norm_base(self, entries) -> tuple:
         # coset labels of different spaces need not be comparable, so sort by repr
-        return tuple(sorted(acc.items(), key=lambda kv: repr(kv[0])))
+        return norm_support(entries, self.mods, key=repr)
+
+    def coeff_total(self, a) -> tuple[int, ...]:
+        return support_total(a[0], self.mods)
 
     def identity(self):
         return ((), self._top_identity())
@@ -512,32 +526,21 @@ class ExtensionModel(GroupModel):
         (phi1, t1), (phi2, t2) = a, b
         t1inv = tuple(self.inner.invert(g) for g in t1)
         moved = [(self._translate_point(labs, t1inv), coeff) for labs, coeff in phi2]
-        phi = self._norm_base(list(phi1) + moved)
+        phi = self.norm_base(list(phi1) + moved)
         tops = tuple(self.inner.multiply(x, y) for x, y in zip(t1, t2))
         return (phi, tops)
 
     def invert(self, a):
         phi, tops = a
-        neg = [
-            (
-                self._translate_point(labs, tops),
-                tuple((-c) % k for c, k in zip(coeff, self.orders)),
-            )
+        moved = [
+            (self._translate_point(labs, tops), reduce_coeff(map(neg, coeff), self.mods))
             for labs, coeff in phi
         ]
-        return (self._norm_base(neg), tuple(self.inner.invert(g) for g in tops))
+        return (self.norm_base(moved), tuple(self.inner.invert(g) for g in tops))
 
     def is_identity(self, a) -> bool:
         phi, tops = a
         return not phi and all(self.inner.is_identity(g) for g in tops)
-
-    def coeff_total(self, a) -> tuple[int, ...]:
-        phi, _ = a
-        total = [0] * len(self.orders)
-        for _, coeff in phi:
-            for i, c in enumerate(coeff):
-                total[i] = (total[i] + c) % self.orders[i]
-        return tuple(total)
 
     def random_element(self, rng):
         entries = []
@@ -548,7 +551,7 @@ class ExtensionModel(GroupModel):
             coeff = tuple(rng.randrange(k) for k in self.orders)
             entries.append((labs, coeff))
         tops = tuple(self.inner.random_element(rng) for _ in range(self.s))
-        return (self._norm_base(entries), tops)
+        return (self.norm_base(entries), tops)
 
 
 def lamp_extension_data(orders: Sequence[int], data: GData, cosets: Sequence[CosetSpace]) -> GData:
@@ -578,9 +581,10 @@ def lamp_data(model: GroupModel, orders: Sequence[int], data: GData, cosets: Seq
 
     The carrier's elements are ``(support, tops)`` pairs: ``support`` holds
     ``(point, coeff)`` entries, a point being an s-tuple of coset labels and
-    ``coeff`` an element of B (residues mod ``orders``), canonicalised by
-    ``model._norm_base``; ``tops`` is an s-tuple of elements of ``data.model``;
-    ``model.coeff_total`` sums the coefficients of an element in B.
+    ``coeff`` an element of B, canonical under ``model.mods`` (residues mod
+    ``orders``); ``model.norm_base`` canonicalises entries (``norm_support``),
+    and ``model.coeff_total`` sums the coefficients of an element in B;
+    ``tops`` is an s-tuple of elements of ``data.model``.
 
     The first endomorphism contracts lamp positions along the inverse of the
     induced coset map and applies each ``f_i`` on top; its letters count the
@@ -603,7 +607,7 @@ def lamp_data(model: GroupModel, orders: Sequence[int], data: GData, cosets: Seq
             if all(img is not None for img in imgs):
                 entries.append((imgs, coeff))
         newtops = tuple(endo.image(g) for endo, g in zip(data.endos, tops))
-        return (model._norm_base(entries), newtops)
+        return (model.norm_base(entries), newtops)
 
     cells, letter = coset_product(enumerate_abelian(orders), data.endos)
     ident_labels = tuple(c.identity_label for c in cosets)
@@ -620,7 +624,7 @@ def lamp_data(model: GroupModel, orders: Sequence[int], data: GData, cosets: Seq
         # the value at x comes from rot(x) = (x_2..x_s, x_1), so a support
         # point y lands at (y_s, y_1, .., y_{s-1})
         entries = [((labs[-1:] + labs[:-1]), coeff) for labs, coeff in phi]
-        return (model._norm_base(entries), tops[1:] + tops[:1])
+        return (model.norm_base(entries), tops[1:] + tops[:1])
 
     endo1 = VirtualEndo(model, contains, chi1, transversal, coset_index)
     return GData(model, [endo1, VirtualEndo.whole(model, chi2)])

@@ -339,11 +339,14 @@ def builtin_machine(name: str) -> SelfSimilarMachine:
     return got
 
 
-def machine_to_mealy(machine: SelfSimilarMachine, max_states: int = 512) -> MealyAutomaton:
+MAX_STATES = 512
+
+
+def machine_to_mealy(machine: SelfSimilarMachine) -> MealyAutomaton:
     """Close a machine under sections into a Mealy automaton.
 
     Requires every section to be a single state or the identity; raises for
-    composite sections and when the closure exceeds ``max_states`` (expected
+    composite sections and when the closure exceeds ``MAX_STATES`` (expected
     for non-finite-state machines).
     """
     names = list(machine.generators)
@@ -366,9 +369,9 @@ def machine_to_mealy(machine: SelfSimilarMachine, max_states: int = 512) -> Meal
             transition[name, y] = nxt
             output[name, y] = perm(y)
             if nxt != "e" and nxt not in seen:
-                if len(seen) >= max_states:
+                if len(seen) >= MAX_STATES:
                     raise ValueError(
-                        f"state closure exceeded {max_states} states; not exportable"
+                        f"state closure exceeded {MAX_STATES} states; not exportable"
                     )
                 seen.add(nxt)
                 names.append(nxt)

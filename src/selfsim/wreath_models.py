@@ -14,6 +14,7 @@ All elements are canonical (zero coefficients dropped, residues reduced), so
 
 from __future__ import annotations
 
+from operator import neg
 from typing import Sequence
 
 from .gdata_engine import (
@@ -28,6 +29,9 @@ from .gdata_engine import (
     direct_power_data,
     lamp_data,
     lamp_extension_data,
+    norm_support,
+    reduce_coeff,
+    support_total,
     wreath_by_regular_data,
 )
 from .mealy import brunner_sidki_pair, thmD
@@ -85,6 +89,8 @@ def z_coset_space() -> CosetSpace:
 
 
 def zomega_data(named_copies: int = 5) -> GData:
+    if named_copies < 1:
+        raise ValueError("need at least one named copy (n >= 1)")
     return direct_power_data(z_data(), named_copies)
 
 
@@ -107,36 +113,15 @@ class WreathModel(GroupModel):
         if top_dim < 1:
             raise ValueError("top dimension must be at least 1")
         self.name = f"(Z^{free_rank}+{self.torsion}) wr Z^{top_dim}"
-
-    # -- coefficient vectors -------------------------------------------------
-
-    def _norm_coeff(self, coeff) -> tuple[int, ...]:
-        coeff = tuple(coeff)
-        free = coeff[: self.free_rank]
-        tors = tuple(c % k for c, k in zip(coeff[self.free_rank :], self.torsion))
-        return free + tors
-
-    def _add_coeff(self, a, b) -> tuple[int, ...]:
-        return self._norm_coeff(x + y for x, y in zip(a, b))
-
-    def _neg_coeff(self, a) -> tuple[int, ...]:
-        return self._norm_coeff(-x for x in a)
-
-    def unit_coeff(self, slot: int) -> tuple[int, ...]:
-        return self._norm_coeff(1 if i == slot else 0 for i in range(self.width))
+        self.mods = (0,) * free_rank + self.torsion
 
     # -- bases (finitely supported maps Z^d -> coefficients) -----------------
 
-    def _norm_base(self, entries) -> tuple:
-        acc: dict[TopVector, tuple[int, ...]] = {}
-        for vec, coeff in entries:
-            prev = acc.get(vec)
-            coeff = self._add_coeff(prev, coeff) if prev is not None else self._norm_coeff(coeff)
-            if any(coeff):
-                acc[vec] = coeff
-            else:
-                acc.pop(vec, None)
-        return tuple(sorted(acc.items()))
+    def norm_base(self, entries) -> tuple:
+        return norm_support(entries, self.mods)
+
+    def coeff_total(self, a) -> tuple[int, ...]:
+        return support_total(a[0], self.mods)
 
     def _shift_base(self, base, vec: TopVector) -> list:
         return [(tuple(p + v for p, v in zip(point, vec)), coeff) for point, coeff in base]
@@ -152,41 +137,35 @@ class WreathModel(GroupModel):
     def multiply(self, a, b):
         (b1, t1), (b2, t2) = a, b
         neg_t1 = tuple(-v for v in t1)
-        base = self._norm_base(list(b1) + self._shift_base(b2, neg_t1))
+        base = self.norm_base(list(b1) + self._shift_base(b2, neg_t1))
         return (base, tuple(x + y for x, y in zip(t1, t2)))
 
     def invert(self, a):
         base, top = a
         shifted = self._shift_base(
-            [(vec, self._neg_coeff(coeff)) for vec, coeff in base], top
+            [(vec, reduce_coeff(map(neg, coeff), self.mods)) for vec, coeff in base], top
         )
-        return (self._norm_base(shifted), tuple(-v for v in top))
+        return (self.norm_base(shifted), tuple(-v for v in top))
 
     def is_identity(self, a) -> bool:
         base, top = a
         return not base and not any(top)
 
     def base_generator(self, slot: int):
-        return (((self.zero_top(), self.unit_coeff(slot)),), self.zero_top())
+        unit = tuple(int(i == slot) for i in range(self.width))
+        return (((self.zero_top(), unit),), self.zero_top())
 
     def top_generator(self, coord: int):
         return ((), tuple(1 if i == coord else 0 for i in range(self.top_dim)))
-
-    def coeff_total(self, a) -> tuple[int, ...]:
-        base, _ = a
-        total = (0,) * self.width
-        for _, coeff in base:
-            total = self._add_coeff(total, coeff)
-        return total
 
     def random_element(self, rng):
         entries = []
         for _ in range(rng.randint(0, 3)):
             vec = tuple(rng.randint(-2, 2) for _ in range(self.top_dim))
-            coeff = tuple(rng.randint(-2, 2) for _ in range(self.width))
+            coeff = reduce_coeff([rng.randint(-2, 2) for _ in range(self.width)], self.mods)
             entries.append((vec, coeff))
         top = tuple(rng.randint(-2, 2) for _ in range(self.top_dim))
-        return (self._norm_base(entries), top)
+        return (self.norm_base(entries), top)
 
     # -- concatenation support -------------------------------------------------
 
@@ -217,11 +196,11 @@ class WreathModel(GroupModel):
         def bridge(side, up, down):
             def project(g):
                 base, top = g
-                return side._norm_base((vec, down(coeff)) for vec, coeff in base), top
+                return side.norm_base((vec, down(coeff)) for vec, coeff in base), top
 
             def embed(g):
                 base, top = g
-                return combined._norm_base((vec, up(coeff)) for vec, coeff in base), top
+                return combined.norm_base((vec, up(coeff)) for vec, coeff in base), top
 
             return project, embed
 
@@ -264,7 +243,7 @@ def prop31_endos(l: int, d: int) -> GData:
             if vec[0] % 2 == 0:
                 rotated = tuple(coeff[(j + 1) % l] for j in range(l))
                 entries.append(((vec[0] // 2,) + vec[1:], rotated))
-        return (model._norm_base(entries), (top[0] // 2,) + top[1:])
+        return (model.norm_base(entries), (top[0] // 2,) + top[1:])
 
     f1 = VirtualEndo(
         model,
@@ -279,12 +258,10 @@ def prop31_endos(l: int, d: int) -> GData:
         entries = [
             (tuple(vec[(j + 1) % d] for j in range(d)), coeff) for vec, coeff in base
         ]
-        return (model._norm_base(entries), tuple(top[(j + 1) % d] for j in range(d)))
+        return (model.norm_base(entries), tuple(top[(j + 1) % d] for j in range(d)))
 
     def f3_image(g):
-        base, _ = g
-        total = sum(coeff[0] for _, coeff in base)
-        return ((), (total,) + (0,) * (d - 1))
+        return ((), (model.coeff_total(g)[0],) + (0,) * (d - 1))
 
     f2, f3 = VirtualEndo.whole(model, f2_image), VirtualEndo.whole(model, f3_image)
     endos = [f1, f3] if d == 1 else [f1, f2, f3]
@@ -412,7 +389,7 @@ def cp_wr_z2_data(p: int, inverse_transversal: bool = False) -> GData:
     def f1_image(g):
         base, top = g
         _, Q, _ = decompose(as_poly(base), p)
-        return (model._norm_base((vec, (c,)) for vec, c in Q.items()), (0, top[1]))
+        return (model.norm_base((vec, (c,)) for vec, c in Q.items()), (0, top[1]))
 
     lamp = model.base_generator(0)
     step = model.invert(lamp) if inverse_transversal else lamp
@@ -432,7 +409,7 @@ def cp_wr_z2_data(p: int, inverse_transversal: bool = False) -> GData:
     def f2_image(g):
         base, (i, j) = g
         entries = [(((n, m + n)), coeff) for (m, n), coeff in base]
-        return (model._norm_base(entries), (j, i + j))
+        return (model.norm_base(entries), (j, i + j))
 
     return GData(model, [f1, VirtualEndo.whole(model, f2_image)])
 
@@ -519,25 +496,30 @@ def mixed_base_data(orders: Sequence[int], l: int) -> GData:
 # ---------------------------------------------------------------------------
 
 
-def _parse_kv(argstr: str) -> dict[str, str]:
-    out = {}
-    for part in argstr.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        key, eq, value = part.partition("=")
+def _int_params(name: str, argstr: str, **defaults) -> dict[str, int]:
+    """The integer ``key=value`` parameters of a selector.  Only the keys of
+    ``defaults`` are accepted, each once; a default of None marks a required key."""
+    kv = {}
+    for part in filter(None, (part.strip() for part in argstr.split(","))):
+        key, eq, value = (x.strip() for x in part.partition("="))
         if not eq:
             raise ValueError(f"expected key=value, got {part!r}")
-        out[key.strip()] = value.strip()
-    return out
+        if key not in defaults or key in kv:
+            raise ValueError(f"unknown or repeated key {key!r} in the {name} selector")
+        kv[key] = value
+    for key, default in defaults.items():
+        if default is None and key not in kv:
+            raise ValueError(f"the {name} selector needs {key}=<int>")
+    return {key: int(kv.get(key, default)) for key, default in defaults.items()}
 
 
 def data_by_selector(selector: str) -> GData:
     """Resolve a model selector string to its group data.
 
-    Selectors: ``z``, ``zomega``, ``zl-wr-zd:l=<l>,d=<d>``, ``cp-wr-z2:p=<p>``,
-    ``zwrz``, ``zwrz-wr-c2``, ``lamplighter:B=<k1,..,kr>`` and
-    ``concat:<sel>+<sel>`` (both sides over the same top group).
+    Selectors: ``z``, ``zomega:n=<n>`` (n defaults to 5),
+    ``zl-wr-zd:l=<l>,d=<d>``, ``cp-wr-z2:p=<p>``, ``zwrz``, ``zwrz-wr-c2``,
+    ``lamplighter:B=<k1,..,kr>`` and ``concat:<sel>+<sel>`` (both sides over
+    the same top group).
     """
     selector = selector.strip()
     if selector.startswith("concat:"):
@@ -549,21 +531,16 @@ def data_by_selector(selector: str) -> GData:
             data = concatenate(data, data_by_selector(part))
         return data
     name, _, argstr = selector.partition(":")
-    if name == "z":
-        return z_data()
+    plain = {"z": z_data, "zwrz": zwrz_data, "zwrz-wr-c2": zwrz_wr_c2_data}
+    if name in plain:
+        _int_params(name, argstr)
+        return plain[name]()
     if name == "zomega":
-        kv = _parse_kv(argstr)
-        return zomega_data(int(kv.get("n", "5")))
+        return zomega_data(_int_params(name, argstr, n=5)["n"])
     if name == "zl-wr-zd":
-        kv = _parse_kv(argstr)
-        return prop31_endos(int(kv["l"]), int(kv["d"]))
+        return prop31_endos(**_int_params(name, argstr, l=None, d=None))
     if name == "cp-wr-z2":
-        kv = _parse_kv(argstr)
-        return cp_wr_z2_data(int(kv["p"]))
-    if name == "zwrz":
-        return zwrz_data()
-    if name == "zwrz-wr-c2":
-        return zwrz_wr_c2_data()
+        return cp_wr_z2_data(**_int_params(name, argstr, p=None))
     if name == "lamplighter":
         key, eq, value = argstr.partition("=")
         if key.strip() != "B" or not eq:

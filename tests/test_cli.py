@@ -158,6 +158,18 @@ def test_exit_codes_for_errors(tmp_path):
     ):
         code, out, err = run_cli(argv)
         assert (code, out, err) == (2, "", "error: undeclared state: 'zz'\n")
+    # selectors with a missing, unknown or repeated key, or no named copies
+    for argv in (
+        ["build", "--data", "cp-wr-z2"],
+        ["witness", "--model", "zl-wr-zd:l=1", "--word", "g1", "--max-depth", "3"],
+        ["build", "--data", "zl-wr-zd:l=1,d=1,x=3"],
+        ["build", "--data", "zl-wr-zd:l=1,d=1,l=2"],
+        ["build", "--data", "z:junk"],
+        ["build", "--data", "zomega:n=0"],
+        ["build", "--data", "zomega:n=-1"],
+    ):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "") and err.startswith("error:") and err.count("\n") == 1
     # a non-finite-state machine cannot be exported in the line format
     code, _, err = run_cli(["build", "--data", "cp-wr-z2:p=2", "--emit", "file"])
     assert code == 2 and "closure exceeded" in err

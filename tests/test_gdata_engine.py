@@ -12,6 +12,8 @@ from selfsim.gdata_engine import (
     fcore_witness_check,
     schreier,
     lamp_extension_data,
+    norm_support,
+    support_total,
     wreath_by_regular_data,
 )
 from selfsim.perm_word import Perm, parse_word
@@ -298,3 +300,17 @@ def test_fcore_witness_skips_identity_samples():
     report = fcore_witness_check(data, 25, 16, random.Random(4))
     assert all(not data.model.is_identity(g) for g, _ in report.entries)
     assert report.all_witnessed
+
+
+def test_norm_support_and_total():
+    mods = (0, 3)  # a free integer slot, then a residue slot mod 3
+    # entries that cancel at a point are dropped, and so is a lone zero entry
+    assert norm_support([((0,), (2, 1)), ((0,), (-2, 2)), ((1,), (0, 0))], mods) == ()
+    # a free-slot sum is not reduced, a residue sum is
+    assert norm_support([((0,), (2, 2)), ((0,), (5, 2))], mods) == (((0,), (7, 1)),)
+    assert support_total((((0,), (4, 2)), ((1,), (3, 2))), mods) == (7, 1)
+    assert support_total((), mods) == (0, 0)
+    # points follow the key order
+    entries = [((10,), (1, 0)), ((9,), (1, 0)), ((2,), (0, 1))]
+    assert [p for p, _ in norm_support(entries, mods)] == [(2,), (9,), (10,)]
+    assert [p for p, _ in norm_support(entries, mods, key=repr)] == [(10,), (2,), (9,)]

@@ -5,7 +5,7 @@ import zlib
 import pytest
 
 from selfsim import mealy
-from selfsim.gdata_engine import build_representation
+from selfsim.gdata_engine import ExtensionModel, build_representation
 from selfsim.tree_core import equal_to_depth
 from selfsim.wreath_models import (
     WreathModel,
@@ -40,6 +40,21 @@ ALL_DATA = {
 }
 
 
+def _reference_norm(support, model):
+    """A support renormalised by reducing every coefficient, lone or not, and
+    dropping zeros; points in the carrier's order (repr for ExtensionModel)."""
+    acc = {}
+    for point, coeff in support:
+        prev = acc.get(point, (0,) * len(model.mods))
+        acc[point] = tuple(
+            x + y if k == 0 else (x + y) % k for x, y, k in zip(prev, coeff, model.mods)
+        )
+    items = [kv for kv in acc.items() if any(kv[1])]
+    if isinstance(model, ExtensionModel):
+        return tuple(sorted(items, key=lambda kv: repr(kv[0])))
+    return tuple(sorted(items))
+
+
 @pytest.mark.parametrize("name", sorted(ALL_DATA))
 def test_group_axioms_randomized(name):
     data = ALL_DATA[name]()
@@ -55,6 +70,9 @@ def test_group_axioms_randomized(name):
         assert model.multiply(a, e) == a and model.multiply(e, a) == a
         assert model.is_identity(model.multiply(a, model.invert(a)))
         assert model.is_identity(model.multiply(model.invert(a), a))
+        if hasattr(model, "mods"):
+            for g in (model.multiply(a, b), model.invert(a)):
+                assert g[0] == _reference_norm(g[0], model)
 
 
 def _subgroup_samples(model, endo, rng, want):
@@ -312,7 +330,7 @@ def _reference_lamp_endo(model, orders):
     def chi1(g):
         base, top = g
         entries = [((vec[0] // 2,), coeff) for vec, coeff in base if vec[0] % 2 == 0]
-        return (model._norm_base(entries), (top[0] // 2,))
+        return (model.norm_base(entries), (top[0] // 2,))
 
     def coset_index(g):
         lamp = sum(c * r for c, r in zip(model.coeff_total(g), radix))
@@ -389,3 +407,16 @@ def test_selector_errors():
         data_by_selector("concat:z+zwrz")
     with pytest.raises(ValueError):
         data_by_selector("concat:lamplighter:B=2+zl-wr-zd:l=1,d=2")
+    # a missing, unknown or repeated key, or a power with no named copies
+    for selector in (
+        "cp-wr-z2",
+        "zl-wr-zd:l=1",
+        "zl-wr-zd:l=1,d=1,x=3",
+        "zl-wr-zd:l=1,d=1,l=2",
+        "z:junk",
+        "zwrz:n=2",
+        "zomega:n=0",
+        "zomega:n=-1",
+    ):
+        with pytest.raises(ValueError):
+            data_by_selector(selector)
