@@ -19,7 +19,8 @@ stays the public type: the module functions encode and decode at the boundary.
 
 Equality of tree automorphisms is undecidable in general; everything here is
 depth-bounded, and ``trivial_to_depth`` is the one decision procedure: equality
-across two machines is triviality on their disjoint union.
+across two machines is triviality on their disjoint union.  Its memo keys a
+word by the word's class under conjugation and inversion (see ``_record``).
 """
 
 from __future__ import annotations
@@ -42,10 +43,11 @@ class SelfSimilarMachine:
     ``sections`` is a tuple of ``alphabet_size`` words over this machine's
     state names.  ``encode`` turns a word into a code tuple, numbering states
     on first sight, and ``decode`` turns it back; a code's row is compiled from
-    ``entry`` the first time a pass reads the code.  ``cache_key`` maps a
-    reduced code tuple to the key of the triviality memo and of state
-    deduplication; a machine with an exact group model (see ``gdata_engine``)
-    keys by model element instead of by codes.
+    ``entry`` the first time a pass reads the code.  The triviality memo keys
+    a code tuple by its class under conjugation and inversion; a machine with
+    an exact group ``model`` (see ``gdata_engine``) instead provides
+    ``cache_key``, the model element of a reduced code tuple, which keys the
+    memo and state deduplication.
     """
 
     model = None
@@ -61,8 +63,7 @@ class SelfSimilarMachine:
         # code -> ((section codes at y, image of y) for each letter y), or
         # None until a pass first reads the code
         self._rows: list = []
-        # cache key -> [deepest depth proven trivial, shallowest depth seen
-        # nontrivial, section code tuples or None when the root moves]
+        # cyclic core, class key or model element -> its record (``_record``)
         self._triv: dict[object, list] = {}
 
     def entry(self, name: str) -> tuple[tuple[GroupWord, ...], Perm]:
@@ -100,9 +101,6 @@ class SelfSimilarMachine:
             sections = [sections[x].inverse() for x in perm.images]
         row = self._rows[c] = tuple(zip(map(self.encode, sections), perm.images))
         return row
-
-    def cache_key(self, codes: Codes) -> object:
-        return codes
 
     def automorphism(self, word) -> "Automorphism":
         if isinstance(word, str):
@@ -269,24 +267,92 @@ def apply_word(machine: SelfSimilarMachine, word: GroupWord, string: String) -> 
 def trivial_to_depth(machine: SelfSimilarMachine, word, depth: int) -> bool:
     """True iff the word fixes every string of length <= depth.
 
-    Synchronised recursive descent with one per-machine memo keyed by
-    ``machine.cache_key``, rather than enumeration of all m^depth strings.  A
-    key's record holds its root test and sections from the first sighting on.
+    Synchronised recursive descent with one per-machine memo (see
+    ``_record``), rather than enumeration of all m^depth strings.  Depth 0
+    holds for every word; a negative depth is an error.
     """
+    if depth < 0:
+        raise ValueError("depth must be nonnegative")
     if isinstance(word, Automorphism):
         word = word.word
     return _trivial(machine, machine.encode(word), depth)
 
 
+def _cyclic_core(codes: Codes) -> Codes:
+    """A reduced code word with the ``c .. c^1`` pairs stripped from its ends."""
+    i, j = 0, len(codes) - 1
+    while i < j and codes[i] == codes[j] ^ 1:
+        i += 1
+        j -= 1
+    return codes[i : j + 1] if i else codes
+
+
+def _least_rotation(codes: Codes) -> Codes:
+    """The lexicographically least rotation of a code word, by the linear
+    two-pointer scan (the least circular substring of Booth 1980)."""
+    n = len(codes)
+    twice = codes + codes
+    i, j, k = 0, 1, 0
+    while j < n and k < n:
+        a, b = twice[i + k], twice[j + k]
+        if a == b:
+            k += 1
+            continue
+        if a > b:
+            i = max(i + k + 1, j)
+            j = i + 1
+        else:
+            j += k + 1
+        k = 0
+    return twice[i : i + n]
+
+
+def _class_key(codes: Codes) -> Codes:
+    """The conjugacy-and-inversion class of a reduced code word: the smaller of
+    the least rotations of its cyclic core and of that core's inverse."""
+    core = _cyclic_core(codes)
+    return min(_least_rotation(core), _least_rotation(tuple(c ^ 1 for c in reversed(core))))
+
+
+def _record(machine: SelfSimilarMachine, codes: Codes) -> list:
+    """The memo record of a nonempty code word: ``[deepest depth proven trivial,
+    shallowest depth seen nontrivial, section code tuples or None when the root
+    moves]``.
+
+    A tree automorphism preserves levels, so a word, its conjugates and its
+    inverse fix the same strings to every depth.  Without a model, a word is
+    looked up by its cyclic core; a new core computes its class key, under
+    which all cores of the class share one record, and the core, a shortest
+    word of the class, is expanded.  A machine with a model keys by the model
+    element, ``cache_key``.
+    """
+    memo = machine._triv
+    if machine.model is not None:
+        key = machine.cache_key(codes)
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = _new_record(machine, codes)
+        return got
+    core = _cyclic_core(codes)
+    got = memo.get(core)
+    if got is None:
+        key = (_class_key(core),)  # a 1-tuple of a tuple never equals a code tuple
+        got = memo.get(key)
+        if got is None:
+            got = memo[key] = _new_record(machine, core)
+        memo[core] = got
+    return got
+
+
+def _new_record(machine: SelfSimilarMachine, codes: Codes) -> list:
+    secs = _expand(machine, codes)
+    return [0, None if secs else 1, secs]
+
+
 def _trivial(machine: SelfSimilarMachine, codes: Codes, d: int) -> bool:
     if d <= 0 or not codes:
         return True
-    memo = machine._triv
-    key = machine.cache_key(codes)
-    status = memo.get(key)
-    if status is None:
-        secs = _expand(machine, codes)
-        status = memo[key] = [0, None if secs else 1, secs]
+    status = _record(machine, codes)
     if status[1] is not None and d >= status[1]:
         return False
     if status[0] >= d:
@@ -335,6 +401,8 @@ def states(a: Automorphism, max_states: int, sep_depth: int) -> StateSet:
     """
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
+    if sep_depth < 1:
+        raise ValueError("sep_depth must be at least 1")
     machine = a.machine
     reps: list[Automorphism] = []
     keys: set = set()

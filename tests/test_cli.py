@@ -158,6 +158,21 @@ def test_exit_codes_for_errors(tmp_path):
     ):
         code, out, err = run_cli(argv)
         assert (code, out, err) == (2, "", "error: undeclared state: 'zz'\n")
+    # a negative depth passes no relation, and a separation depth below 1 is no
+    # probe at all, so neither may report "PASS" or "complete"
+    (tmp_path / "a.txt").write_text("a\n", encoding="utf-8")
+    for argv, message in (
+        (["check", "--machine", "builtin:adding", "--relations", str(tmp_path / "a.txt"), "--depth", "-3"],
+         "depth must be nonnegative"),
+        (["states", "--machine", "builtin:diagram2(4)", "--word", "a4", "--max", "16", "--sep-depth", "0"],
+         "sep_depth must be at least 1"),
+        (["states", "--machine", "builtin:diagram2(4)", "--word", "a4", "--max", "16", "--sep-depth", "-2"],
+         "sep_depth must be at least 1"),
+    ):
+        code, out, err = run_cli(argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+    code, out, _ = run_cli(["check", "--machine", "builtin:adding", "--relations", str(tmp_path / "a.txt"), "--depth", "0"])
+    assert (code, out) == (0, "PASS a\n")
     # selectors with a missing, unknown or repeated key, or no named copies
     for argv in (
         ["build", "--data", "cp-wr-z2"],

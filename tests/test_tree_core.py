@@ -8,6 +8,7 @@ from selfsim import mealy
 from selfsim.gdata_engine import build_representation
 from selfsim.perm_word import GroupWord, Perm, commutator
 from selfsim.tree_core import (
+    _class_key,
     _UnionMachine,
     Automorphism,
     equal_to_depth,
@@ -327,6 +328,94 @@ def test_compiled_passes_match_per_letter_reference(name):
             assert trivial_to_depth(machine, word, d) is (d <= deepest), (str(word), d)
             verdicts.add((d > 1, d <= deepest))
     assert {(True, True), (True, False)} <= verdicts
+
+
+@pytest.mark.parametrize(
+    "name", ["diagram1", "diagram3", "thmD(2)", "mealy-file", "union", "cp-wr-z2:p=2"]
+)
+def test_class_wide_verdicts_match_per_letter_reference(name):
+    # checking a conjugate u w^+-1 u^-1 first fills the memo record of w's class
+    machine, names = _cross_check_machine(name)
+    rng = random.Random(f"class-wide/{name}")
+    memo = {}
+    verdicts = set()
+    for _ in range(30):
+        u, v = _random_word(rng, names, 8), _random_word(rng, names, 8)
+        word = u * v * u.inverse() * v.inverse() if rng.random() < 0.5 else _random_word(rng, names, 30)
+        t = _random_word(rng, names, 8)
+        seed = t * (word if rng.random() < 0.5 else word.inverse()) * t.inverse()
+        trivial_to_depth(machine, seed, rng.randint(1, 6))
+        deepest = _reference_trivial_depth(machine, word, 6, memo)
+        depths = list(range(1, 7))
+        rng.shuffle(depths)
+        for d in depths:
+            assert trivial_to_depth(machine, word, d) is (d <= deepest), (str(seed), str(word), d)
+        verdicts.add(deepest)
+        witness = find_moving_string(Automorphism(machine, word), 6)
+        if deepest == 6:
+            assert witness is None
+        else:
+            assert len(witness) == deepest + 1
+            assert Automorphism(machine, word).apply(witness) != witness, (str(word), witness)
+    assert 0 in verdicts and len(verdicts) > 1
+
+
+def _cyclic_words(codes):
+    """Every rotation of the cyclic core of a code word and of its inverse, by
+    stripping one end pair at a time and rotating one letter at a time."""
+    core = list(codes)
+    while len(core) > 1 and core[0] == core[-1] ^ 1:
+        core = core[1:-1]
+    inverse = [c ^ 1 for c in reversed(core)]
+    return {tuple(w[i:] + w[:i]) for w in (core, inverse) for i in range(len(w))} or {()}
+
+
+def _brute_class_key(codes):
+    return min(_cyclic_words(codes))
+
+
+def test_class_key_small_cases():
+    machine = mealy.builtin_machine("thmD(2)")
+    s, a, b = (GroupWord.gen(n) for n in "sab")
+
+    def key(word):
+        codes = machine.encode(word)
+        assert _class_key(codes) == _brute_class_key(codes), str(word)
+        return _class_key(codes)
+
+    assert key(GroupWord.identity()) == ()
+    assert key(a * b * b.inverse() * a.inverse()) == ()
+    assert key(a * b * a.inverse()) == key(b) == machine.encode(b)
+    assert key(b.inverse()) == key(b)
+    assert key(s) == machine.encode(s)
+    assert key(s**2) == machine.encode(s**2)
+    assert key((a * b) ** 3) == key((b * a) ** 3) == key((a * b) ** -3) == key((b.inverse() * a.inverse()) ** 3)
+    assert key((a * b) ** 3) != key((a * b) ** 2)
+    assert key(a * b * s * b.inverse() * a.inverse()) == key(s)
+    assert key(a * s * b * a.inverse()) == key(s * b)
+    assert key(a * b * a.inverse() * b.inverse()) == key(b * a * b.inverse() * a.inverse())
+
+
+def test_class_key_matches_brute_force_on_random_words():
+    machine = mealy.builtin_machine("thmD(2)")
+    names = list(machine.generators)
+    rng = random.Random(6)
+    classes = set()
+    for _ in range(300):
+        w, u = _random_word(rng, names, 12), _random_word(rng, names, 6)
+        codes = machine.encode(w)
+        key = _class_key(codes)
+        for word in (w, w ** rng.randint(2, 3), u * w):
+            assert _class_key(machine.encode(word)) == _brute_class_key(machine.encode(word)), str(word)
+        # conjugates and the inverse share the key ...
+        for other in (u * w * u.inverse(), u * w.inverse() * u.inverse(), w.inverse()):
+            assert _class_key(machine.encode(other)) == key, (str(w), str(other))
+        # ... and words with different keys differ as cyclic words
+        v = u * w * u.inverse() if rng.random() < 0.3 else _random_word(rng, names, 4)
+        same = _cyclic_words(codes) == _cyclic_words(machine.encode(v))
+        assert (_class_key(machine.encode(v)) == key) is same, (str(w), str(v))
+        classes.add(same)
+    assert classes == {True, False}
 
 
 def test_machines_are_freed_without_the_cycle_collector():
