@@ -73,9 +73,8 @@ def _format_string(letters: tuple[int, ...], m: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-# sections are written as generator words of at most SEARCH_LEN letters, and
-# a listing stops once MAX_LINES states are printed
-SEARCH_LEN = 5
+# sections are written as generator words of at most gdata_engine.SEARCH_LEN
+# letters, and a listing stops once MAX_LINES states are printed
 MAX_LINES = 512
 
 
@@ -90,7 +89,7 @@ def _express(machine: SelfSimilarMachine, word: GroupWord, todo: deque) -> str:
     name = machine.name_of(elem)
     if name in machine.generators:
         return name
-    short = machine.short_word(elem, SEARCH_LEN)
+    short = machine.short_word(elem)
     if short is not None:
         return str(short)
     name = machine.state_of(elem)

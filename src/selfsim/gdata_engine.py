@@ -127,6 +127,10 @@ def schreier(endo: VirtualEndo, g, t) -> tuple[object, int]:
     return h, j
 
 
+# ``short_word`` searches generator words of at most SEARCH_LEN letters
+SEARCH_LEN = 5
+
+
 class EngineMachine(SelfSimilarMachine):
     """Lazily generated machine realising a group through its data.
 
@@ -153,7 +157,7 @@ class EngineMachine(SelfSimilarMachine):
         self.generators = tuple(names)
         self._fresh = itertools.count(1)
         self._code_elements: dict[int, object] = {}  # code -> element of the letter
-        self._balls: dict[int, dict] = {}  # radius -> {element: shortest generator word}
+        self._ball: Optional[dict] = None  # element -> shortest generator word
 
     def state_of(self, elem) -> str:
         name = self._state_names.get(elem)
@@ -192,7 +196,7 @@ class EngineMachine(SelfSimilarMachine):
         return self.cache_key(self.encode(word))
 
     def cache_key(self, codes: tuple) -> object:
-        """Exact model element of a code tuple over this machine's states."""
+        """Exact model element of a code tuple: the memo key of ``_record`` and ``states``."""
         model = self.model
         elements = self._code_elements
         elem = model.identity()
@@ -207,16 +211,16 @@ class EngineMachine(SelfSimilarMachine):
             elem = model.multiply(elem, g)
         return elem
 
-    def short_word(self, elem, max_len: int) -> Optional[GroupWord]:
-        """A shortest word of length <= max_len in the generators for ``elem``,
-        or None if there is none."""
-        ball = self._balls.get(max_len)
+    def short_word(self, elem) -> Optional[GroupWord]:
+        """A shortest word of length <= SEARCH_LEN in the generators for
+        ``elem``, or None if there is none."""
+        ball = self._ball
         if ball is None:
             model = self.model
-            ball = self._balls[max_len] = {model.identity(): GroupWord.identity()}
+            ball = self._ball = {model.identity(): GroupWord.identity()}
             frontier = [model.identity()]
             gens = [(name, self._state_elements[name]) for name in self.generators]
-            for _ in range(max_len):
+            for _ in range(SEARCH_LEN):
                 new = []
                 for x in frontier:
                     for name, g in gens:

@@ -112,7 +112,7 @@ def parse(text: str) -> MealyAutomaton:
             if y in rows:
                 raise ValueError(f"line {lineno}: duplicate input letter {y}")
             rows[y] = (out, nxt)
-        if sorted(rows) != list(range(alphabet)):
+        if len(rows) != alphabet:  # rows are range-checked and duplicate-free
             raise ValueError(f"line {lineno}: state {name} does not cover all letters")
         if name == "e":
             if any(rows[y] != (y, "e") for y in range(alphabet)):

@@ -20,7 +20,7 @@ stays the public type: the module functions encode and decode at the boundary.
 Equality of tree automorphisms is undecidable in general; everything here is
 depth-bounded, and ``trivial_to_depth`` is the one decision procedure: equality
 across two machines is triviality on their disjoint union.  Its memo keys a
-word by the word's class under conjugation and inversion (see ``_record``).
+word by ``cache_key`` of its class under conjugation and inversion (``_record``).
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ class SelfSimilarMachine:
     state names.  ``encode`` turns a word into a code tuple, numbering states
     on first sight, and ``decode`` turns it back; a code's row is compiled from
     ``entry`` the first time a pass reads the code.  The triviality memo keys
-    a code tuple by its class under conjugation and inversion; a machine with
-    an exact group ``model`` (see ``gdata_engine``) instead provides
-    ``cache_key``, the model element of a reduced code tuple, which keys the
-    memo and state deduplication.
+    a code tuple by ``cache_key`` of its class representative under
+    conjugation and inversion: here the representative itself, while a machine
+    with an exact group ``model`` (see ``gdata_engine``) returns the model
+    element, which also deduplicates its ``states``.
     """
 
     model = None
@@ -63,7 +63,7 @@ class SelfSimilarMachine:
         # code -> ((section codes at y, image of y) for each letter y), or
         # None until a pass first reads the code
         self._rows: list = []
-        # cyclic core, class key or model element -> its record (``_record``)
+        # cyclic core or (cache_key of its class, None) -> its record (``_record``)
         self._triv: dict[object, list] = {}
 
     def entry(self, name: str) -> tuple[tuple[GroupWord, ...], Perm]:
@@ -101,6 +101,10 @@ class SelfSimilarMachine:
             sections = [sections[x].inverse() for x in perm.images]
         row = self._rows[c] = tuple(zip(map(self.encode, sections), perm.images))
         return row
+
+    def cache_key(self, codes: Codes) -> object:
+        """The triviality memo key of a class representative (``_record``)."""
+        return codes
 
     def automorphism(self, word) -> "Automorphism":
         if isinstance(word, str):
@@ -320,33 +324,23 @@ def _record(machine: SelfSimilarMachine, codes: Codes) -> list:
     moves]``.
 
     A tree automorphism preserves levels, so a word, its conjugates and its
-    inverse fix the same strings to every depth.  Without a model, a word is
-    looked up by its cyclic core; a new core computes its class key, under
-    which all cores of the class share one record, and the core, a shortest
-    word of the class, is expanded.  A machine with a model keys by the model
-    element, ``cache_key``.
+    inverse fix the same strings to every depth.  A word is looked up by its
+    cyclic core; a new core keys its record by ``machine.cache_key`` of its
+    class representative (for a machine with a model, the element), shared by
+    every core of the class, and expands the core, a shortest word of the class.
     """
     memo = machine._triv
-    if machine.model is not None:
-        key = machine.cache_key(codes)
-        got = memo.get(key)
-        if got is None:
-            got = memo[key] = _new_record(machine, codes)
-        return got
     core = _cyclic_core(codes)
     got = memo.get(core)
     if got is None:
-        key = (_class_key(core),)  # a 1-tuple of a tuple never equals a code tuple
+        # a pair holding None never equals a code tuple
+        key = (machine.cache_key(_class_key(core)), None)
         got = memo.get(key)
         if got is None:
-            got = memo[key] = _new_record(machine, core)
+            secs = _expand(machine, core)
+            got = memo[key] = [0, None if secs else 1, secs]
         memo[core] = got
     return got
-
-
-def _new_record(machine: SelfSimilarMachine, codes: Codes) -> list:
-    secs = _expand(machine, codes)
-    return [0, None if secs else 1, secs]
 
 
 def _trivial(machine: SelfSimilarMachine, codes: Codes, d: int) -> bool:
@@ -427,14 +421,10 @@ def states(a: Automorphism, max_states: int, sep_depth: int) -> StateSet:
     return StateSet(reps, False)
 
 
-def orbit_type(
-    machine: SelfSimilarMachine, gens: Optional[Sequence[Automorphism]] = None
-) -> tuple[int, ...]:
-    """Orbit sizes of the group generated by the root permutations, ordered by
-    each orbit's minimal letter."""
-    if gens is None:
-        gens = [machine.automorphism(GroupWord.gen(name)) for name in machine.generators]
-    if not gens:
+def orbit_type(machine: SelfSimilarMachine) -> tuple[int, ...]:
+    """Orbit sizes of the group generated by the root permutations of the
+    machine's generators, ordered by each orbit's minimal letter."""
+    if not machine.generators:
         raise ValueError("orbit_type needs at least one generator")
     m = machine.alphabet_size
     parent = list(range(m))
@@ -445,8 +435,8 @@ def orbit_type(
             i = parent[i]
         return i
 
-    for g in gens:
-        p = g.root_perm()
+    for name in machine.generators:
+        p = root_perm(machine, GroupWord.gen(name))
         for i in range(m):
             ri, rj = find(i), find(p(i))
             if ri != rj:

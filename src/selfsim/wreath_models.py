@@ -331,18 +331,23 @@ def _divide_linear(poly: Poly2, p: int, var: int) -> Poly2:
     return out
 
 
+def _sum_out(entries, var: int) -> Poly2:
+    """s(x, 1) for var=0, or s(1, y) for var=1, from the ``((m, n), c)`` entries of s."""
+    out: Poly2 = {}
+    for key, c in entries:
+        k = (key[0], 0) if var == 0 else (0, key[1])
+        out[k] = out.get(k, 0) + c
+    return out
+
+
 def decompose(s: Poly2, p: int) -> tuple[Poly2, Poly2, Poly2]:
     """Split an augmentation-ideal element as p(x)(x-1) + q(y)(y-1) + r(x,y)(x-1)(y-1)."""
     s = poly_norm(s, p)
     if sum(s.values()) % p:
         raise ValueError("total coefficient sum is nonzero: not an ideal element")
-    sx: Poly2 = {}
-    sy: Poly2 = {}
-    for (m, n), c in s.items():
-        sx[(m, 0)] = sx.get((m, 0), 0) + c
-        sy[(0, n)] = sy.get((0, n), 0) + c
-    P = _divide_linear(sx, p, 0)
-    Q = _divide_linear(sy, p, 1)
+    # the last term vanishes at x=1 and at y=1: p(x)(x-1) = s(x, 1), q(y)(y-1) = s(1, y)
+    P = _divide_linear(_sum_out(s.items(), 0), p, 0)
+    Q = _divide_linear(_sum_out(s.items(), 1), p, 1)
     xm1 = {(1, 0): 1, (0, 0): -1}
     ym1 = {(0, 1): 1, (0, 0): -1}
     rem = poly_add(
@@ -383,12 +388,9 @@ def cp_wr_z2_data(p: int, inverse_transversal: bool = False) -> GData:
     model.generators["a"] = model.top_generator(1)
     model.generators["b"] = model.top_generator(0)
 
-    def as_poly(base) -> Poly2:
-        return {vec: coeff[0] for vec, coeff in base}
-
     def f1_image(g):
         base, top = g
-        _, Q, _ = decompose(as_poly(base), p)
+        Q = _divide_linear(_sum_out(((vec, c) for vec, (c,) in base), 1), p, 1)  # decompose's Q
         return (model.norm_base((vec, (c,)) for vec, c in Q.items()), (0, top[1]))
 
     lamp = model.base_generator(0)

@@ -185,6 +185,11 @@ def test_exit_codes_for_errors(tmp_path):
     ):
         code, out, err = run_cli(argv)
         assert (code, out) == (2, "") and err.startswith("error:") and err.count("\n") == 1
+    # a huge alphabet with one short state line is rejected by a count
+    huge = tmp_path / "huge.txt"
+    huge.write_text("alphabet 1000000000000\nstate a: 0->0 e\n", encoding="utf-8")
+    code, out, err = run_cli(["act", "--machine", str(huge), "--word", "a", "--string", "0"])
+    assert (code, out) == (2, "") and err.startswith("error:") and err.count("\n") == 1
     # a non-finite-state machine cannot be exported in the line format
     code, _, err = run_cli(["build", "--data", "cp-wr-z2:p=2", "--emit", "file"])
     assert code == 2 and "closure exceeded" in err

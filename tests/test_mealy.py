@@ -66,6 +66,9 @@ def test_parse_errors_carry_line_numbers():
         mealy.parse("alphabets 2\n")
     with pytest.raises(ValueError, match="line 3"):
         mealy.parse("alphabet 2\nstate a: 0->1 e, 1->0 a\nstate e: 0->1 e, 1->0 e\n")
+    # coverage is a count, not a list of the whole alphabet
+    with pytest.raises(ValueError, match="line 2: state a does not cover all letters"):
+        mealy.parse("alphabet 1000000000000\nstate a: 0->0 e\n")
 
 
 def test_parse_rejects_non_invertible_rows():

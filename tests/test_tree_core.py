@@ -288,6 +288,11 @@ state y: 0->0 x, 1->2 y, 2->1 e
 """
 
 
+CROSS_CHECK_MACHINES = [
+    "diagram1", "diagram3", "thmD(2)", "mealy-file", "union", "cp-wr-z2:p=2", "zomega"
+]
+
+
 def _cross_check_machine(name):
     """A machine and the state names its random words are drawn from."""
     if name == "mealy-file":
@@ -296,16 +301,14 @@ def _cross_check_machine(name):
         sides = (mealy.builtin_machine("thmD(2)"), mealy.builtin_machine("diagram1"))
         machine = _UnionMachine(sides)
         return machine, [(i, n) for i, side in enumerate(sides) for n in side.generators]
-    elif name == "cp-wr-z2:p=2":
+    elif name in ("cp-wr-z2:p=2", "zomega"):
         machine = build_representation(data_by_selector(name))
     else:
         machine = mealy.builtin_machine(name)
     return machine, list(machine.generators)
 
 
-@pytest.mark.parametrize(
-    "name", ["diagram1", "diagram3", "thmD(2)", "mealy-file", "union", "cp-wr-z2:p=2"]
-)
+@pytest.mark.parametrize("name", CROSS_CHECK_MACHINES)
 def test_compiled_passes_match_per_letter_reference(name):
     machine, names = _cross_check_machine(name)
     m = machine.alphabet_size
@@ -330,9 +333,7 @@ def test_compiled_passes_match_per_letter_reference(name):
     assert {(True, True), (True, False)} <= verdicts
 
 
-@pytest.mark.parametrize(
-    "name", ["diagram1", "diagram3", "thmD(2)", "mealy-file", "union", "cp-wr-z2:p=2"]
-)
+@pytest.mark.parametrize("name", CROSS_CHECK_MACHINES)
 def test_class_wide_verdicts_match_per_letter_reference(name):
     # checking a conjugate u w^+-1 u^-1 first fills the memo record of w's class
     machine, names = _cross_check_machine(name)
@@ -358,6 +359,16 @@ def test_class_wide_verdicts_match_per_letter_reference(name):
             assert len(witness) == deepest + 1
             assert Automorphism(machine, word).apply(witness) != witness, (str(word), witness)
     assert 0 in verdicts and len(verdicts) > 1
+
+
+def test_engine_memo_keys_never_equal_code_tuples():
+    # on Z^omega the element of a1^6 is the tuple (6,), the code tuple of a4
+    machine = build_representation(data_by_selector("zomega"))
+    a1, a2, a3, a4 = (GroupWord.gen(f"a{i}") for i in range(1, 5))
+    assert machine.encode(a1 * a2 * a3 * a4) == (0, 2, 4, 6)
+    assert machine.element_of(a1**6) == (6,)
+    assert trivial_to_depth(machine, a4, 3)
+    assert not trivial_to_depth(machine, a1**6, 3)
 
 
 def _cyclic_words(codes):

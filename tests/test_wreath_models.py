@@ -255,6 +255,23 @@ def test_prime_wreath_f1_examples():
     assert f1.image(elem) == lamp
 
 
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_prime_wreath_f1_keeps_the_q_part_of_decompose(p):
+    data = cp_wr_z2_data(p)
+    model, f1 = data.model, data.endos[0]
+    rng = random.Random(f"f1/{p}")
+    nonzero = 0
+    for _ in range(300):
+        g = model.random_element(rng)
+        h = model.multiply(g, model.invert(f1.transversal[f1.coset_index(g)]))
+        assert f1.contains(h)
+        base, top = f1.image(h)
+        _, Q, _ = decompose({vec: c for vec, (c,) in h[0]}, p)
+        assert {vec: c for vec, (c,) in base} == Q and top == (0, h[1][1])
+        nonzero += bool(Q)
+    assert nonzero > 100
+
+
 def test_prime_wreath_f2_example():
     data = cp_wr_z2_data(3)
     model = data.model
