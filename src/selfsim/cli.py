@@ -79,20 +79,13 @@ MAX_LINES = 512
 
 
 def _express(machine: SelfSimilarMachine, word: GroupWord, todo: deque) -> str:
-    if not word:
-        return "e"
-    if machine.model is None:
-        return str(word)
-    elem = machine.element_of(word)
-    if machine.model.is_identity(elem):
-        return "e"
-    name = machine.name_of(elem)
-    if name in machine.generators:
+    # an engine section is empty or one state letter
+    name = str(word)
+    if machine.model is None or not word or name in machine.generators:
         return name
-    short = machine.short_word(elem)
+    short = machine.short_word(machine.element_of(word))
     if short is not None:
         return str(short)
-    name = machine.state_of(elem)
     todo.append(name)
     return name
 

@@ -31,7 +31,8 @@ class GroupModel:
 
     Subclasses implement ``identity``, ``multiply``, ``invert`` and
     ``random_element``; elements must be canonical, so ``==`` is exact group
-    equality and nontriviality of a canonical form certifies nontriviality.
+    equality (``is_identity`` compares with ``identity()``) and nontriviality
+    of a canonical form certifies nontriviality.
     """
 
     name = "group"
@@ -169,10 +170,6 @@ class EngineMachine(SelfSimilarMachine):
             self._state_elements[name] = elem
         return name
 
-    def name_of(self, elem) -> Optional[str]:
-        """The state name of an element, or None if no state holds it."""
-        return self._state_names.get(elem)
-
     def _compute_entry(self, name: str):
         if name not in self._state_elements:
             raise ValueError(f"undeclared state: {name!r}")
@@ -282,9 +279,6 @@ class SequenceModel(GroupModel):
     def invert(self, a):
         return tuple(self.inner.invert(x) for x in a)
 
-    def is_identity(self, g) -> bool:
-        return g == ()
-
     def first(self, g):
         return g[0] if g else self.inner.identity()
 
@@ -353,10 +347,6 @@ class TupleKModel(GroupModel):
         q = self.perms[k].inverse()
         base = tuple(self.inner.invert(g[q(r)]) for r in range(self.s))
         return (base, self._index[q])
-
-    def is_identity(self, a) -> bool:
-        g, k = a
-        return k == 0 and all(self.inner.is_identity(x) for x in g)
 
     def random_element(self, rng):
         base = tuple(self.inner.random_element(rng) for _ in range(self.s))
@@ -485,9 +475,50 @@ def support_total(support, mods) -> tuple[int, ...]:
     return reduce_coeff((sum(c[i] for _, c in support) for i in range(len(mods))), mods)
 
 
-class ExtensionModel(GroupModel):
+class SupportModel(GroupModel):
+    """The group law of finitely supported maps extended by a top group.
+
+    An element is a ``(support, tops)`` pair: ``support`` holds canonical
+    ``(point, coeff)`` entries (``norm_support`` under ``mods``, points sorted
+    by ``point_key``, None for their natural order) and ``tops`` lies in the
+    top group, which moves the points.  With ``shift(phi, t)`` the support
+    ``phi`` with every point moved by ``t``,
+
+        (phi1, t1) (phi2, t2) = (phi1 + shift(phi2, t1^-1), t1 t2).
+
+    Subclasses set ``mods`` and ``top_identity`` and give the top group law
+    (``top_multiply``, ``top_invert``) and its action (``shift``).
+    """
+
+    point_key = None
+
+    def identity(self):
+        return ((), self.top_identity)
+
+    def norm_base(self, entries) -> tuple:
+        return norm_support(entries, self.mods, key=self.point_key)
+
+    def coeff_total(self, a) -> tuple[int, ...]:
+        return support_total(a[0], self.mods)
+
+    def multiply(self, a, b):
+        (phi1, t1), (phi2, t2) = a, b
+        moved = self.shift(phi2, self.top_invert(t1))
+        return (self.norm_base(list(phi1) + moved), self.top_multiply(t1, t2))
+
+    def invert(self, a):
+        phi, tops = a
+        negated = [(point, reduce_coeff(map(neg, coeff), self.mods)) for point, coeff in phi]
+        return (self.norm_base(self.shift(negated, tops)), self.top_invert(tops))
+
+
+class ExtensionModel(SupportModel):
     """Finitely supported maps from s-tuples of coset labels into a finite
-    abelian group, extended by s-tuples of inner elements."""
+    abelian group, extended by s-tuples of inner elements that translate the
+    labels coordinate by coordinate."""
+
+    # coset labels of different spaces need not be comparable, so sort by repr
+    point_key = repr
 
     def __init__(self, inner: GroupModel, orders: Sequence[int], cosets: Sequence[CosetSpace]):
         super().__init__()
@@ -496,11 +527,12 @@ class ExtensionModel(GroupModel):
         self.cosets = tuple(cosets)
         self.s = len(cosets)
         self.name = f"B{self.orders} lamps over {inner.name}^{self.s}"
+        self.top_identity = (inner.identity(),) * self.s
         ident_labels = tuple(c.identity_label for c in self.cosets)
         for j in range(len(self.orders)):
             unit = tuple(1 if i == j else 0 for i in range(len(self.orders)))
             name = "b" if len(self.orders) == 1 else f"b{j + 1}"
-            self.generators[name] = (((ident_labels, unit),), self._top_identity())
+            self.generators[name] = (((ident_labels, unit),), self.top_identity)
         single = len(inner.generators) == 1 and self.s == 1
         for i in range(self.s):
             for gname, g in inner.generators.items():
@@ -510,41 +542,17 @@ class ExtensionModel(GroupModel):
                 )
                 self.generators[name] = ((), tops)
 
-    def _top_identity(self) -> tuple:
-        return (self.inner.identity(),) * self.s
+    def top_multiply(self, t1, t2) -> tuple:
+        return tuple(self.inner.multiply(x, y) for x, y in zip(t1, t2))
 
-    def norm_base(self, entries) -> tuple:
-        # coset labels of different spaces need not be comparable, so sort by repr
-        return norm_support(entries, self.mods, key=repr)
+    def top_invert(self, tops) -> tuple:
+        return tuple(self.inner.invert(g) for g in tops)
 
-    def coeff_total(self, a) -> tuple[int, ...]:
-        return support_total(a[0], self.mods)
-
-    def identity(self):
-        return ((), self._top_identity())
-
-    def _translate_point(self, labs, tops) -> tuple:
-        return tuple(c.translate(lab, g) for c, lab, g in zip(self.cosets, labs, tops))
-
-    def multiply(self, a, b):
-        (phi1, t1), (phi2, t2) = a, b
-        t1inv = tuple(self.inner.invert(g) for g in t1)
-        moved = [(self._translate_point(labs, t1inv), coeff) for labs, coeff in phi2]
-        phi = self.norm_base(list(phi1) + moved)
-        tops = tuple(self.inner.multiply(x, y) for x, y in zip(t1, t2))
-        return (phi, tops)
-
-    def invert(self, a):
-        phi, tops = a
-        moved = [
-            (self._translate_point(labs, tops), reduce_coeff(map(neg, coeff), self.mods))
-            for labs, coeff in phi
+    def shift(self, support, tops) -> list:
+        return [
+            (tuple(c.translate(lab, g) for c, lab, g in zip(self.cosets, labs, tops)), coeff)
+            for labs, coeff in support
         ]
-        return (self.norm_base(moved), tuple(self.inner.invert(g) for g in tops))
-
-    def is_identity(self, a) -> bool:
-        phi, tops = a
-        return not phi and all(self.inner.is_identity(g) for g in tops)
 
     def random_element(self, rng):
         entries = []
@@ -580,15 +588,12 @@ def lamp_extension_data(orders: Sequence[int], data: GData, cosets: Sequence[Cos
     return lamp_data(ExtensionModel(data.model, orders, cosets), orders, data, cosets)
 
 
-def lamp_data(model: GroupModel, orders: Sequence[int], data: GData, cosets: Sequence[CosetSpace]) -> GData:
+def lamp_data(model: SupportModel, orders: Sequence[int], data: GData, cosets: Sequence[CosetSpace]) -> GData:
     """The two lamp endomorphisms on a carrier ``model`` of the lamp extension.
 
-    The carrier's elements are ``(support, tops)`` pairs: ``support`` holds
-    ``(point, coeff)`` entries, a point being an s-tuple of coset labels and
-    ``coeff`` an element of B, canonical under ``model.mods`` (residues mod
-    ``orders``); ``model.norm_base`` canonicalises entries (``norm_support``),
-    and ``model.coeff_total`` sums the coefficients of an element in B;
-    ``tops`` is an s-tuple of elements of ``data.model``.
+    A support point of the carrier is an s-tuple of coset labels, a
+    coefficient an element of B (residues mod ``orders``), and ``tops`` an
+    s-tuple of elements of ``data.model``.
 
     The first endomorphism contracts lamp positions along the inverse of the
     induced coset map and applies each ``f_i`` on top; its letters count the

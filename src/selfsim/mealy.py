@@ -85,6 +85,7 @@ def parse(text: str) -> MealyAutomaton:
     states: list[str] = []
     transition: dict[tuple[str, int], str] = {}
     output: dict[tuple[str, int], int] = {}
+    stated = False  # every state line lists every letter, bounding the alphabet
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -97,6 +98,7 @@ def parse(text: str) -> MealyAutomaton:
             continue
         if not line.startswith("state "):
             raise ValueError(f"line {lineno}: expected 'state <name>: ...'")
+        stated = True
         head, _, body = line[len("state ") :].partition(":")
         name = head.strip()
         if not body:
@@ -126,6 +128,8 @@ def parse(text: str) -> MealyAutomaton:
             output[name, y] = out
     if alphabet is None:
         raise ValueError("empty automaton file")
+    if not stated:
+        raise ValueError("no state line after the alphabet line")
     return MealyAutomaton(alphabet, states, transition, output)
 
 

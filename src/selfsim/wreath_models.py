@@ -8,13 +8,14 @@ on the right: ``(a^w)^{x^v} = a^{w x^v}``, so multiplication reads
 
     (w1, t1) (w2, t2) = (w1 + w2 x^{-t1}, t1 + t2).
 
-All elements are canonical (zero coefficients dropped, residues reduced), so
-``==`` is exact group equality.
+``gdata_engine.SupportModel`` holds this law; ``WreathModel`` gives its top
+group.  All elements are canonical (zero coefficients dropped, residues
+reduced), so ``==`` is exact group equality.
 """
 
 from __future__ import annotations
 
-from operator import neg
+from operator import add, neg
 from typing import Sequence
 
 from .gdata_engine import (
@@ -23,15 +24,14 @@ from .gdata_engine import (
     GData,
     GroupModel,
     SequenceModel,
+    SupportModel,
     VirtualEndo,
     build_representation,
     concatenate,
     direct_power_data,
     lamp_data,
     lamp_extension_data,
-    norm_support,
     reduce_coeff,
-    support_total,
     wreath_by_regular_data,
 )
 from .mealy import brunner_sidki_pair, thmD
@@ -56,9 +56,6 @@ class ZModel(GroupModel):
 
     def invert(self, a: int) -> int:
         return -a
-
-    def is_identity(self, g: int) -> bool:
-        return g == 0
 
     def random_element(self, rng) -> int:
         return rng.randint(-40, 40)
@@ -97,8 +94,9 @@ def zomega_data(named_copies: int = 5) -> GData:
 TopVector = tuple[int, ...]
 
 
-class WreathModel(GroupModel):
-    """Exact arithmetic in ``(Z^free_rank + torsion) wr Z^top_dim``."""
+class WreathModel(SupportModel):
+    """Exact arithmetic in ``(Z^free_rank + torsion) wr Z^top_dim``: supports
+    map points of Z^top_dim to coefficients, and tops translate the points."""
 
     def __init__(self, free_rank: int, torsion: Sequence[int], top_dim: int):
         super().__init__()
@@ -114,46 +112,20 @@ class WreathModel(GroupModel):
             raise ValueError("top dimension must be at least 1")
         self.name = f"(Z^{free_rank}+{self.torsion}) wr Z^{top_dim}"
         self.mods = (0,) * free_rank + self.torsion
+        self.top_identity = (0,) * top_dim
 
-    # -- bases (finitely supported maps Z^d -> coefficients) -----------------
+    def top_multiply(self, t1: TopVector, t2: TopVector) -> TopVector:
+        return tuple(map(add, t1, t2))
 
-    def norm_base(self, entries) -> tuple:
-        return norm_support(entries, self.mods)
+    def top_invert(self, top: TopVector) -> TopVector:
+        return tuple(map(neg, top))
 
-    def coeff_total(self, a) -> tuple[int, ...]:
-        return support_total(a[0], self.mods)
-
-    def _shift_base(self, base, vec: TopVector) -> list:
-        return [(tuple(p + v for p, v in zip(point, vec)), coeff) for point, coeff in base]
-
-    # -- group operations -----------------------------------------------------
-
-    def zero_top(self) -> TopVector:
-        return (0,) * self.top_dim
-
-    def identity(self):
-        return ((), self.zero_top())
-
-    def multiply(self, a, b):
-        (b1, t1), (b2, t2) = a, b
-        neg_t1 = tuple(-v for v in t1)
-        base = self.norm_base(list(b1) + self._shift_base(b2, neg_t1))
-        return (base, tuple(x + y for x, y in zip(t1, t2)))
-
-    def invert(self, a):
-        base, top = a
-        shifted = self._shift_base(
-            [(vec, reduce_coeff(map(neg, coeff), self.mods)) for vec, coeff in base], top
-        )
-        return (self.norm_base(shifted), tuple(-v for v in top))
-
-    def is_identity(self, a) -> bool:
-        base, top = a
-        return not base and not any(top)
+    def shift(self, support, top: TopVector) -> list:
+        return [(tuple(map(add, point, top)), coeff) for point, coeff in support]
 
     def base_generator(self, slot: int):
         unit = tuple(int(i == slot) for i in range(self.width))
-        return (((self.zero_top(), unit),), self.zero_top())
+        return (((self.top_identity, unit),), self.top_identity)
 
     def top_generator(self, coord: int):
         return ((), tuple(1 if i == coord else 0 for i in range(self.top_dim)))

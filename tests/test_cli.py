@@ -173,6 +173,14 @@ def test_exit_codes_for_errors(tmp_path):
         assert (code, out, err) == (2, "", f"error: {message}\n")
     code, out, _ = run_cli(["check", "--machine", "builtin:adding", "--relations", str(tmp_path / "a.txt"), "--depth", "0"])
     assert (code, out) == (0, "PASS a\n")
+    # an alphabet with no state line would make portrait and states walk every letter
+    (tmp_path / "huge.txt").write_text("alphabet 1000000000000\n", encoding="utf-8")
+    for argv in (
+        ["portrait", "--machine", str(tmp_path / "huge.txt"), "--word", "e", "--depth", "1"],
+        ["states", "--machine", str(tmp_path / "huge.txt"), "--word", "e", "--max", "4", "--sep-depth", "1"],
+    ):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (2, "") and err.startswith("error:") and err.count("\n") == 1
     # selectors with a missing, unknown or repeated key, or no named copies
     for argv in (
         ["build", "--data", "cp-wr-z2"],

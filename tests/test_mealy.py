@@ -21,6 +21,7 @@ def test_identity_only_automaton():
     machine = mealy.to_machine(only_e)
     assert machine.generators == ()
     assert mealy.emit(only_e).splitlines() == ["alphabet 2", "state e: 0->0 e, 1->1 e"]
+    assert mealy.parse(mealy.emit(only_e)) == only_e
 
 
 def test_to_machine_diagram1():
@@ -69,6 +70,9 @@ def test_parse_errors_carry_line_numbers():
     # coverage is a count, not a list of the whole alphabet
     with pytest.raises(ValueError, match="line 2: state a does not cover all letters"):
         mealy.parse("alphabet 1000000000000\nstate a: 0->0 e\n")
+    # a state line bounds the alphabet by the file's length, so one is required
+    with pytest.raises(ValueError, match="no state line"):
+        mealy.parse("alphabet 3\n")
 
 
 def test_parse_rejects_non_invertible_rows():

@@ -1,11 +1,12 @@
 import math
 import random
 import zlib
+from operator import neg
 
 import pytest
 
 from selfsim import mealy
-from selfsim.gdata_engine import ExtensionModel, build_representation
+from selfsim.gdata_engine import ExtensionModel, build_representation, norm_support, reduce_coeff
 from selfsim.tree_core import equal_to_depth
 from selfsim.wreath_models import (
     WreathModel,
@@ -21,6 +22,7 @@ from selfsim.wreath_models import (
     mixed_base_data,
     cp_wr_z2_data,
     thmD_transversal_comparison,
+    z_coset_space,
     z_data,
     zomega_data,
     zwrz_wr_c2_data,
@@ -73,6 +75,77 @@ def test_group_axioms_randomized(name):
         if hasattr(model, "mods"):
             for g in (model.multiply(a, b), model.invert(a)):
                 assert g[0] == _reference_norm(g[0], model)
+
+
+def _parent_wreath_law(model):
+    """``WreathModel.multiply`` and ``invert`` as written before the shared
+    ``SupportModel`` law: the reference the shared law must match."""
+
+    def norm_base(entries):
+        return norm_support(entries, model.mods)
+
+    def shift_base(base, vec):
+        return [(tuple(p + v for p, v in zip(point, vec)), coeff) for point, coeff in base]
+
+    def multiply(a, b):
+        (b1, t1), (b2, t2) = a, b
+        neg_t1 = tuple(-v for v in t1)
+        base = norm_base(list(b1) + shift_base(b2, neg_t1))
+        return (base, tuple(x + y for x, y in zip(t1, t2)))
+
+    def invert(a):
+        base, top = a
+        shifted = shift_base(
+            [(vec, reduce_coeff(map(neg, coeff), model.mods)) for vec, coeff in base], top
+        )
+        return (norm_base(shifted), tuple(-v for v in top))
+
+    return multiply, invert
+
+
+def _parent_extension_law(model):
+    """``ExtensionModel.multiply`` and ``invert`` as written before the shared law."""
+
+    def norm_base(entries):
+        return norm_support(entries, model.mods, key=repr)
+
+    def translate_point(labs, tops):
+        return tuple(c.translate(lab, g) for c, lab, g in zip(model.cosets, labs, tops))
+
+    def multiply(a, b):
+        (phi1, t1), (phi2, t2) = a, b
+        t1inv = tuple(model.inner.invert(g) for g in t1)
+        moved = [(translate_point(labs, t1inv), coeff) for labs, coeff in phi2]
+        phi = norm_base(list(phi1) + moved)
+        tops = tuple(model.inner.multiply(x, y) for x, y in zip(t1, t2))
+        return (phi, tops)
+
+    def invert(a):
+        phi, tops = a
+        moved = [
+            (translate_point(labs, tops), reduce_coeff(map(neg, coeff), model.mods))
+            for labs, coeff in phi
+        ]
+        return (norm_base(moved), tuple(model.inner.invert(g) for g in tops))
+
+    return multiply, invert
+
+
+@pytest.mark.parametrize(
+    "name", ["lamplighter", "lamp-ext", "mixed-base", "c3-wr-z2", "z2-wr-z2", "lamp-ext-s2"]
+)
+def test_shared_law_matches_parent_laws(name):
+    if name == "lamp-ext-s2":  # the carrier of test_two_coordinate_lamp_extension
+        model = ExtensionModel(z_data().model, (2,), [z_coset_space(), z_coset_space()])
+    else:
+        model = ALL_DATA[name]().model
+    law = _parent_extension_law if isinstance(model, ExtensionModel) else _parent_wreath_law
+    multiply, invert = law(model)
+    rng = random.Random(zlib.crc32(name.encode()))
+    for _ in range(300):
+        a, b = model.random_element(rng), model.random_element(rng)
+        assert model.multiply(a, b) == multiply(a, b)
+        assert model.invert(a) == invert(a)
 
 
 def _subgroup_samples(model, endo, rng, want):
