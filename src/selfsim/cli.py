@@ -1,7 +1,8 @@
 """Deterministic command line for building and probing tree representations.
 
 Exit codes: 0 success, 1 a requested check failed, 2 usage or input error,
-or a search too deep for the interpreter's recursion limit.
+a search too deep for the interpreter's recursion limit, or any other
+exception, each reported as one ``error:`` line on stderr.
 Identical inputs always produce byte-identical output.
 """
 
@@ -288,6 +289,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValueError, OSError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except Exception as exc:  # a fault of selfsim itself, still reported in one line
+        print(f"error: internal {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -85,9 +85,13 @@ def z_coset_space() -> CosetSpace:
     )
 
 
+# generator a{k} of zomega is a k-long tuple, so n named copies take ~n^2/2 entries
+MAX_NAMED_COPIES = 1000
+
+
 def zomega_data(named_copies: int = 5) -> GData:
-    if named_copies < 1:
-        raise ValueError("need at least one named copy (n >= 1)")
+    if not 1 <= named_copies <= MAX_NAMED_COPIES:
+        raise ValueError(f"zomega needs 1 <= n <= {MAX_NAMED_COPIES} named copies")
     return direct_power_data(z_data(), named_copies)
 
 

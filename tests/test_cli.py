@@ -7,8 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from selfsim import mealy
-from selfsim.cli import main
+from selfsim import cli, mealy
+from selfsim.cli import main, recursion_lines
+from selfsim.gdata_engine import GData, VirtualEndo, build_representation
+from selfsim.wreath_models import ZModel
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "benchmarks"))
 import workloads  # noqa: E402  (the benchmark's golden commands and relation files)
@@ -99,6 +101,28 @@ def test_build_recursions_matches_display():
     assert out.splitlines() == ["s = (e, e, s) (0 1)", "a = (a, a s, a b)", "b = (e, e, a)"]
 
 
+def _halving_machine(factor):
+    """Z with the index-2 subgroup 2Z and the image ``2m -> factor * m``."""
+    model = ZModel()
+    endo = VirtualEndo(
+        model,
+        contains=lambda n: n % 2 == 0,
+        image=lambda n: factor * (n // 2),
+        transversal=(0, 1),
+        coset_index=lambda n: n % 2,
+    )
+    return build_representation(GData(model, [endo]))
+
+
+def test_recursion_listing_limit():
+    # 3 = a a a lies in the generator ball, so the listing closes at once
+    assert recursion_lines(_halving_machine(3)) == ["a = (e, a a a) (0 1)"]
+    # with 7 every section leaves the ball and spawns a state whose sections
+    # grow again, so the listing stops at MAX_LINES states
+    with pytest.raises(ValueError, match=f"exceeded {cli.MAX_LINES} states"):
+        recursion_lines(_halving_machine(7))
+
+
 def test_build_file_round_trip(tmp_path):
     path = tmp_path / "zwrz.txt"
     code, _, _ = run_cli(["build", "--data", "zwrz", "--emit", "file", "-o", str(path)])
@@ -181,7 +205,7 @@ def test_exit_codes_for_errors(tmp_path):
     ):
         code, out, err = run_cli(argv)
         assert (code, out) == (2, "") and err.startswith("error:") and err.count("\n") == 1
-    # selectors with a missing, unknown or repeated key, or no named copies
+    # selectors with a missing, unknown or repeated key, or no or too many named copies
     for argv in (
         ["build", "--data", "cp-wr-z2"],
         ["witness", "--model", "zl-wr-zd:l=1", "--word", "g1", "--max-depth", "3"],
@@ -190,6 +214,8 @@ def test_exit_codes_for_errors(tmp_path):
         ["build", "--data", "z:junk"],
         ["build", "--data", "zomega:n=0"],
         ["build", "--data", "zomega:n=-1"],
+        ["build", "--data", "zomega:n=1001"],
+        ["witness", "--model", "zomega:n=100000000", "--word", "a1", "--max-depth", "3"],
     ):
         code, out, err = run_cli(argv)
         assert (code, out) == (2, "") and err.startswith("error:") and err.count("\n") == 1
@@ -209,6 +235,15 @@ def test_exit_codes_for_errors(tmp_path):
     # neither can a table whose sections are proper words
     code, _, err = run_cli(["inflate", "--machine", "builtin:thmD(2)", "-k", "1", "--emit", "file"])
     assert code == 2 and "composite" in err
+
+
+def test_unexpected_exception_exits_2_with_one_line(monkeypatch):
+    def broken(args):
+        raise KeyError("lost")
+
+    monkeypatch.setattr(cli, "_cmd_orbit_type", broken)
+    code, out, err = run_cli(["orbit-type", "--machine", "builtin:adding"])
+    assert (code, out, err) == (2, "", "error: internal KeyError: 'lost'\n")
 
 
 def test_byte_identical_reruns(tmp_path):

@@ -1,9 +1,11 @@
 import random
+import zlib
 
 import pytest
 
 from selfsim import mealy
 from selfsim.gdata_engine import (
+    SEARCH_LEN,
     GData,
     SequenceModel,
     VirtualEndo,
@@ -16,10 +18,11 @@ from selfsim.gdata_engine import (
     support_total,
     wreath_by_regular_data,
 )
-from selfsim.perm_word import Perm, parse_word
+from selfsim.perm_word import GroupWord, Perm, parse_word
 from selfsim.tree_core import equal_to_depth, orbit_type, trivial_to_depth
 from selfsim.wreath_models import (
     CosetSpace,
+    data_by_selector,
     lamplighter_extension_data,
     prop31_endos,
     z_coset_space,
@@ -28,6 +31,8 @@ from selfsim.wreath_models import (
     zwrz_data,
     zwrz_wr_c2_data,
 )
+
+from test_wreath_models import ALL_DATA
 
 
 def assert_entry(machine, name, section_texts, perm):
@@ -314,3 +319,59 @@ def test_norm_support_and_total():
     entries = [((10,), (1, 0)), ((9,), (1, 0)), ((2,), (0, 1))]
     assert [p for p, _ in norm_support(entries, mods)] == [(2,), (9,), (10,)]
     assert [p for p, _ in norm_support(entries, mods, key=repr)] == [(10,), (2,), (9,)]
+
+
+def _reference_ball(machine):
+    """The whole radius-SEARCH_LEN generator ball, element -> word, built as
+    ``short_word`` built it before the meet-in-the-middle search: the
+    reference that search must match."""
+    model = machine.model
+    ball = {model.identity(): GroupWord.identity()}
+    frontier = [model.identity()]
+    gens = [(name, machine._state_elements[name]) for name in machine.generators]
+    for _ in range(SEARCH_LEN):
+        new = []
+        for x in frontier:
+            for name, g in gens:
+                for sign in (1, -1):
+                    nxt = model.multiply(x, g if sign > 0 else model.invert(g))
+                    if nxt not in ball:
+                        ball[nxt] = ball[x] * GroupWord.gen(name, sign)
+                        new.append(nxt)
+        frontier = new
+    return ball
+
+
+SHORT_WORD_DATA = {**ALL_DATA, "concat-lamp-zwrz": lambda: data_by_selector("concat:lamplighter:B=2+zwrz")}
+
+
+@pytest.mark.parametrize("name", sorted(SHORT_WORD_DATA))
+def test_short_word_matches_the_whole_ball(name):
+    machine = build_representation(SHORT_WORD_DATA[name]())
+    model = machine.model
+    ball = _reference_ball(machine)
+
+    def check(elem):
+        got, want = machine.short_word(elem), ball.get(elem)
+        assert got == want and str(got) == str(want)
+        return want is not None
+
+    # every ball element is a hit, so the levels keep radius ceil(SEARCH_LEN / 2)
+    for elem in ball:
+        check(elem)
+    first_radius = (SEARCH_LEN + 1) // 2
+    assert len(machine._ball) == first_radius + 1
+    # random model elements and products of up to SEARCH_LEN + 2 generator
+    # letters sample both sides of the radius; their misses grow the levels
+    rng = random.Random(zlib.crc32(name.encode()) & 0xFFFF)
+    letters = [(gen, sign) for gen in machine.generators for sign in (1, -1)]
+    samples = [model.random_element(rng) for _ in range(300)]
+    for _ in range(200):
+        word = GroupWord(rng.choice(letters) for _ in range(rng.randint(0, SEARCH_LEN + 2)))
+        samples.append(machine.element_of(word))
+    found = sum(check(elem) for elem in samples)
+    assert 0 < found < len(samples)
+    assert len(machine._ball) > first_radius + 1
+    # and the grown levels still give the same words
+    for elem in ball:
+        check(elem)

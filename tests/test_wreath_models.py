@@ -497,7 +497,7 @@ def test_selector_errors():
         data_by_selector("concat:z+zwrz")
     with pytest.raises(ValueError):
         data_by_selector("concat:lamplighter:B=2+zl-wr-zd:l=1,d=2")
-    # a missing, unknown or repeated key, or a power with no named copies
+    # a missing, unknown or repeated key, or a power with no or too many named copies
     for selector in (
         "cp-wr-z2",
         "zl-wr-zd:l=1",
@@ -507,6 +507,8 @@ def test_selector_errors():
         "zwrz:n=2",
         "zomega:n=0",
         "zomega:n=-1",
+        "zomega:n=1001",
+        "zomega:n=100000000",
     ):
         with pytest.raises(ValueError):
             data_by_selector(selector)
