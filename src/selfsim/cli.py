@@ -17,6 +17,7 @@ from . import mealy, wreath_models
 from .gdata_engine import build_representation
 from .perm_word import GroupWord, parse_word
 from .tree_core import (
+    MAX_STATES,
     Automorphism,
     SelfSimilarMachine,
     find_moving_string,
@@ -74,42 +75,41 @@ def _format_string(letters: tuple[int, ...], m: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-# sections are written as generator words of at most gdata_engine.SEARCH_LEN
-# letters, and a listing stops once MAX_LINES states are printed
-MAX_LINES = 512
-
-
-def _express(machine: SelfSimilarMachine, word: GroupWord, todo: deque) -> str:
-    # an engine section is empty or one state letter
-    name = str(word)
-    if machine.model is None or not word or name in machine.generators:
-        return name
-    short = machine.short_word(machine.element_of(word))
-    if short is not None:
-        return str(short)
-    todo.append(name)
-    return name
-
-
 def recursion_lines(machine: SelfSimilarMachine) -> list[str]:
     """Tuple-notation recursion, one line per state: ``name = (w0, .., w(m-1)) cycles``.
 
-    Sections outside the generator ball get states of their own, printed after
-    the generators; a machine that keeps spawning such states past
-    ``MAX_LINES`` has no finite listing and raises instead.
+    An engine section is written as a generator word of at most
+    ``gdata_engine.SEARCH_LEN`` letters; a section outside that ball gets a
+    state of its own, printed after the generators.  A machine that keeps
+    spawning such states past ``MAX_STATES`` has no finite listing and raises
+    instead.
     """
     lines = []
     printed = set()
+    texts: dict[str, str] = {}  # section state -> its text, looked up once
     todo = deque(machine.generators)
+
+    def express(word: GroupWord) -> str:
+        # an engine section is empty or one state letter
+        name = str(word)
+        if machine.model is None or not word or name in machine.generators:
+            return name
+        if name not in texts:
+            short = machine.short_word(machine.element_of(word))
+            if short is None:
+                todo.append(name)
+            texts[name] = name if short is None else str(short)
+        return texts[name]
+
     while todo:
         name = todo.popleft()
         if name in printed:
             continue
-        if len(printed) >= MAX_LINES:
-            raise ValueError(f"state closure exceeded {MAX_LINES} states; not printable")
+        if len(printed) >= MAX_STATES:
+            raise ValueError(f"state closure exceeded {MAX_STATES} states; not printable")
         printed.add(name)
         sections, perm = machine.entry(name)
-        parts = [_express(machine, w, todo) for w in sections]
+        parts = [express(w) for w in sections]
         suffix = "" if perm.is_identity() else f" {perm}"
         lines.append(f"{name} = ({', '.join(parts)}){suffix}")
     return lines

@@ -158,10 +158,8 @@ class EngineMachine(SelfSimilarMachine):
         self.generators = tuple(names)
         self._fresh = itertools.count(1)
         self._code_elements: dict[int, object] = {}  # code -> element of the letter
-        # short_word's BFS levels, to radius ceil(SEARCH_LEN / 2) on first use,
-        # and the products its misses have spent walking them since they grew
-        self._ball: Optional[list[dict]] = None
-        self._walked = 0
+        # short_word's generator ball, grown one BFS sphere at a time
+        self._ball: list[dict] = [{ident: GroupWord.identity()}]
 
     def state_of(self, elem) -> str:
         name = self._state_names.get(elem)
@@ -215,60 +213,37 @@ class EngineMachine(SelfSimilarMachine):
         """The lex-least shortest word of at most SEARCH_LEN letters in the
         generators for ``elem`` (generator order, ``+`` before ``-``), or None.
 
-        BFS levels first reach only radius ``top = ceil(SEARCH_LEN / 2)``; a
-        longer target ``u v`` is met in the middle, with u in level ``n - top``
-        and v in level ``top``.  BFS order is lex order on words, and every
-        prefix and suffix of a lex-least geodesic is the lex-least geodesic of
-        its element, so the first u in BFS order that hits gives the word the
-        whole radius-SEARCH_LEN ball would, whatever ``top`` the levels have
-        grown to.
+        The ball grows by one sphere only when a lookup has missed every
+        sphere built so far.  Spheres are built in BFS order, which is lex
+        order on words, so the first word to reach an element is its
+        lex-least geodesic.
         """
-        levels = self._ball
-        if levels is None:
-            levels = self._ball = [{self.model.identity(): GroupWord.identity()}]
-            self._grow(levels, (SEARCH_LEN + 1) // 2)
-        for level in levels:
-            word = level.get(elem)
+        for radius in range(SEARCH_LEN + 1):
+            if radius == len(self._ball):
+                self._grow()
+            word = self._ball[radius].get(elem)
             if word is not None:
                 return word
-        model = self.model
-        top = len(levels) - 1
-        last = levels[top]
-        # v = u^-1 elem lies in level top iff its inverse elem^-1 u does
-        elem_inv = model.invert(elem)
-        for n in range(top + 1, SEARCH_LEN + 1):
-            for u, word in levels[n - top].items():
-                v_inv = model.multiply(elem_inv, u)
-                if v_inv in last:
-                    return word * last[model.invert(v_inv)]
-        # once misses have walked as many products as the next level costs,
-        # build it, so that many misses cost about what the whole ball did
-        if top < SEARCH_LEN:
-            self._walked += sum(len(levels[n - top]) for n in range(top + 1, SEARCH_LEN + 1))
-            if self._walked >= 2 * len(self.generators) * len(last):
-                self._walked = 0
-                self._grow(levels, top + 1)
         return None
 
-    def _grow(self, levels: list[dict], radius: int) -> None:
-        """Extend ``levels``, the spheres of the generator ball as element ->
-        lex-least geodesic word dicts in BFS order, up to ``radius``."""
+    def _grow(self) -> None:
+        """Append the next sphere to ``_ball``, the spheres of the generator
+        ball as element -> lex-least geodesic word dicts in BFS order."""
         model = self.model
         letters = []
         for name in self.generators:
             g = self._state_elements[name]
             letters.append((g, GroupWord.gen(name)))
             letters.append((model.invert(g), GroupWord.gen(name, -1)))
-        while len(levels) <= radius:
-            last = levels[-1]
-            prev = levels[-2] if len(levels) > 1 else {}
-            new: dict = {}
-            for x, word in last.items():
-                for g, letter in letters:
-                    nxt = model.multiply(x, g)
-                    if nxt not in new and nxt not in last and nxt not in prev:
-                        new[nxt] = word * letter
-            levels.append(new)
+        last = self._ball[-1]
+        prev = self._ball[-2] if len(self._ball) > 1 else {}
+        new: dict = {}
+        for x, word in last.items():
+            for g, letter in letters:
+                nxt = model.multiply(x, g)
+                if nxt not in new and nxt not in last and nxt not in prev:
+                    new[nxt] = word * letter
+        self._ball.append(new)
 
     def automorphism_of(self, elem) -> Automorphism:
         if self.model.is_identity(elem):

@@ -17,7 +17,7 @@ import re
 from collections import deque
 
 from .perm_word import GroupWord, Perm, _validate_name
-from .tree_core import SelfSimilarMachine, TableMachine
+from .tree_core import MAX_STATES, SelfSimilarMachine, TableMachine
 
 _ITEM_RE = re.compile(r"(\d+)\s*->\s*(\d+)\s+([A-Za-z_][A-Za-z0-9_]*)\Z")
 
@@ -341,9 +341,6 @@ def builtin_machine(name: str) -> SelfSimilarMachine:
     if isinstance(got, MealyAutomaton):
         return to_machine(got)
     return got
-
-
-MAX_STATES = 512
 
 
 def machine_to_mealy(machine: SelfSimilarMachine) -> MealyAutomaton:

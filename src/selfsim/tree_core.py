@@ -35,6 +35,10 @@ from .perm_word import GroupWord, Perm
 String = tuple[int, ...]
 Codes = tuple[int, ...]
 
+# the most states a closure (``inflate``, a Mealy export, a recursion listing)
+# may reach before it is taken for a machine that is not finite-state
+MAX_STATES = 512
+
 
 class SelfSimilarMachine:
     """Base for wreath-recursion machines.
@@ -455,6 +459,8 @@ def inflate(machine: SelfSimilarMachine, k: int) -> TableMachine:
     """Re-read a degree-m machine as a machine on length-k blocks (degree m^k).
 
     Blocks are ordered big-endian: block (y_1..y_k) is letter sum(y_i * m^(k-i)).
+    The table holds the generators and every state their block sections
+    reach, and raises once that closure exceeds ``MAX_STATES`` states.
     """
     if k < 1:
         raise ValueError("inflation level must be at least 1")
@@ -462,11 +468,18 @@ def inflate(machine: SelfSimilarMachine, k: int) -> TableMachine:
     blocks = list(product(range(m), repeat=k))
     index = {b: i for i, b in enumerate(blocks)}
     table: dict[str, tuple[list[GroupWord], Perm]] = {}
-    for name in machine.generators:
+    todo = deque(machine.generators)
+    while todo:
+        name = todo.popleft()
+        if name in table:
+            continue
+        if len(table) >= MAX_STATES:
+            raise ValueError(f"state closure exceeded {MAX_STATES} states; not inflatable")
         codes = machine.encode(GroupWord.gen(name))
         walks = [_walk(machine, codes, b) for b in blocks]
         sections = [machine.decode(sec) for sec, _ in walks]
         table[name] = (sections, Perm(index[image] for _, image in walks))
+        todo.extend(sym for w in sections for sym, _ in w)
     return TableMachine(m**k, table)
 
 

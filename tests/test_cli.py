@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import os
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from selfsim import cli, mealy
+from selfsim import cli, mealy, tree_core
 from selfsim.cli import main, recursion_lines
 from selfsim.gdata_engine import GData, VirtualEndo, build_representation
 from selfsim.wreath_models import ZModel
@@ -101,6 +102,36 @@ def test_build_recursions_matches_display():
     assert out.splitlines() == ["s = (e, e, s) (0 1)", "a = (a, a s, a b)", "b = (e, e, a)"]
 
 
+def test_recursions_with_four_letter_words():
+    code, out, _ = run_cli(["build", "--data", "cp-wr-z2:p=7", "--emit", "recursions"])
+    assert code == 0
+    assert out.splitlines() == [
+        "s = (e, e, e, e, e, e, e, s) (0 1 2 3 4 5 6)",
+        "a = (a, a s, a s s, a s s s, a s^-1 s^-1 s^-1, a s^-1 s^-1, a s^-1, a b)",
+        "b = (e, e, e, e, e, e, e, a)",
+    ]
+
+
+def test_recursions_with_states_outside_the_ball():
+    # z's section at 15 has no word of at most SEARCH_LEN letters, so it is
+    # the state q7, whose own section at 16 is q7 again
+    code, out, _ = run_cli(["build", "--data", "lamplighter:B=2,2,2", "--emit", "recursions"])
+    assert code == 0
+    assert out.splitlines() == [
+        "b1 = (e, b1, e, b1, e, b1, e, b1, e, b1, e, b1, e, b1, e, b1, b1) (0 2)(1 3)(4 6)(5 7)(8 10)(9 11)(12 14)(13 15)",
+        "b2 = (e, b2, e, b2, e, b2, e, b2, e, b2, e, b2, e, b2, e, b2, b2) (0 4)(1 5)(2 6)(3 7)(8 12)(9 13)(10 14)(11 15)",
+        "b3 = (e, b3, e, b3, e, b3, e, b3, e, b3, e, b3, e, b3, e, b3, b3) (0 8)(1 9)(2 10)(3 11)(4 12)(5 13)(6 14)(7 15)",
+        "z = (e, z, e, b1 z b1, e, b2 z b2, e, b1 b2 z b1 b2, e, b3 z b3, e, b1 b3 z b1 b3, e, b2 b3 z b2 b3, e, q7, z) (0 1)(2 3)(4 5)(6 7)(8 9)(10 11)(12 13)(14 15)",
+        "q7 = (b1 b2 b3, z b1 b2 b3, b1 b2 b3, b1 z b2 b3, b1 b2 b3, b2 z b1 b3, b1 b2 b3, b1 b2 z b3, b1 b2 b3, b3 z b1 b2, b1 b2 b3, b1 b3 z b2, b1 b2 b3, b2 b3 z b1, b1 b2 b3, b1 b2 b3 z, q7) (0 1)(2 3)(4 5)(6 7)(8 9)(10 11)(12 13)(14 15)",
+    ]
+    # 80 states outside the ball, found by hundreds of misses
+    code, out, _ = run_cli(["build", "--data", "lamplighter:B=11", "--emit", "recursions"])
+    assert code == 0 and len(out.splitlines()) == 82
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "198a12fbd8f79e0102168ccd02c161fe0be75f5a807ac88993d7110acea8664b"
+    )
+
+
 def _halving_machine(factor):
     """Z with the index-2 subgroup 2Z and the image ``2m -> factor * m``."""
     model = ZModel()
@@ -118,8 +149,8 @@ def test_recursion_listing_limit():
     # 3 = a a a lies in the generator ball, so the listing closes at once
     assert recursion_lines(_halving_machine(3)) == ["a = (e, a a a) (0 1)"]
     # with 7 every section leaves the ball and spawns a state whose sections
-    # grow again, so the listing stops at MAX_LINES states
-    with pytest.raises(ValueError, match=f"exceeded {cli.MAX_LINES} states"):
+    # grow again, so the listing stops at MAX_STATES states
+    with pytest.raises(ValueError, match=f"exceeded {tree_core.MAX_STATES} states"):
         recursion_lines(_halving_machine(7))
 
 
@@ -232,6 +263,9 @@ def test_exit_codes_for_errors(tmp_path):
     assert code == 2 and "closure exceeded" in err
     code, _, _ = run_cli(["inflate", "--machine", "builtin:adding", "-k", "0", "--emit", "recursions"])
     assert code == 2
+    # an engine machine that is not finite-state has no inflated table
+    code, out, err = run_cli(["inflate", "--machine", "builtin:thmD-engine(2)", "-k", "1"])
+    assert (code, out, err) == (2, "", "error: state closure exceeded 512 states; not inflatable\n")
     # neither can a table whose sections are proper words
     code, _, err = run_cli(["inflate", "--machine", "builtin:thmD(2)", "-k", "1", "--emit", "file"])
     assert code == 2 and "composite" in err

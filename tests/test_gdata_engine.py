@@ -19,10 +19,11 @@ from selfsim.gdata_engine import (
     wreath_by_regular_data,
 )
 from selfsim.perm_word import GroupWord, Perm, parse_word
-from selfsim.tree_core import equal_to_depth, orbit_type, trivial_to_depth
+from selfsim.tree_core import apply_word, equal_to_depth, inflate, orbit_type, trivial_to_depth
 from selfsim.wreath_models import (
     CosetSpace,
     data_by_selector,
+    lamplighter_data,
     lamplighter_extension_data,
     prop31_endos,
     z_coset_space,
@@ -322,9 +323,9 @@ def test_norm_support_and_total():
 
 
 def _reference_ball(machine):
-    """The whole radius-SEARCH_LEN generator ball, element -> word, built as
-    ``short_word`` built it before the meet-in-the-middle search: the
-    reference that search must match."""
+    """The whole radius-SEARCH_LEN generator ball, element -> word, built in
+    one pass: the reference that ``short_word``'s lazily grown spheres must
+    match."""
     model = machine.model
     ball = {model.identity(): GroupWord.identity()}
     frontier = [model.identity()]
@@ -356,13 +357,13 @@ def test_short_word_matches_the_whole_ball(name):
         assert got == want and str(got) == str(want)
         return want is not None
 
-    # every ball element is a hit, so the levels keep radius ceil(SEARCH_LEN / 2)
+    # on a fresh machine a generator is found in sphere 1, so only radius 1 is built
+    assert check(machine._state_elements[machine.generators[0]])
+    assert len(machine._ball) == 2
     for elem in ball:
         check(elem)
-    first_radius = (SEARCH_LEN + 1) // 2
-    assert len(machine._ball) == first_radius + 1
     # random model elements and products of up to SEARCH_LEN + 2 generator
-    # letters sample both sides of the radius; their misses grow the levels
+    # letters sample both sides of the radius
     rng = random.Random(zlib.crc32(name.encode()) & 0xFFFF)
     letters = [(gen, sign) for gen in machine.generators for sign in (1, -1)]
     samples = [model.random_element(rng) for _ in range(300)]
@@ -371,7 +372,33 @@ def test_short_word_matches_the_whole_ball(name):
         samples.append(machine.element_of(word))
     found = sum(check(elem) for elem in samples)
     assert 0 < found < len(samples)
-    assert len(machine._ball) > first_radius + 1
     # and the grown levels still give the same words
     for elem in ball:
         check(elem)
+
+
+INFLATE_DATA = {
+    "lamplighter-3": lambda: lamplighter_data((3,)),
+    "zwrz-wr-c2": zwrz_wr_c2_data,
+    "lamplighter-2-3": lambda: data_by_selector("lamplighter:B=2,3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INFLATE_DATA))
+def test_inflated_engine_acts_on_blocks(name):
+    # engine sections name states q1, q2, .. that are not generators, so the
+    # inflated table must close over them
+    machine = build_representation(INFLATE_DATA[name]())
+    m, k = machine.alphabet_size, 2
+    blocked = inflate(machine, k)
+    assert set(machine.generators) < set(blocked.generators)
+
+    def unblock(blocks):
+        return tuple(b // m ** (k - 1 - i) % m for b in blocks for i in range(k))
+
+    rng = random.Random(zlib.crc32(name.encode()) & 0xFFFF)
+    letters = [(gen, sign) for gen in machine.generators for sign in (1, -1)]
+    for _ in range(300):
+        word = GroupWord(rng.choice(letters) for _ in range(rng.randint(1, 6)))
+        blocks = tuple(rng.randrange(m**k) for _ in range(rng.randint(1, 3)))
+        assert unblock(apply_word(blocked, word, blocks)) == apply_word(machine, word, unblock(blocks))
