@@ -22,7 +22,6 @@ from .tree_core import (
     states,
     trivial_to_depth,
 )
-from .mealy import MealyAutomaton, builtin, builtin_machine, emit, parse, to_dot, to_machine
 from .gdata_engine import (
     CosetSpace,
     EngineMachine,
@@ -32,7 +31,6 @@ from .gdata_engine import (
     VirtualEndo,
     WitnessReport,
     build_representation,
-    concatenate,
     direct_power_data,
     fcore_witness_check,
     schreier,
@@ -40,5 +38,7 @@ from .gdata_engine import (
     wreath_by_regular_data,
 )
 from . import wreath_models
+from .wreath_models import concatenate
+from .mealy import MealyAutomaton, builtin, builtin_machine, emit, parse, to_dot, to_machine
 
 __all__ = [name for name in dir() if not name.startswith("_")]

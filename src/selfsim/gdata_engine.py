@@ -18,9 +18,8 @@ moved strings instead.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from operator import add, neg
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .perm_word import GroupWord, Perm
 from .tree_core import Automorphism, SelfSimilarMachine, find_moving_string
@@ -333,9 +332,10 @@ def _lift_endo(model: SequenceModel, endo: VirtualEndo) -> VirtualEndo:
 
 
 class TupleKModel(GroupModel):
-    """s-tuples over an inner model extended by a regular permutation group."""
+    """s-tuples over an inner model extended by a regular permutation group,
+    whose other elements are the generators ``s`` (order 2) or ``k1``, ``k2``, .."""
 
-    def __init__(self, inner: GroupModel, perms: Sequence[Perm], top_names: Sequence[str]):
+    def __init__(self, inner: GroupModel, perms: Sequence[Perm]):
         super().__init__()
         self.inner = inner
         self.perms = tuple(perms)
@@ -346,8 +346,9 @@ class TupleKModel(GroupModel):
         for gname, g in inner.generators.items():
             tup = tuple(g if r == 0 else ident for r in range(self.s))
             self.generators[gname] = (tup, 0)
-        for name, p in zip(top_names, self.perms[1:]):
-            self.generators[name] = ((ident,) * self.s, self._index[p])
+        for k in range(1, len(self.perms)):
+            name = "s" if len(self.perms) == 2 else f"k{k}"
+            self.generators[name] = ((ident,) * self.s, k)
 
     def identity(self):
         return ((self.inner.identity(),) * self.s, 0)
@@ -395,9 +396,7 @@ def coset_product(majors: Sequence, endos: Sequence[VirtualEndo]):
     return cells, letter
 
 
-def wreath_by_regular_data(
-    data: GData, perms: Sequence[Perm], top_names: Optional[Sequence[str]] = None
-) -> GData:
+def wreath_by_regular_data(data: GData, perms: Sequence[Perm]) -> GData:
     """Data for the wreath product by a regular group of degree s = len(endos).
 
     ``perms`` lists the regular group's elements, identity first; the result
@@ -417,9 +416,7 @@ def wreath_by_regular_data(
                 raise ValueError("the permutation list is not closed under composition")
         if not p.is_identity() and any(p(i) == i for i in range(s)):
             raise ValueError("not regular: a non-identity element fixes a point")
-    if top_names is None:
-        top_names = ["s"] if len(perms) == 2 else [f"k{i}" for i in range(1, len(perms))]
-    model = TupleKModel(data.model, perms, top_names)
+    model = TupleKModel(data.model, perms)
     cells, letter = coset_product(range(len(perms)), data.endos)
 
     def contains(a) -> bool:
@@ -444,8 +441,7 @@ def wreath_by_regular_data(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CosetSpace:
+class CosetSpace(NamedTuple):
     """Right cosets of a parabolic subgroup, by computable canonical labels.
 
     ``label`` maps model elements onto labels, constant exactly on cosets;
@@ -656,53 +652,15 @@ def lamp_data(model: SupportModel, orders: Sequence[int], data: GData, cosets: S
 
 
 # ---------------------------------------------------------------------------
-# Concatenation of wreath-model data over a common top group.
-# ---------------------------------------------------------------------------
-
-
-def concatenate(d1: GData, d2: GData) -> GData:
-    """Combine data for two wreath products with the same top group into data
-    for the wreath product of the direct sum of their base groups.
-
-    Each endomorphism of one side extends to the combined group by killing the
-    other side's base component; transversals and coset indices carry over.
-    """
-    from .wreath_models import WreathModel
-
-    m1, m2 = d1.model, d2.model
-    if not isinstance(m1, WreathModel) or not isinstance(m2, WreathModel):
-        raise ValueError("concatenation needs wreath-model data on both sides")
-    if m1.top_dim != m2.top_dim:
-        raise ValueError("concatenation needs a common top group")
-    combined, bridges = WreathModel.combine(m1, m2)
-    endos = []
-    for (project, embed), data in zip(bridges, (d1, d2)):
-        for endo in data.endos:
-            endos.append(_bridge_endo(combined, endo, project, embed))
-    return GData(combined, endos)
-
-
-def _bridge_endo(model, endo: VirtualEndo, project, embed) -> VirtualEndo:
-    return VirtualEndo(
-        model,
-        contains=lambda g: endo.contains(project(g)),
-        image=lambda g: embed(endo.image(project(g))),
-        transversal=tuple(embed(t) for t in endo.transversal),
-        coset_index=lambda g: endo.coset_index(project(g)),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Witness checks.
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class WitnessReport:
+class WitnessReport(NamedTuple):
     """Moved strings for sampled nontrivial elements of a represented group."""
 
-    entries: list = field(default_factory=list)  # (element, witness-or-None)
-    max_depth: int = 0
+    entries: list  # (element, witness-or-None)
+    max_depth: int
 
     @property
     def all_witnessed(self) -> bool:
@@ -727,7 +685,7 @@ def fcore_witness_check(
     """
     if machine is None:
         machine = build_representation(data)
-    report = WitnessReport(max_depth=max_depth)
+    report = WitnessReport([], max_depth)
     attempts = 0
     while len(report.entries) < samples and attempts < samples * 20:
         attempts += 1

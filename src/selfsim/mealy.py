@@ -18,6 +18,7 @@ from collections import deque
 
 from .perm_word import GroupWord, Perm, _validate_name
 from .tree_core import MAX_STATES, SelfSimilarMachine, TableMachine
+from .wreath_models import thmD, thmD_engine_machine
 
 _ITEM_RE = re.compile(r"(\d+)\s*->\s*(\d+)\s+([A-Za-z_][A-Za-z0-9_]*)\Z")
 
@@ -154,16 +155,12 @@ def to_dot(automaton: MealyAutomaton) -> str:
         lines.append(f"  {q} [shape=circle];")
     lines.append(f'  e -> e [label="{", ".join(f"{y}|{y}" for y in range(m))}"];')
     for q in automaton.states:
-        groups: dict[str, list[str]] = {}
-        order: list[str] = []
+        groups: dict[str, list[str]] = {}  # in the order each edge first appears
         for y in range(m):
             dst = automaton.transition[q, y]
-            if dst not in groups:
-                groups[dst] = []
-                order.append(dst)
-            groups[dst].append(f"{y}|{automaton.output[q, y]}")
-        for dst in order:
-            lines.append(f'  {q} -> {dst} [label="{", ".join(groups[dst])}"];')
+            groups.setdefault(dst, []).append(f"{y}|{automaton.output[q, y]}")
+        for dst, labels in groups.items():
+            lines.append(f'  {q} -> {dst} [label="{", ".join(labels)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -236,25 +233,6 @@ def brunner_sidki_pair() -> MealyAutomaton:
     )
 
 
-def thmD(p: int) -> TableMachine:
-    """Degree p+1 machine s = (e,..,e,s)(0 1 .. p-1), a = (a, a s, .., a s^(p-1), a b),
-    b = (e,..,e,a).  Not a Mealy automaton: sections of ``a`` are proper words.
-    """
-    if p < 2:
-        raise ValueError("thmD needs p >= 2")
-    m = p + 1
-    ident = Perm.identity(m)
-    cycle = Perm.from_cycles(m, [tuple(range(p))])
-    e = GroupWord.identity()
-    a, b, s = GroupWord.gen("a"), GroupWord.gen("b"), GroupWord.gen("s")
-    table = {
-        "s": ([e] * p + [s], cycle),
-        "a": ([a * s**k for k in range(p)] + [a * b], ident),
-        "b": ([e] * p + [a], ident),
-    }
-    return TableMachine(m, table)
-
-
 def prop31(l: int, d: int) -> MealyAutomaton:
     """Machine for the wreath product of Z^l by Z^d (degree 4; degree 3 when d = 1).
 
@@ -291,6 +269,19 @@ def prop31(l: int, d: int) -> MealyAutomaton:
 
 _PARAM_RE = re.compile(r"([a-zA-Z_][a-zA-Z0-9_-]*)\((.*)\)\Z")
 
+# name -> (constructor, usage text, or None when it takes no parameters);
+# the usage text lists one name per parameter
+_BUILTINS = {
+    "adding": (adding_machine, None),
+    "diagram1": (diagram1, None),
+    "diagram2": (diagram2, "diagram2(n)"),
+    "diagram3": (diagram3, None),
+    "brunner_sidki": (brunner_sidki_pair, None),
+    "thmD": (thmD, "thmD(p)"),
+    "thmD-engine": (thmD_engine_machine, "thmD-engine(p)"),
+    "prop31": (prop31, "prop31(l,d)"),
+}
+
 
 def builtin(name: str):
     """A built-in automaton or machine by name, e.g. ``diagram2(3)`` or ``thmD(2)``.
@@ -305,35 +296,12 @@ def builtin(name: str):
             params = [int(x) for x in match.group(2).split(",") if x.strip()]
         except ValueError:
             raise ValueError(f"bad builtin parameters in {match.group(2)!r}") from None
-    simple = {
-        "adding": adding_machine,
-        "diagram1": diagram1,
-        "diagram3": diagram3,
-        "brunner_sidki": brunner_sidki_pair,
-    }
-    if name in simple:
-        if params:
-            raise ValueError(f"builtin {name} takes no parameters")
-        return simple[name]()
-    if name == "diagram2":
-        if len(params) != 1:
-            raise ValueError("usage: diagram2(n)")
-        return diagram2(params[0])
-    if name == "thmD":
-        if len(params) != 1:
-            raise ValueError("usage: thmD(p)")
-        return thmD(params[0])
-    if name == "thmD-engine":
-        if len(params) != 1:
-            raise ValueError("usage: thmD-engine(p)")
-        from .wreath_models import thmD_engine_machine
-
-        return thmD_engine_machine(params[0])
-    if name == "prop31":
-        if len(params) != 2:
-            raise ValueError("usage: prop31(l,d)")
-        return prop31(params[0], params[1])
-    raise ValueError(f"unknown builtin machine: {name!r}")
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown builtin machine: {name!r}")
+    make, usage = _BUILTINS[name]
+    if len(params) != (usage.count(",") + 1 if usage else 0):
+        raise ValueError(f"usage: {usage}" if usage else f"builtin {name} takes no parameters")
+    return make(*params)
 
 
 def builtin_machine(name: str) -> SelfSimilarMachine:

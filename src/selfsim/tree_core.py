@@ -26,11 +26,10 @@ word by ``cache_key`` of its class under conjugation and inversion (``_record``)
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .perm_word import GroupWord, Perm
+from .perm_word import GroupWord, Perm, parse_word
 
 String = tuple[int, ...]
 Codes = tuple[int, ...]
@@ -112,8 +111,6 @@ class SelfSimilarMachine:
 
     def automorphism(self, word) -> "Automorphism":
         if isinstance(word, str):
-            from .perm_word import parse_word
-
             word = parse_word(word)
         return Automorphism(self, word)
 
@@ -192,16 +189,14 @@ class Automorphism:
         return f"Automorphism({self.word!s})"
 
 
-@dataclass
-class Portrait:
+class Portrait(NamedTuple):
     """Root permutations of all sections down to (but excluding) a depth."""
 
     depth: int
     labels: dict[String, Perm]
 
 
-@dataclass
-class StateSet:
+class StateSet(NamedTuple):
     """Result of a depth-bounded state enumeration."""
 
     states: list[Automorphism]
@@ -430,25 +425,22 @@ def orbit_type(machine: SelfSimilarMachine) -> tuple[int, ...]:
     machine's generators, ordered by each orbit's minimal letter."""
     if not machine.generators:
         raise ValueError("orbit_type needs at least one generator")
-    m = machine.alphabet_size
-    parent = list(range(m))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for name in machine.generators:
-        p = root_perm(machine, GroupWord.gen(name))
-        for i in range(m):
-            ri, rj = find(i), find(p(i))
-            if ri != rj:
-                parent[max(ri, rj)] = min(ri, rj)
-    orbits: dict[int, int] = {}
-    for i in range(m):
-        orbits[find(i)] = orbits.get(find(i), 0) + 1
-    return tuple(size for _, size in sorted(orbits.items()))
+    perms = [root_perm(machine, GroupWord.gen(name)) for name in machine.generators]
+    seen = [False] * machine.alphabet_size
+    sizes = []
+    for start in range(machine.alphabet_size):
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit = [start]
+        for i in orbit:  # breadth first: the list grows while it is read
+            for p in perms:
+                j = p(i)
+                if not seen[j]:
+                    seen[j] = True
+                    orbit.append(j)
+        sizes.append(len(orbit))
+    return tuple(sizes)
 
 
 def format_orbit_type(sizes: Sequence[int]) -> str:

@@ -27,16 +27,14 @@ from .gdata_engine import (
     SupportModel,
     VirtualEndo,
     build_representation,
-    concatenate,
     direct_power_data,
     lamp_data,
     lamp_extension_data,
     reduce_coeff,
     wreath_by_regular_data,
 )
-from .mealy import brunner_sidki_pair, thmD
 from .perm_word import GroupWord, Perm
-from .tree_core import Automorphism
+from .tree_core import Automorphism, TableMachine, equal_to_depth
 
 
 class ZModel(GroupModel):
@@ -143,56 +141,70 @@ class WreathModel(SupportModel):
         top = tuple(rng.randint(-2, 2) for _ in range(self.top_dim))
         return (self.norm_base(entries), top)
 
-    # -- concatenation support -------------------------------------------------
 
-    @staticmethod
-    def combine(m1: "WreathModel", m2: "WreathModel"):
-        """A model for the direct sum of the two bases over the common top group,
-        with (project, embed) bridges onto each side."""
-        if m1.top_dim != m2.top_dim:
-            raise ValueError("cannot combine wreath models with different top groups")
-        combined = WreathModel(
-            m1.free_rank + m2.free_rank, m1.torsion + m2.torsion, m1.top_dim
-        )
-        l1, l2 = m1.free_rank, m2.free_rank
-        r1 = len(m1.torsion)
+# ---------------------------------------------------------------------------
+# Concatenation of wreath-model data over a common top group.
+# ---------------------------------------------------------------------------
 
-        def slots1(c):
-            return c[:l1] + c[l1 + l2 : l1 + l2 + r1]
 
-        def slots2(c):
-            return c[l1 : l1 + l2] + c[l1 + l2 + r1 :]
+def concatenate(d1: GData, d2: GData) -> GData:
+    """Combine data for two wreath products with the same top group into data
+    for the wreath product of the direct sum of their base groups.
 
-        def up1(c):
-            return c[:l1] + (0,) * l2 + c[l1:] + (0,) * len(m2.torsion)
+    The combined base holds the free slots of both sides, then their torsion
+    slots.  Each endomorphism of one side extends to the combined group by
+    killing the other side's base component; transversals and coset indices
+    carry over.  Generators keep their names (a name already taken gains the
+    first free suffix ``_2``, ``_3``, ..), and one that equals an earlier
+    generator is dropped.
+    """
+    m1, m2 = d1.model, d2.model
+    if not isinstance(m1, WreathModel) or not isinstance(m2, WreathModel):
+        raise ValueError("concatenation needs wreath-model data on both sides")
+    if m1.top_dim != m2.top_dim:
+        raise ValueError("concatenation needs a common top group")
+    model = WreathModel(m1.free_rank + m2.free_rank, m1.torsion + m2.torsion, m1.top_dim)
+    endos: list[VirtualEndo] = []
 
-        def up2(c):
-            return (0,) * l1 + c[:l2] + (0,) * r1 + c[l2:]
+    def lift(data: GData, down, up) -> None:
+        """Add one side's generators to ``model`` and its endomorphisms to
+        ``endos``; ``down`` and ``up`` move a coefficient between the side's
+        slots and the combined ones."""
 
-        def bridge(side, up, down):
-            def project(g):
-                base, top = g
-                return side.norm_base((vec, down(coeff)) for vec, coeff in base), top
+        def project(g):
+            base, top = g
+            return data.model.norm_base((vec, down(coeff)) for vec, coeff in base), top
 
-            def embed(g):
-                base, top = g
-                return combined.norm_base((vec, up(coeff)) for vec, coeff in base), top
+        def embed(g):
+            base, top = g
+            return model.norm_base((vec, up(coeff)) for vec, coeff in base), top
 
-            return project, embed
+        for name, g in data.model.generators.items():
+            lifted = embed(g)
+            if lifted in model.generators.values():
+                continue
+            if name in model.generators:  # same name from both sides
+                n = 2
+                while f"{name}_{n}" in model.generators:
+                    n += 1
+                name = f"{name}_{n}"
+            model.generators[name] = lifted
+        for endo in data.endos:
+            endos.append(
+                VirtualEndo(
+                    model,
+                    contains=lambda g, endo=endo: endo.contains(project(g)),
+                    image=lambda g, endo=endo: embed(endo.image(project(g))),
+                    transversal=tuple(embed(t) for t in endo.transversal),
+                    coset_index=lambda g, endo=endo: endo.coset_index(project(g)),
+                )
+            )
 
-        bridges = (bridge(m1, up1, slots1), bridge(m2, up2, slots2))
-        for (_, embed), source in zip(bridges, (m1, m2)):
-            for name, g in source.generators.items():
-                lifted = embed(g)
-                if lifted in set(combined.generators.values()):
-                    continue
-                if name in combined.generators:  # same name from both sides
-                    n = 2
-                    while f"{name}_{n}" in combined.generators:
-                        n += 1
-                    name = f"{name}_{n}"
-                combined.generators[name] = lifted
-        return combined, bridges
+    l1, l2, r1, r2 = m1.free_rank, m2.free_rank, len(m1.torsion), len(m2.torsion)
+    t1, t2 = l1 + l2, l1 + l2 + r1  # where the torsion slots of each side start
+    lift(d1, lambda c: c[:l1] + c[t1:t2], lambda c: c[:l1] + (0,) * l2 + c[l1:] + (0,) * r2)
+    lift(d2, lambda c: c[l1:t1] + c[t2:], lambda c: (0,) * l1 + c[:l2] + (0,) * r1 + c[l2:])
+    return GData(model, endos)
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +353,7 @@ def recompose(P: Poly2, Q: Poly2, R: Poly2, p: int) -> Poly2:
 
 
 # ---------------------------------------------------------------------------
-# C_p wr Z^2 data of orbit type (p, 1).
+# C_p wr Z^2 data of orbit type (p, 1), and the degree p+1 table it realises.
 # ---------------------------------------------------------------------------
 
 
@@ -392,6 +404,25 @@ def cp_wr_z2_data(p: int, inverse_transversal: bool = False) -> GData:
     return GData(model, [f1, VirtualEndo.whole(model, f2_image)])
 
 
+def thmD(p: int) -> TableMachine:
+    """Degree p+1 machine s = (e,..,e,s)(0 1 .. p-1), a = (a, a s, .., a s^(p-1), a b),
+    b = (e,..,e,a).  Not a Mealy automaton: sections of ``a`` are proper words.
+    """
+    if p < 2:
+        raise ValueError("thmD needs p >= 2")
+    m = p + 1
+    ident = Perm.identity(m)
+    cycle = Perm.from_cycles(m, [tuple(range(p))])
+    e = GroupWord.identity()
+    a, b, s = GroupWord.gen("a"), GroupWord.gen("b"), GroupWord.gen("s")
+    table = {
+        "s": ([e] * p + [s], cycle),
+        "a": ([a * s**k for k in range(p)] + [a * b], ident),
+        "b": ([e] * p + [a], ident),
+    }
+    return TableMachine(m, table)
+
+
 def thmD_engine_machine(p: int, inverse_transversal: bool = False) -> EngineMachine:
     return build_representation(cp_wr_z2_data(p, inverse_transversal))
 
@@ -405,8 +436,6 @@ def thmD_transversal_comparison(p: int, depth: int = 12) -> dict[str, bool]:
     them.  Under the standard ordering (powers of the lamp) the two agree; the
     inverted ordering relabels the lamp block and disagrees for p > 2.
     """
-    from .tree_core import equal_to_depth
-
     table = thmD(p)
     out = {}
     for key, flag in (("standard", False), ("inverse", True)):
@@ -535,7 +564,7 @@ __all__ = [
     "VirtualEndo",
     "WreathModel",
     "ZModel",
-    "brunner_sidki_pair",
+    "concatenate",
     "data_by_selector",
     "decompose",
     "fibonacci_states",
@@ -545,6 +574,7 @@ __all__ = [
     "poly_mul",
     "prop31_endos",
     "recompose",
+    "thmD",
     "mixed_base_data",
     "cp_wr_z2_data",
     "thmD_engine_machine",

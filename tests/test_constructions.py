@@ -131,7 +131,7 @@ def test_wreath_by_three_cycle():
     pad = VirtualEndo(base.model, lambda n: True, lambda n: n, (0,), lambda n: 0)
     padded = GData(base.model, [base.endos[0], pad, pad])
     rotations = [Perm.identity(3), Perm((1, 2, 0)), Perm((2, 0, 1))]
-    data = wreath_by_regular_data(padded, rotations, top_names=["k1", "k2"])
+    data = wreath_by_regular_data(padded, rotations)
     assert data.degree == 6
     model = data.model
     rng = random.Random(12)

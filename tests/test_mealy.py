@@ -162,6 +162,25 @@ def test_builtin_unknown_and_bad_params():
         mealy.builtin("adding(3)")
 
 
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("nope", "unknown builtin machine: 'nope'"),
+        ("nope(1)", "unknown builtin machine: 'nope'"),
+        ("adding(1)", "builtin adding takes no parameters"),
+        ("brunner_sidki(1,2)", "builtin brunner_sidki takes no parameters"),
+        ("prop31(1)", "usage: prop31(l,d)"),
+        ("thmD-engine()", "usage: thmD-engine(p)"),
+        ("diagram2(1,2)", "usage: diagram2(n)"),
+        ("diagram2(x)", "bad builtin parameters in 'x'"),
+    ],
+)
+def test_builtin_error_texts(name, message):
+    with pytest.raises(ValueError) as err:
+        mealy.builtin(name)
+    assert str(err.value) == message
+
+
 def test_diagram2_state_counts():
     machine = mealy.builtin_machine("diagram2(5)")
     for i in range(1, 6):

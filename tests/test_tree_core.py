@@ -11,6 +11,7 @@ from selfsim.tree_core import (
     _class_key,
     _UnionMachine,
     Automorphism,
+    TableMachine,
     equal_to_depth,
     find_moving_string,
     format_orbit_type,
@@ -157,6 +158,21 @@ def test_orbit_type_examples(diagram1):
     assert orbit_type(diagram1) == (2, 1)
     assert format_orbit_type(orbit_type(diagram1)) == "(2,1)"
     assert orbit_type(mealy.builtin_machine("thmD(3)")) == (3, 1)
+
+
+@pytest.mark.parametrize(
+    "m, cycles, sizes",
+    [
+        (5, {"x": [(0, 2)], "y": [(3, 4)]}, (2, 1, 2)),
+        (4, {"x": [(0, 3)], "y": [(1, 3)]}, (3, 1)),
+        (6, {"x": [(0, 4), (1, 5)], "y": [(4, 1)]}, (4, 1, 1)),
+    ],
+)
+def test_orbit_type_of_scattered_orbits(m, cycles, sizes):
+    """Orbits that are not blocks of consecutive letters, listed by least letter."""
+    ident = [GroupWord.identity()] * m
+    table = {name: (ident, Perm.from_cycles(m, cyc)) for name, cyc in cycles.items()}
+    assert orbit_type(TableMachine(m, table)) == sizes
 
 
 def test_inflate_level_one_is_identity_relabel(diagram1):

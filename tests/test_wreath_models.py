@@ -10,7 +10,7 @@ from selfsim.gdata_engine import ExtensionModel, build_representation, norm_supp
 from selfsim.tree_core import equal_to_depth
 from selfsim.wreath_models import (
     WreathModel,
-    brunner_sidki_pair,
+    concatenate,
     data_by_selector,
     decompose,
     fibonacci_states,
@@ -214,8 +214,8 @@ def test_wreath_associativity_randomized():
 
 
 def test_combine_requires_matching_top_groups():
-    with pytest.raises(ValueError):
-        WreathModel.combine(WreathModel(1, (), 1), WreathModel(1, (), 2))
+    with pytest.raises(ValueError, match="common top group"):
+        concatenate(prop31_endos(1, 1), prop31_endos(1, 2))
 
 
 # -- the Z^l wr Z^d endomorphisms --------------------------------------------
@@ -464,10 +464,6 @@ def test_mixed_base_degree_and_generators():
     assert data.degree == 8
     machine = build_representation(data)
     assert set(machine.generators) == {"b", "z", "g1"}
-
-
-def test_brunner_sidki_alias():
-    assert brunner_sidki_pair() == mealy.brunner_sidki_pair()
 
 
 # -- selectors -----------------------------------------------------------------
