@@ -39,6 +39,6 @@ from .gdata_engine import (
 )
 from . import wreath_models
 from .wreath_models import concatenate
-from .mealy import MealyAutomaton, builtin, builtin_machine, emit, parse, to_dot, to_machine
+from .mealy import builtin_machine, emit, machine_to_mealy, parse, to_dot
 
 __all__ = [name for name in dir() if not name.startswith("_")]

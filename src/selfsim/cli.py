@@ -33,7 +33,7 @@ from .tree_core import (
 def _load_machine(spec: str) -> SelfSimilarMachine:
     if spec.startswith("builtin:"):
         return mealy.builtin_machine(spec[len("builtin:") :])
-    return mealy.to_machine(mealy.parse(Path(spec).read_text(encoding="utf-8")))
+    return mealy.parse(Path(spec).read_text(encoding="utf-8"))
 
 
 def _parse_word(machine: SelfSimilarMachine, text: str) -> GroupWord:

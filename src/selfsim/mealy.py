@@ -1,5 +1,7 @@
-"""Finite Mealy automata: a concrete, serialisable source of tree machines.
+"""Finite Mealy automata: tree machines whose sections are single states.
 
+A Mealy automaton is a ``TableMachine`` in which every section is ``e`` or one
+state; ``parse`` reads such a table from text and ``emit`` writes it back.
 The file format is line based (``#`` starts a comment):
 
     alphabet 3
@@ -14,7 +16,6 @@ omitted.  Every state's outputs must form a permutation of the alphabet.
 from __future__ import annotations
 
 import re
-from collections import deque
 
 from .perm_word import GroupWord, Perm, _validate_name
 from .tree_core import MAX_STATES, SelfSimilarMachine, TableMachine
@@ -22,70 +23,22 @@ from .wreath_models import thmD, thmD_engine_machine
 
 _ITEM_RE = re.compile(r"(\d+)\s*->\s*(\d+)\s+([A-Za-z_][A-Za-z0-9_]*)\Z")
 
-
-class MealyAutomaton:
-    """An invertible letter transducer over the alphabet ``{0..m-1}``."""
-
-    def __init__(
-        self,
-        alphabet_size: int,
-        states: list[str],
-        transition: dict[tuple[str, int], str],
-        output: dict[tuple[str, int], int],
-    ):
-        if alphabet_size < 1:
-            raise ValueError("alphabet size must be at least 1")
-        if len(set(states)) != len(states):
-            raise ValueError("duplicate state names")
-        self.alphabet_size = alphabet_size
-        self.states = list(states)
-        self.transition = dict(transition)
-        self.output = dict(output)
-        known = set(states) | {"e"}
-        for q in states:
-            _validate_name(q)
-            images = []
-            for y in range(alphabet_size):
-                if (q, y) not in transition or (q, y) not in output:
-                    raise ValueError(f"state {q}: letter {y} not covered")
-                if transition[q, y] not in known:
-                    raise ValueError(f"state {q}: unknown next state {transition[q, y]!r}")
-                images.append(output[q, y])
-            Perm(images)  # raises if the state is not invertible
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, MealyAutomaton)
-            and self.alphabet_size == other.alphabet_size
-            and self.states == other.states
-            and self.transition == other.transition
-            and self.output == other.output
-        )
-
-    def __repr__(self) -> str:
-        return f"MealyAutomaton(m={self.alphabet_size}, states={self.states})"
+Row = list[tuple[int, str]]  # (output letter, next state) for each input letter
 
 
-def to_machine(automaton: MealyAutomaton) -> TableMachine:
-    """One machine generator per non-identity state; sections are the next states."""
-    m = automaton.alphabet_size
+def _table(m: int, rows: dict[str, Row]) -> TableMachine:
+    """The machine whose state q writes ``rows[q][y][0]`` and moves to ``rows[q][y][1]``."""
     table = {}
-    for q in automaton.states:
-        sections = []
-        images = []
-        for y in range(m):
-            nxt = automaton.transition[q, y]
-            sections.append(GroupWord.identity() if nxt == "e" else GroupWord.gen(nxt))
-            images.append(automaton.output[q, y])
-        table[q] = (sections, Perm(images))
+    for q, row in rows.items():
+        _validate_name(q)
+        sections = [GroupWord.identity() if nxt == "e" else GroupWord.gen(nxt) for _, nxt in row]
+        table[q] = (sections, Perm(out for out, _ in row))
     return TableMachine(m, table)
 
 
-def parse(text: str) -> MealyAutomaton:
+def parse(text: str) -> TableMachine:
     alphabet = None
-    states: list[str] = []
-    transition: dict[tuple[str, int], str] = {}
-    output: dict[tuple[str, int], int] = {}
+    states: dict[str, Row] = {}
     stated = False  # every state line lists every letter, bounding the alphabet
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -123,66 +76,52 @@ def parse(text: str) -> MealyAutomaton:
             continue
         if name in states:
             raise ValueError(f"line {lineno}: duplicate state {name}")
-        states.append(name)
-        for y, (out, nxt) in rows.items():
-            transition[name, y] = nxt
-            output[name, y] = out
+        states[name] = [rows[y] for y in range(alphabet)]
     if alphabet is None:
         raise ValueError("empty automaton file")
     if not stated:
         raise ValueError("no state line after the alphabet line")
-    return MealyAutomaton(alphabet, states, transition, output)
+    return _table(alphabet, states)
 
 
-def emit(automaton: MealyAutomaton) -> str:
-    m = automaton.alphabet_size
+def emit(machine: TableMachine) -> str:
+    """The file text of a table whose sections are single states (``machine_to_mealy``)."""
+    m = machine.alphabet_size
     lines = [f"alphabet {m}"]
     lines.append("state e: " + ", ".join(f"{y}->{y} e" for y in range(m)))
-    for q in automaton.states:
-        items = ", ".join(
-            f"{y}->{automaton.output[q, y]} {automaton.transition[q, y]}"
-            for y in range(automaton.alphabet_size)
-        )
+    for q in machine.generators:
+        sections, perm = machine.entry(q)
+        items = ", ".join(f"{y}->{perm(y)} {w}" for y, w in enumerate(sections))
         lines.append(f"state {q}: {items}")
     return "\n".join(lines) + "\n"
 
 
-def to_dot(automaton: MealyAutomaton) -> str:
+def to_dot(machine: TableMachine) -> str:
     """Deterministic DOT export; parallel edges are merged and labelled 'in|out'."""
-    m = automaton.alphabet_size
+    m = machine.alphabet_size
     lines = ["digraph {", '  e [shape=doublecircle];']
-    for q in automaton.states:
+    for q in machine.generators:
         lines.append(f"  {q} [shape=circle];")
     lines.append(f'  e -> e [label="{", ".join(f"{y}|{y}" for y in range(m))}"];')
-    for q in automaton.states:
+    for q in machine.generators:
+        sections, perm = machine.entry(q)
         groups: dict[str, list[str]] = {}  # in the order each edge first appears
-        for y in range(m):
-            dst = automaton.transition[q, y]
-            groups.setdefault(dst, []).append(f"{y}|{automaton.output[q, y]}")
+        for y, w in enumerate(sections):
+            groups.setdefault(str(w), []).append(f"{y}|{perm(y)}")
         for dst, labels in groups.items():
             lines.append(f'  {q} -> {dst} [label="{", ".join(labels)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
-def _mealy(m: int, rows: dict[str, list[tuple[int, str]]]) -> MealyAutomaton:
-    transition = {}
-    output = {}
-    for q, row in rows.items():
-        for y, (out, nxt) in enumerate(row):
-            transition[q, y] = nxt
-            output[q, y] = out
-    return MealyAutomaton(m, list(rows), transition, output)
-
-
-def adding_machine() -> MealyAutomaton:
+def adding_machine() -> TableMachine:
     """The binary odometer a = (e, a)(0 1)."""
-    return _mealy(2, {"a": [(1, "e"), (0, "a")]})
+    return _table(2, {"a": [(1, "e"), (0, "a")]})
 
 
-def diagram1() -> MealyAutomaton:
+def diagram1() -> TableMachine:
     """3-letter, 3-state automaton: a = (e, a, e)(0 1), g = (g, e, a)."""
-    return _mealy(
+    return _table(
         3,
         {
             "a": [(1, "e"), (0, "a"), (2, "e")],
@@ -191,20 +130,20 @@ def diagram1() -> MealyAutomaton:
     )
 
 
-def diagram2(n: int) -> MealyAutomaton:
+def diagram2(n: int) -> TableMachine:
     """First n generators of the chain a1 = (e, a1, e)(0 1), ai = (ai, ai, a(i-1))."""
     if n < 1:
         raise ValueError("diagram2 needs n >= 1")
     rows = {"a1": [(1, "e"), (0, "a1"), (2, "e")]}
     for i in range(2, n + 1):
         rows[f"a{i}"] = [(0, f"a{i}"), (1, f"a{i}"), (2, f"a{i - 1}")]
-    return _mealy(3, rows)
+    return _table(3, rows)
 
 
-def diagram3() -> MealyAutomaton:
+def diagram3() -> TableMachine:
     """5-state, 4-letter automaton: s = (0 2)(1 3), a = (e, a, e, e)(0 1),
     as = (e, e, e, a)(2 3), g = (g, e, as, as)."""
-    return _mealy(
+    return _table(
         4,
         {
             "s": [(2, "e"), (3, "e"), (0, "e"), (1, "e")],
@@ -215,14 +154,14 @@ def diagram3() -> MealyAutomaton:
     )
 
 
-def brunner_sidki_pair() -> MealyAutomaton:
+def brunner_sidki_pair() -> TableMachine:
     """Binary pair a = (e, u)(0 1), at = (v, e) with u = (a, e), v = (at, a).
 
     The depth-one states u and v encode the level-two recursion; the
     2-inflation of this machine is a degree-4 representation whose group is
     the wreath product of two infinite cyclic groups.
     """
-    return _mealy(
+    return _table(
         2,
         {
             "a": [(1, "e"), (0, "u")],
@@ -233,7 +172,7 @@ def brunner_sidki_pair() -> MealyAutomaton:
     )
 
 
-def prop31(l: int, d: int) -> MealyAutomaton:
+def prop31(l: int, d: int) -> TableMachine:
     """Machine for the wreath product of Z^l by Z^d (degree 4; degree 3 when d = 1).
 
     Base states g1..gl, top states a1..ad; base indices wrap cyclically
@@ -248,7 +187,7 @@ def prop31(l: int, d: int) -> MealyAutomaton:
     def a(i: int) -> str:
         return f"a{(i - 1) % d + 1}"
 
-    rows: dict[str, list[tuple[int, str]]] = {}
+    rows: dict[str, Row] = {}
     for i in range(1, l + 1):
         row = [(0, g(i - 1)), (1, "e")]
         if d >= 2:
@@ -264,7 +203,7 @@ def prop31(l: int, d: int) -> MealyAutomaton:
             row.append((2, a(0) if i == 1 else a(i - 1)))
         row.append((len(row), "e"))
         rows[a(i)] = row
-    return _mealy(4 if d >= 2 else 3, rows)
+    return _table(4 if d >= 2 else 3, rows)
 
 
 _PARAM_RE = re.compile(r"([a-zA-Z_][a-zA-Z0-9_-]*)\((.*)\)\Z")
@@ -283,11 +222,8 @@ _BUILTINS = {
 }
 
 
-def builtin(name: str):
-    """A built-in automaton or machine by name, e.g. ``diagram2(3)`` or ``thmD(2)``.
-
-    Returns a MealyAutomaton where one exists and a plain machine otherwise.
-    """
+def builtin_machine(name: str) -> SelfSimilarMachine:
+    """A built-in machine by name, e.g. ``diagram2(3)`` or ``thmD(2)``."""
     params: list[int] = []
     match = _PARAM_RE.match(name)
     if match:
@@ -304,45 +240,30 @@ def builtin(name: str):
     return make(*params)
 
 
-def builtin_machine(name: str) -> SelfSimilarMachine:
-    got = builtin(name)
-    if isinstance(got, MealyAutomaton):
-        return to_machine(got)
-    return got
-
-
-def machine_to_mealy(machine: SelfSimilarMachine) -> MealyAutomaton:
-    """Close a machine under sections into a Mealy automaton.
+def machine_to_mealy(machine: SelfSimilarMachine) -> TableMachine:
+    """Close a machine under sections into a table whose sections are single states.
 
     Requires every section to be a single state or the identity; raises for
     composite sections and when the closure exceeds ``MAX_STATES`` (expected
     for non-finite-state machines).
     """
-    names = list(machine.generators)
+    names = list(machine.generators)  # the loop appends each state it discovers
     seen = set(names)
-    transition: dict[tuple[str, int], str] = {}
-    output: dict[tuple[str, int], int] = {}
-    queue = deque(names)
-    while queue:
-        name = queue.popleft()
+    table = {}
+    for name in names:
         sections, perm = machine.entry(name)
-        for y, w in enumerate(sections):
-            if len(w.letters) == 0:
-                nxt = "e"
-            elif len(w.letters) == 1 and w.letters[0][1] == 1:
-                nxt = w.letters[0][0]
-            else:
+        for w in sections:
+            if len(w) > 1 or any(sign < 0 for _, sign in w):
                 raise ValueError(
                     f"state {name} has a composite section; export recursions instead"
                 )
-            transition[name, y] = nxt
-            output[name, y] = perm(y)
-            if nxt != "e" and nxt not in seen:
-                if len(seen) >= MAX_STATES:
-                    raise ValueError(
-                        f"state closure exceeded {MAX_STATES} states; not exportable"
-                    )
-                seen.add(nxt)
-                names.append(nxt)
-                queue.append(nxt)
-    return MealyAutomaton(machine.alphabet_size, names, transition, output)
+            for nxt, _ in w:
+                if nxt not in seen:
+                    if len(seen) >= MAX_STATES:
+                        raise ValueError(
+                            f"state closure exceeded {MAX_STATES} states; not exportable"
+                        )
+                    seen.add(nxt)
+                    names.append(nxt)
+        table[name] = (sections, perm)
+    return TableMachine(machine.alphabet_size, table)

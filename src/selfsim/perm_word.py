@@ -154,11 +154,16 @@ class GroupWord:
     def __pow__(self, n: int) -> "GroupWord":
         if n == 0:
             return _EMPTY
-        base = self if n > 0 else self.inverse()
-        out = base
-        for _ in range(abs(n) - 1):
-            out = out * base
-        return out
+        letters = (self if n > 0 else self.inverse()).letters
+        # the word is u c u^-1 with c cyclically reduced, so c^|n| needs no reduction
+        k, end = 0, len(letters)
+        while k < end - k - 1:
+            name, sign = letters[end - k - 1]
+            if letters[k] != (name, -sign):
+                break
+            k += 1
+        core = letters[k : end - k] * abs(n)
+        return GroupWord(letters[:k] + core + letters[end - k :], reduced=True)
 
     def conjugate_by(self, other: "GroupWord") -> "GroupWord":
         """Right conjugation: ``w.conjugate_by(v) == v^-1 w v``."""

@@ -85,6 +85,8 @@ def z_coset_space() -> CosetSpace:
 
 # generator a{k} of zomega is a k-long tuple, so n named copies take ~n^2/2 entries
 MAX_NAMED_COPIES = 1000
+# the largest p of ``thmD``: its table holds about p^2/2 letters
+MAX_THMD_P = 1000
 
 
 def zomega_data(named_copies: int = 5) -> GData:
@@ -408,8 +410,8 @@ def thmD(p: int) -> TableMachine:
     """Degree p+1 machine s = (e,..,e,s)(0 1 .. p-1), a = (a, a s, .., a s^(p-1), a b),
     b = (e,..,e,a).  Not a Mealy automaton: sections of ``a`` are proper words.
     """
-    if p < 2:
-        raise ValueError("thmD needs p >= 2")
+    if not 2 <= p <= MAX_THMD_P:
+        raise ValueError(f"thmD needs 2 <= p <= {MAX_THMD_P}")
     m = p + 1
     ident = Perm.identity(m)
     cycle = Perm.from_cycles(m, [tuple(range(p))])

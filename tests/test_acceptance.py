@@ -74,9 +74,8 @@ def lamp_commutators_trivial(machine, lamp, top, conj_range: int, depth: int) ->
 
 
 def test_criterion_1_diagram1_fidelity():
-    automaton = mealy.diagram1()
-    ok = mealy.parse(mealy.emit(automaton)) == automaton
-    machine = mealy.to_machine(automaton)
+    machine = mealy.diagram1()
+    ok = mealy.emit(mealy.parse(mealy.emit(machine))) == mealy.emit(machine)
     a_secs, a_perm = machine.entry("a")
     g_secs, g_perm = machine.entry("g")
     ok &= [str(w) for w in a_secs] == ["e", "a", "e"] and a_perm == Perm((1, 0, 2))

@@ -41,6 +41,24 @@ def test_act_on_machine_file(tmp_path):
     assert code == 0 and out == "210\n"
 
 
+@pytest.mark.parametrize(
+    "machine, word, string, expected",
+    [
+        ("builtin:adding", "a", "-", (0, "-\n", "")),
+        ("builtin:thmD(10)", "s", "10,0,3", (0, "10,1,3\n", "")),
+        (
+            "builtin:thmD(10)",
+            "s",
+            "103",
+            (2, "", "error: alphabets beyond 10 letters need comma-separated strings\n"),
+        ),
+        ("builtin:adding", "a", "5", (2, "", "error: letter 5 out of range for alphabet of 2\n")),
+    ],
+)
+def test_act_string_parsing(machine, word, string, expected):
+    assert run_cli(["act", "--machine", machine, "--word", word, "--string", string]) == expected
+
+
 def test_orbit_type_diagram1():
     code, out, _ = run_cli(["orbit-type", "--machine", "builtin:diagram1"])
     assert code == 0 and out == "(2,1)\n"
@@ -198,6 +216,8 @@ def test_exit_codes_for_errors(tmp_path):
     assert code == 2
     code, _, _ = run_cli(["act", "--machine", "builtin:adding", "--word", "q", "--string", "0"])
     assert code == 2
+    code, _, err = run_cli(["orbit-type", "--machine", "builtin:thmD(1001)"])
+    assert (code, err) == (2, "error: thmD needs 2 <= p <= 1000\n")
     code, _, err = run_cli(["witness", "--model", "zwrz", "--word", "zz", "--max-depth", "3"])
     assert code == 2 and "undeclared state" in err
     # undeclared states are rejected even where no entry is read or they cancel

@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfsim import mealy
-from selfsim.perm_word import Perm
-from selfsim.tree_core import states
+from selfsim.perm_word import GroupWord, Perm
+from selfsim.tree_core import TableMachine, states
 
 DIAGRAM1_FILE = """\
 alphabet 3
@@ -17,15 +19,15 @@ def _entry_strings(machine, name):
 
 
 def test_identity_only_automaton():
-    only_e = mealy.MealyAutomaton(2, [], {}, {})
-    machine = mealy.to_machine(only_e)
-    assert machine.generators == ()
-    assert mealy.emit(only_e).splitlines() == ["alphabet 2", "state e: 0->0 e, 1->1 e"]
-    assert mealy.parse(mealy.emit(only_e)) == only_e
+    only_e = TableMachine(2, {})
+    text = mealy.emit(only_e)
+    assert text.splitlines() == ["alphabet 2", "state e: 0->0 e, 1->1 e"]
+    again = mealy.parse(text)
+    assert again.generators == () and mealy.emit(again) == text
 
 
 def test_to_machine_diagram1():
-    machine = mealy.to_machine(mealy.diagram1())
+    machine = mealy.diagram1()
     secs, perm = _entry_strings(machine, "a")
     assert secs == ["e", "a", "e"] and perm == Perm((1, 0, 2))
     secs, perm = _entry_strings(machine, "g")
@@ -33,7 +35,7 @@ def test_to_machine_diagram1():
 
 
 def test_to_machine_diagram3():
-    machine = mealy.to_machine(mealy.diagram3())
+    machine = mealy.diagram3()
     secs, perm = _entry_strings(machine, "s")
     assert secs == ["e"] * 4 and perm == Perm.from_cycles(4, [(0, 2), (1, 3)])
     secs, perm = _entry_strings(machine, "g")
@@ -44,20 +46,15 @@ def test_to_machine_diagram3():
     assert secs == ["e", "e", "e", "a"] and perm == Perm((0, 1, 3, 2))
 
 
-def test_non_invertible_state_rejected():
-    with pytest.raises(ValueError):
-        mealy.MealyAutomaton(2, ["q"], {("q", 0): "e", ("q", 1): "e"}, {("q", 0): 0, ("q", 1): 0})
-
-
 def test_parse_diagram1_file():
-    automaton = mealy.parse(DIAGRAM1_FILE)
-    assert automaton.states == ["a", "g"]
-    assert automaton == mealy.diagram1()
+    machine = mealy.parse(DIAGRAM1_FILE)
+    assert machine.generators == ("a", "g")
+    assert mealy.emit(machine) == mealy.emit(mealy.diagram1())
 
 
 def test_parse_accepts_comments_and_explicit_identity():
     text = "# automaton\nalphabet 2\nstate e: 0->0 e, 1->1 e\nstate a: 0->1 e, 1->0 a\n"
-    assert mealy.parse(text) == mealy.adding_machine()
+    assert mealy.emit(mealy.parse(text)) == mealy.emit(mealy.adding_machine())
 
 
 def test_parse_errors_carry_line_numbers():
@@ -80,15 +77,85 @@ def test_parse_rejects_non_invertible_rows():
         mealy.parse("alphabet 2\nstate a: 0->0 e, 1->0 a\n")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("alphabet 2\nfoo\n", "line 2: expected 'state <name>: ...'"),
+        ("alphabet 2\nstate a 0->1 e\n", "line 2: missing ':' after state name"),
+        ("alphabet 2\nstate a: 0->1 e, 1=>0 a\n", "line 2: bad item '1=>0 a'"),
+        ("alphabet 2\nstate a: 0->2 e, 1->0 a\n", "line 2: letter out of range in '0->2 e'"),
+        ("alphabet 2\nstate a: 0->1 e, 0->0 a\n", "line 2: duplicate input letter 0"),
+        (
+            "alphabet 2\nstate a: 0->1 e, 1->0 a\nstate a: 0->0 e, 1->1 e\n",
+            "line 3: duplicate state a",
+        ),
+        ("# no alphabet\n\n", "empty automaton file"),
+        ("alphabet 2\nstate a: 0->1 zz, 1->0 e\n", "state a: undeclared state 'zz' in section"),
+    ],
+)
+def test_parse_error_texts(text, message):
+    with pytest.raises(ValueError) as err:
+        mealy.parse(text)
+    assert str(err.value) == message
+
+
+def test_table_machine_shape_errors():
+    e = GroupWord.identity()
+    with pytest.raises(ValueError) as err:
+        TableMachine(2, {"a": ([e], Perm((1, 0)))})
+    assert str(err.value) == "state a: expected 2 sections"
+    with pytest.raises(ValueError) as err:
+        TableMachine(2, {"a": ([e, e], Perm((1, 0, 2)))})
+    assert str(err.value) == "state a: root permutation degree mismatch"
+
+
+# an alphabet line, mostly well formed, then lines of the format's tokens in
+# any order: two-letter rows over the states a and b that often parse, and at
+# most one line of free items or other junk
+_NAMES = st.sampled_from(["a", "b", "e", "zz", "1a", "a b", ""])
+_LETTERS = st.integers(0, 2).map(str) | st.sampled_from(["-1", "x", "10"])
+_ITEMS = st.builds("{}->{} {}".format, _LETTERS, _LETTERS, _NAMES) | st.sampled_from(
+    ["", "0->", "->1 a", "0 1 a", "0->1"]
+)
+_AB = st.sampled_from(["a", "b"])
+_NEXT = st.sampled_from(["a", "b", "e"])
+_ROW = st.builds("state {}: 0->{} {}, 1->{} {}".format, _AB, st.just(0), _NEXT, st.just(1), _NEXT)
+_ROW |= st.builds("state {}: 0->{} {}, 1->{} {}".format, _AB, st.just(1), _NEXT, st.just(0), _NEXT)
+_JUNK = st.builds("state {}: {}".format, _NAMES, st.lists(_ITEMS, min_size=1, max_size=3).map(", ".join))
+_JUNK |= st.sampled_from(["", "# comment", "state", "state a", ":", "alphabet 2"])
+_HEADER = st.sampled_from(["alphabet 2", "alphabet 2", "alphabet 2", "alphabet 1", "alphabet x", ""])
+_TEXTS = st.builds(
+    lambda head, lines: "\n".join([head, *lines]),
+    _HEADER,
+    st.builds(
+        list.__add__,
+        st.lists(_ROW, max_size=2, unique_by=lambda line: line.split(":")[0]),
+        st.lists(_JUNK, max_size=1),
+    ).flatmap(
+        st.permutations
+    ),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(_TEXTS)
+def test_parse_fuzz_returns_table_or_value_error(text):
+    try:
+        machine = mealy.parse(text)
+    except ValueError:
+        return
+    assert isinstance(machine, TableMachine)
+    assert mealy.emit(mealy.parse(mealy.emit(machine))) == mealy.emit(machine)
+
+
 def test_round_trips():
     for build in (mealy.adding_machine, mealy.diagram1, mealy.diagram3, lambda: mealy.diagram2(4)):
-        automaton = build()
-        assert mealy.parse(mealy.emit(automaton)) == automaton
+        text = mealy.emit(build())
+        assert mealy.emit(mealy.parse(text)) == text
 
 
 def test_to_dot_identity():
-    only_e = mealy.MealyAutomaton(2, [], {}, {})
-    dot = mealy.to_dot(only_e)
+    dot = mealy.to_dot(TableMachine(2, {}))
     assert dot.startswith("digraph {")
     assert 'e -> e [label="0|0, 1|1"];' in dot
 
@@ -153,13 +220,13 @@ def test_builtin_brunner_sidki_sections():
 
 def test_builtin_unknown_and_bad_params():
     with pytest.raises(ValueError):
-        mealy.builtin("nonesuch")
+        mealy.builtin_machine("nonesuch")
     with pytest.raises(ValueError):
-        mealy.builtin("diagram2()")
+        mealy.builtin_machine("diagram2()")
     with pytest.raises(ValueError):
-        mealy.builtin("thmD(1)")
+        mealy.builtin_machine("thmD(1)")
     with pytest.raises(ValueError):
-        mealy.builtin("adding(3)")
+        mealy.builtin_machine("adding(3)")
 
 
 @pytest.mark.parametrize(
@@ -173,11 +240,12 @@ def test_builtin_unknown_and_bad_params():
         ("thmD-engine()", "usage: thmD-engine(p)"),
         ("diagram2(1,2)", "usage: diagram2(n)"),
         ("diagram2(x)", "bad builtin parameters in 'x'"),
+        ("thmD(1001)", "thmD needs 2 <= p <= 1000"),
     ],
 )
 def test_builtin_error_texts(name, message):
     with pytest.raises(ValueError) as err:
-        mealy.builtin(name)
+        mealy.builtin_machine(name)
     assert str(err.value) == message
 
 
@@ -190,9 +258,8 @@ def test_diagram2_state_counts():
 
 def test_machine_to_mealy_round_trip():
     for build in (mealy.diagram1, mealy.diagram3):
-        automaton = build()
-        again = mealy.machine_to_mealy(mealy.to_machine(automaton))
-        assert again == automaton
+        machine = build()
+        assert mealy.emit(mealy.machine_to_mealy(machine)) == mealy.emit(machine)
 
 
 def test_machine_to_mealy_rejects_composite_sections():

@@ -30,29 +30,35 @@ MACHINES = {
 }
 
 
-def transducer_apply(automaton, word, string):
-    """Run a signed word through the automaton symbol by symbol.
+def transducer_apply(machine, word, string):
+    """Run a signed word through a Mealy table symbol by symbol.
 
     A positive symbol is the usual Mealy run from that state; a negative one
     runs the inverse transducer, reading output letters and recovering inputs.
+    Each state's output letter and next state are read from its stored entry.
     """
+
+    def output(state, y):
+        return machine.entry(state)[1](y)
+
+    def transition(state, y):
+        return str(machine.entry(state)[0][y])
+
     for name, sign in word:
         out = []
         state = name
         if sign > 0:
             for y in string:
-                out.append(automaton.output[state, y] if state != "e" else y)
-                state = automaton.transition[state, y] if state != "e" else "e"
+                out.append(output(state, y) if state != "e" else y)
+                state = transition(state, y) if state != "e" else "e"
         else:
             for z in string:
                 if state == "e":
                     out.append(z)
                     continue
-                y = next(
-                    i for i in range(automaton.alphabet_size) if automaton.output[state, i] == z
-                )
+                y = next(i for i in range(machine.alphabet_size) if output(state, i) == z)
                 out.append(y)
-                state = automaton.transition[state, y]
+                state = transition(state, y)
         string = tuple(out)
     return string
 
@@ -65,21 +71,19 @@ def _random_word(rng, names, max_len):
 
 @pytest.mark.parametrize("name", sorted(MACHINES))
 def test_apply_matches_transducer_simulation(name):
-    automaton = MACHINES[name]()
-    machine = mealy.to_machine(automaton)
+    machine = MACHINES[name]()
     names = list(machine.generators)
     m = machine.alphabet_size
     rng = random.Random(zlib.crc32(name.encode()) & 0xFFFF)
     for _ in range(300):
         word = _random_word(rng, names, 8)
         string = tuple(rng.randrange(m) for _ in range(rng.randint(0, 6)))
-        assert apply_word(machine, word, string) == transducer_apply(automaton, word, string)
+        assert apply_word(machine, word, string) == transducer_apply(machine, word, string)
 
 
 @pytest.mark.parametrize("name", sorted(MACHINES))
 def test_trivial_to_depth_matches_enumeration(name):
-    automaton = MACHINES[name]()
-    machine = mealy.to_machine(automaton)
+    machine = MACHINES[name]()
     names = list(machine.generators)
     m = machine.alphabet_size
     rng = random.Random(zlib.crc32(name.encode()) & 0xFFF)
@@ -87,14 +91,13 @@ def test_trivial_to_depth_matches_enumeration(name):
     strings = [s for k in range(depth + 1) for s in product(range(m), repeat=k)]
     for _ in range(60):
         word = _random_word(rng, names, 6)
-        expected = all(transducer_apply(automaton, word, s) == s for s in strings)
+        expected = all(transducer_apply(machine, word, s) == s for s in strings)
         assert trivial_to_depth(machine, word, depth) == expected
 
 
 @pytest.mark.parametrize("name", sorted(MACHINES))
 def test_find_moving_string_matches_enumeration(name):
-    automaton = MACHINES[name]()
-    machine = mealy.to_machine(automaton)
+    machine = MACHINES[name]()
     names = list(machine.generators)
     m = machine.alphabet_size
     rng = random.Random(zlib.crc32(name.encode()) & 0xFF)
@@ -104,7 +107,7 @@ def test_find_moving_string_matches_enumeration(name):
         brute = None
         for k in range(1, depth + 1):
             for s in product(range(m), repeat=k):  # lexicographic within each length
-                if transducer_apply(automaton, word, s) != s:
+                if transducer_apply(machine, word, s) != s:
                     brute = s
                     break
             if brute is not None:
@@ -114,7 +117,7 @@ def test_find_moving_string_matches_enumeration(name):
 
 @pytest.mark.parametrize("name", ["diagram1", "brunner_sidki"])
 def test_inflation_acts_blockwise(name):
-    machine = mealy.to_machine(MACHINES[name]())
+    machine = MACHINES[name]()
     doubled = inflate(machine, 2)
     m = machine.alphabet_size
     names = list(machine.generators)

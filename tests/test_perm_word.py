@@ -152,3 +152,21 @@ def test_power():
     assert a**0 == GroupWord.identity()
     assert str(a**3) == "a a a"
     assert a**-2 == (a * a).inverse()
+
+
+def _power_by_multiplication(w, n):
+    out = GroupWord.identity()
+    for _ in range(abs(n)):
+        out = out * (w if n > 0 else w.inverse())
+    return out
+
+
+def test_power_matches_repeated_multiplication():
+    rng = random.Random(11)
+    words = [parse_word(text) for text in ("a b a^-1", "a b a^-1 b^-1", "b a c a^-1 b^-1", "a", "e")]
+    for _ in range(200):
+        symbols = [(rng.choice("abc"), rng.choice((1, -1))) for _ in range(rng.randint(0, 8))]
+        words.append(GroupWord(symbols))
+    for w in words:
+        for n in range(-4, 5):
+            assert w**n == _power_by_multiplication(w, n), (str(w), n)

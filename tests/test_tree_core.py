@@ -95,7 +95,7 @@ def test_equal_to_depth_cross_machine(adding):
     assert equal_to_depth(adding.automorphism("a"), other.automorphism("a"), 8)
     assert not equal_to_depth(adding.automorphism("a"), other.automorphism("a a"), 8)
     # a = (a, e)(0 1) shares its state name with the adding machine's a = (e, a)(0 1)
-    swapped = mealy.to_machine(mealy.parse("alphabet 2\nstate a: 0->1 a, 1->0 e\n"))
+    swapped = mealy.parse("alphabet 2\nstate a: 0->1 a, 1->0 e\n")
     assert equal_to_depth(adding.automorphism("a"), swapped.automorphism("a"), 1)
     assert not equal_to_depth(adding.automorphism("a"), swapped.automorphism("a"), 2)
 
@@ -151,9 +151,7 @@ def test_states_truncation_flag(adding):
 
 
 def test_orbit_type_examples(diagram1):
-    single = mealy.to_machine(
-        mealy.MealyAutomaton(3, ["t"], {("t", y): "e" for y in range(3)}, {("t", y): y for y in range(3)})
-    )
+    single = mealy.parse("alphabet 3\nstate t: 0->0 e, 1->1 e, 2->2 e\n")
     assert orbit_type(single) == (1, 1, 1)
     assert orbit_type(diagram1) == (2, 1)
     assert format_orbit_type(orbit_type(diagram1)) == "(2,1)"
@@ -312,7 +310,7 @@ CROSS_CHECK_MACHINES = [
 def _cross_check_machine(name):
     """A machine and the state names its random words are drawn from."""
     if name == "mealy-file":
-        machine = mealy.to_machine(mealy.parse(_MEALY_TEXT))
+        machine = mealy.parse(_MEALY_TEXT)
     elif name == "union":
         sides = (mealy.builtin_machine("thmD(2)"), mealy.builtin_machine("diagram1"))
         machine = _UnionMachine(sides)
