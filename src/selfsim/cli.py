@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import deque
 from pathlib import Path
 
 from . import mealy, wreath_models
@@ -20,6 +19,7 @@ from .tree_core import (
     MAX_STATES,
     Automorphism,
     SelfSimilarMachine,
+    closure,
     find_moving_string,
     format_orbit_type,
     inflate,
@@ -50,16 +50,18 @@ def _parse_string(text: str, m: int) -> tuple[int, ...]:
     text = text.strip()
     if not text or text == "-":
         return ()
-    if "," in text:
-        letters = tuple(int(tok) for tok in text.split(","))
-    else:
-        if m > 10:
-            raise ValueError("alphabets beyond 10 letters need comma-separated strings")
-        letters = tuple(int(ch) for ch in text)
+    if "," not in text and m > 10:
+        raise ValueError("alphabets beyond 10 letters need comma-separated strings")
+    letters = []
+    for tok in text.split(",") if "," in text else text:
+        try:
+            letters.append(int(tok))
+        except ValueError:
+            raise ValueError(f"bad letter {tok!r} in string {text!r}") from None
     for y in letters:
         if not 0 <= y < m:
             raise ValueError(f"letter {y} out of range for alphabet of {m}")
-    return letters
+    return tuple(letters)
 
 
 def _format_string(letters: tuple[int, ...], m: int) -> str:
@@ -85,9 +87,7 @@ def recursion_lines(machine: SelfSimilarMachine) -> list[str]:
     instead.
     """
     lines = []
-    printed = set()
     texts: dict[str, str] = {}  # section state -> its text, looked up once
-    todo = deque(machine.generators)
 
     def express(word: GroupWord) -> str:
         # an engine section is empty or one state letter
@@ -96,22 +96,19 @@ def recursion_lines(machine: SelfSimilarMachine) -> list[str]:
             return name
         if name not in texts:
             short = machine.short_word(machine.element_of(word))
-            if short is None:
-                todo.append(name)
             texts[name] = name if short is None else str(short)
         return texts[name]
 
-    while todo:
-        name = todo.popleft()
-        if name in printed:
-            continue
-        if len(printed) >= MAX_STATES:
-            raise ValueError(f"state closure exceeded {MAX_STATES} states; not printable")
-        printed.add(name)
+    def successors(name: str) -> list[str]:
         sections, perm = machine.entry(name)
         parts = [express(w) for w in sections]
         suffix = "" if perm.is_identity() else f" {perm}"
         lines.append(f"{name} = ({', '.join(parts)}){suffix}")
+        # a section written as its own state name, with no short word, gets a line
+        return [t for t in parts if texts.get(t) == t]
+
+    if closure(machine.generators, successors, MAX_STATES)[1]:
+        raise ValueError(f"state closure exceeded {MAX_STATES} states; not printable")
     return lines
 
 

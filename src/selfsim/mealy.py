@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 
 from .perm_word import GroupWord, Perm, _validate_name
-from .tree_core import MAX_STATES, SelfSimilarMachine, TableMachine
+from .tree_core import MAX_STATES, SelfSimilarMachine, TableMachine, closure
 from .wreath_models import thmD, thmD_engine_machine
 
 _ITEM_RE = re.compile(r"(\d+)\s*->\s*(\d+)\s+([A-Za-z_][A-Za-z0-9_]*)\Z")
@@ -244,26 +244,18 @@ def machine_to_mealy(machine: SelfSimilarMachine) -> TableMachine:
     """Close a machine under sections into a table whose sections are single states.
 
     Requires every section to be a single state or the identity; raises for
-    composite sections and when the closure exceeds ``MAX_STATES`` (expected
-    for non-finite-state machines).
+    composite sections and when a state beyond the generators would take the
+    closure past ``MAX_STATES`` (expected for non-finite-state machines).
     """
-    names = list(machine.generators)  # the loop appends each state it discovers
-    seen = set(names)
     table = {}
-    for name in names:
-        sections, perm = machine.entry(name)
-        for w in sections:
+
+    def successors(name: str):  # one section at a time, so a composite one is reported in order
+        table[name] = machine.entry(name)
+        for w in table[name][0]:
             if len(w) > 1 or any(sign < 0 for _, sign in w):
-                raise ValueError(
-                    f"state {name} has a composite section; export recursions instead"
-                )
-            for nxt, _ in w:
-                if nxt not in seen:
-                    if len(seen) >= MAX_STATES:
-                        raise ValueError(
-                            f"state closure exceeded {MAX_STATES} states; not exportable"
-                        )
-                    seen.add(nxt)
-                    names.append(nxt)
-        table[name] = (sections, perm)
+                raise ValueError(f"state {name} has a composite section; export recursions instead")
+            yield from (nxt for nxt, _ in w)
+
+    if closure(machine.generators, successors, max(MAX_STATES, len(machine.generators)))[1]:
+        raise ValueError(f"state closure exceeded {MAX_STATES} states; not exportable")
     return TableMachine(machine.alphabet_size, table)

@@ -17,6 +17,10 @@ section of the word at y and, where the cursor ends, the image of y; the m
 passes together give every section and the root permutation.  ``GroupWord``
 stays the public type: the module functions encode and decode at the boundary.
 
+``closure`` is the one bounded breadth-first walk: state enumeration, orbit
+types, inflation, Mealy export and recursion listings all use it, and each
+stops at the first state past its bound.
+
 Equality of tree automorphisms is undecidable in general; everything here is
 depth-bounded, and ``trivial_to_depth`` is the one decision procedure: equality
 across two machines is triviality on their disjoint union.  Its memo keys a
@@ -25,8 +29,7 @@ word by ``cache_key`` of its class under conjugation and inversion (``_record``)
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import product
+from itertools import chain, product
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .perm_word import GroupWord, Perm, parse_word
@@ -37,6 +40,8 @@ Codes = tuple[int, ...]
 # the most states a closure (``inflate``, a Mealy export, a recursion listing)
 # may reach before it is taken for a machine that is not finite-state
 MAX_STATES = 512
+# the most letters of an inflated alphabet: m^k blocks of length k
+MAX_LETTERS = 65536
 
 
 class SelfSimilarMachine:
@@ -386,10 +391,28 @@ def portrait(a: Automorphism, depth: int) -> Portrait:
     return Portrait(depth, labels)
 
 
+def closure(starts: Iterable, successors, limit: int, key=None) -> tuple[list, bool]:
+    """The first ``limit`` items reached breadth first from ``starts``, keeping
+    the first of each ``key`` (the item itself by default), and whether more
+    are reachable.  It returns on first seeing item ``limit + 1``, so
+    ``successors`` runs only on items the answer needs."""
+    found: list = []
+    seen: set = set()
+    # the inner loop reads ``found`` while the outer one appends to it
+    for item in chain(starts, (nxt for got in found for nxt in successors(got))):
+        k = item if key is None else key(item)
+        if k not in seen:
+            if len(found) == limit:
+                return found, True
+            seen.add(k)
+            found.append(item)
+    return found, False
+
+
 def states(a: Automorphism, max_states: int, sep_depth: int) -> StateSet:
     """BFS closure of ``a`` under sections, deduplicated exactly (model) or to depth.
 
-    Stops with ``truncated=True`` once more than ``max_states`` classes appear;
+    Stops with ``truncated=True`` at the first state past ``max_states``;
     a truncated result is expected for non-finite-state automorphisms.
     """
     if max_states < 1:
@@ -397,27 +420,25 @@ def states(a: Automorphism, max_states: int, sep_depth: int) -> StateSet:
     if sep_depth < 1:
         raise ValueError("sep_depth must be at least 1")
     machine = a.machine
-    reps: list[Automorphism] = []
-    keys: set = set()
-    queue = deque([a.word])
-    while queue:
-        word = queue.popleft()
-        if machine.model is not None:
-            key = machine.cache_key(machine.encode(word))
-            if key in keys:
-                continue
-            keys.add(key)
-        else:
-            if any(
-                trivial_to_depth(machine, word * r.word.inverse(), sep_depth) for r in reps
-            ):
-                continue
-        if len(reps) == max_states:
-            return StateSet(reps, True)
-        reps.append(Automorphism(machine, word))
-        for y in range(machine.alphabet_size):
-            queue.append(section_word(machine, word, y))
-    return StateSet(reps, False)
+    key = machine.cache_key
+    if machine.model is None:
+        kept: list[Codes] = []
+
+        def key(codes: Codes) -> Codes:  # the first kept word acting like codes to sep_depth
+            for r in kept:
+                n = 0  # r^-1 codes, a conjugate of codes r^-1, cancels their common prefix
+                while n < min(len(codes), len(r)) and codes[n] == r[n]:
+                    n += 1
+                if _trivial(machine, tuple(c ^ 1 for c in reversed(r[n:])) + codes[n:], sep_depth):
+                    return r
+            kept.append(codes)
+            return codes
+
+    def sections(codes: Codes) -> list[Codes]:
+        return [_pass(machine, codes, y)[0] for y in range(machine.alphabet_size)]
+
+    found, more = closure([machine.encode(a.word)], sections, max_states, key)
+    return StateSet([Automorphism(machine, machine.decode(c)) for c in found], more)
 
 
 def orbit_type(machine: SelfSimilarMachine) -> tuple[int, ...]:
@@ -426,20 +447,13 @@ def orbit_type(machine: SelfSimilarMachine) -> tuple[int, ...]:
     if not machine.generators:
         raise ValueError("orbit_type needs at least one generator")
     perms = [root_perm(machine, GroupWord.gen(name)) for name in machine.generators]
-    seen = [False] * machine.alphabet_size
+    seen: set[int] = set()
     sizes = []
     for start in range(machine.alphabet_size):
-        if seen[start]:
-            continue
-        seen[start] = True
-        orbit = [start]
-        for i in orbit:  # breadth first: the list grows while it is read
-            for p in perms:
-                j = p(i)
-                if not seen[j]:
-                    seen[j] = True
-                    orbit.append(j)
-        sizes.append(len(orbit))
+        if start not in seen:
+            orbit = closure([start], lambda i: [p(i) for p in perms], machine.alphabet_size)[0]
+            seen.update(orbit)
+            sizes.append(len(orbit))
     return tuple(sizes)
 
 
@@ -452,26 +466,26 @@ def inflate(machine: SelfSimilarMachine, k: int) -> TableMachine:
 
     Blocks are ordered big-endian: block (y_1..y_k) is letter sum(y_i * m^(k-i)).
     The table holds the generators and every state their block sections
-    reach, and raises once that closure exceeds ``MAX_STATES`` states.
+    reach; raises when m^k exceeds ``MAX_LETTERS`` or the closure ``MAX_STATES``.
     """
     if k < 1:
         raise ValueError("inflation level must be at least 1")
     m = machine.alphabet_size
+    if m ** min(k, MAX_LETTERS.bit_length()) > MAX_LETTERS:  # as m**k > MAX_LETTERS for m > 1
+        raise ValueError(f"{m}^{k} block letters exceed the limit of {MAX_LETTERS}")
     blocks = list(product(range(m), repeat=k))
     index = {b: i for i, b in enumerate(blocks)}
     table: dict[str, tuple[list[GroupWord], Perm]] = {}
-    todo = deque(machine.generators)
-    while todo:
-        name = todo.popleft()
-        if name in table:
-            continue
-        if len(table) >= MAX_STATES:
-            raise ValueError(f"state closure exceeded {MAX_STATES} states; not inflatable")
+
+    def successors(name: str) -> list[str]:
         codes = machine.encode(GroupWord.gen(name))
         walks = [_walk(machine, codes, b) for b in blocks]
         sections = [machine.decode(sec) for sec, _ in walks]
         table[name] = (sections, Perm(index[image] for _, image in walks))
-        todo.extend(sym for w in sections for sym, _ in w)
+        return [sym for w in sections for sym, _ in w]
+
+    if closure(machine.generators, successors, MAX_STATES)[1]:
+        raise ValueError(f"state closure exceeded {MAX_STATES} states; not inflatable")
     return TableMachine(m**k, table)
 
 

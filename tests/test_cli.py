@@ -4,6 +4,7 @@ import io
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,9 @@ def test_act_on_machine_file(tmp_path):
             (2, "", "error: alphabets beyond 10 letters need comma-separated strings\n"),
         ),
         ("builtin:adding", "a", "5", (2, "", "error: letter 5 out of range for alphabet of 2\n")),
+        ("builtin:adding", "a", "1,,0", (2, "", "error: bad letter '' in string '1,,0'\n")),
+        ("builtin:adding", "a", "1 0", (2, "", "error: bad letter ' ' in string '1 0'\n")),
+        ("builtin:adding", "a", "x", (2, "", "error: bad letter 'x' in string 'x'\n")),
     ],
 )
 def test_act_string_parsing(machine, word, string, expected):
@@ -180,6 +184,13 @@ def test_build_file_round_trip(tmp_path):
     assert mealy.emit(mealy.parse(text)) == text
 
 
+def test_export_keeps_generators_beyond_max_states():
+    # 600 generators whose sections stay among them: the closure adds no state
+    code, out, _ = run_cli(["build", "--data", "zomega:n=600", "--emit", "file"])
+    assert code == 0 and out.count("\nstate ") == 601
+    assert out.endswith("state a600: 0->0 a600, 1->1 a600, 2->2 a599\n")
+
+
 def test_build_dot_output():
     code, out, _ = run_cli(["build", "--data", "zwrz", "--emit", "dot"])
     assert code == 0
@@ -286,6 +297,11 @@ def test_exit_codes_for_errors(tmp_path):
     # an engine machine that is not finite-state has no inflated table
     code, out, err = run_cli(["inflate", "--machine", "builtin:thmD-engine(2)", "-k", "1"])
     assert (code, out, err) == (2, "", "error: state closure exceeded 512 states; not inflatable\n")
+    # an inflated alphabet is bounded before its blocks are listed
+    start = time.perf_counter()
+    code, out, err = run_cli(["inflate", "--machine", "builtin:adding", "-k", "17", "--emit", "file"])
+    assert (code, out, err) == (2, "", "error: 2^17 block letters exceed the limit of 65536\n")
+    assert time.perf_counter() - start < 0.5  # listing 2^17 blocks takes over a second
     # neither can a table whose sections are proper words
     code, _, err = run_cli(["inflate", "--machine", "builtin:thmD(2)", "-k", "1", "--emit", "file"])
     assert code == 2 and "composite" in err

@@ -1,6 +1,7 @@
 import gc
 import random
 import weakref
+from collections import deque
 
 import pytest
 
@@ -11,7 +12,9 @@ from selfsim.tree_core import (
     _class_key,
     _UnionMachine,
     Automorphism,
+    MAX_STATES,
     TableMachine,
+    closure,
     equal_to_depth,
     find_moving_string,
     format_orbit_type,
@@ -455,3 +458,84 @@ def test_machines_are_freed_without_the_cycle_collector():
             assert ref() is None
     finally:
         gc.enable()
+
+
+def test_closure_is_breadth_first_and_keeps_the_first_of_each_key():
+    # 0 -> 1, 2; 1 -> 3, 4; 2 -> 5, 6: level by level, not depth first (0, 1, 3, ..)
+    found, more = closure([0], lambda n: [2 * n + 1, 2 * n + 2] if n < 3 else [], 10)
+    assert (found, more) == ([0, 1, 2, 3, 4, 5, 6], False)
+    # keyed by value mod 3, so 4 goes to 1 and 5 to 2; starts count as reached
+    found, more = closure([1, 4, 2], lambda n: [n + 3, n + 4], 10, key=lambda n: n % 3)
+    assert (found, more) == ([1, 2, 6], False)
+    assert closure([], lambda n: [n], 3) == ([], False)
+    assert closure([7, 8], lambda n: [], 1) == ([7], True)
+
+
+def test_closure_stops_at_the_first_item_past_the_limit():
+    calls = []
+
+    def successors(n):
+        calls.append(n)
+        return [2 * n, 2 * n + 1]
+
+    assert closure([1], successors, 5) == ([1, 2, 3, 4, 5], True)
+    # checking the bound when an item is dequeued would also expand 4 and 5
+    assert calls == [1, 2, 3]
+
+
+def test_states_cap_boundary():
+    # a3 -> a3, a3, a2 -> a1 -> e: four states
+    for cap, truncated in ((3, True), (4, False), (5, False)):
+        d2 = mealy.builtin_machine("diagram2(5)")
+        got = states(d2.automorphism("a3"), cap, 4)
+        assert [str(s.word) for s in got.states] == ["a3", "a2", "a1", "e"][:cap]
+        assert got.truncated is truncated
+
+
+def test_orbit_larger_than_max_states_is_not_cut():
+    assert 600 > MAX_STATES
+    assert orbit_type(mealy.builtin_machine("thmD(600)")) == (600, 1)
+
+
+def _reference_states(a, max_states, sep_depth):
+    """The GroupWord loop ``states`` replaced: sections by ``section_word``,
+    triviality by ``trivial_to_depth``, and dedup when a word is dequeued."""
+    machine = a.machine
+    reps, keys, queue = [], set(), deque([a.word])
+    while queue:
+        word = queue.popleft()
+        if machine.model is not None:
+            key = machine.cache_key(machine.encode(word))
+            if key in keys:
+                continue
+            keys.add(key)
+        elif any(trivial_to_depth(machine, word * r.inverse(), sep_depth) for r in reps):
+            continue
+        if len(reps) == max_states:
+            return reps, True
+        reps.append(word)
+        queue.extend(section_word(machine, word, y) for y in range(machine.alphabet_size))
+    return reps, False
+
+
+def test_states_match_the_loop_they_replace():
+    builtins = ["adding", "diagram1", "diagram2(4)", "diagram3", "brunner_sidki", "prop31(2,2)"]
+    builtins += ["thmD(2)", "thmD(3)", "thmD-engine(2)", "thmD-engine(3)"]
+    selectors = ["zwrz", "zwrz-wr-c2", "lamplighter:B=2", "concat:lamplighter:B=2+zwrz", "zomega"]
+    makers = [(lambda b=b: mealy.builtin_machine(b), 40) for b in builtins]
+    makers += [(lambda s=s: build_representation(data_by_selector(s)), 60) for s in selectors]
+    rng = random.Random("states-cross-check")
+    truncated = complete = 0
+    for make, max_cap in makers:
+        names = make().generators
+        for _ in range(27):
+            word = GroupWord(
+                (rng.choice(names), rng.choice((1, -1))) for _ in range(rng.randint(1, 4))
+            )
+            cap, sep = rng.randint(1, max_cap), rng.randint(1, 6)
+            want = _reference_states(make().automorphism(word), cap, sep)
+            got = states(make().automorphism(word), cap, sep)
+            assert ([s.word for s in got.states], got.truncated) == want, (word, cap, sep)
+            truncated += got.truncated
+            complete += not got.truncated
+    assert truncated > 50 and complete > 50  # both outcomes are exercised
