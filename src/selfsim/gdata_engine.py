@@ -450,6 +450,8 @@ class CosetSpace(NamedTuple):
     label of its image coset under the endomorphism, or None when ``lab`` is
     not a subgroup-element label.  The construction below requires the induced
     coset map to be onto, which the supplier asserts via ``lambda_surjective``.
+    The labels of one space must be mutually orderable: a lamp carrier sorts
+    its support points, tuples of labels, in their natural order.
     """
 
     label: Callable[[object], object]
@@ -471,15 +473,15 @@ def reduce_coeff(values, mods) -> tuple[int, ...]:
     return tuple(v % k if k else v for v, k in zip(values, mods))
 
 
-def norm_support(entries, mods, key=None) -> tuple:
+def norm_support(entries, mods) -> tuple:
     """The canonical support of ``(point, coeff)`` entries whose coefficients
     are canonical under ``mods``: entries at one point add slot by slot, zero
-    coefficients are dropped, and the points are sorted by ``key``."""
+    coefficients are dropped, and the points are sorted."""
     acc: dict = {}
     for point, coeff in entries:
         prev = acc.get(point)
         acc[point] = coeff if prev is None else reduce_coeff(map(add, prev, coeff), mods)
-    return tuple((p, acc[p]) for p in sorted(acc, key=key) if any(acc[p]))
+    return tuple((p, acc[p]) for p in sorted(acc) if any(acc[p]))
 
 
 def support_total(support, mods) -> tuple[int, ...]:
@@ -491,10 +493,9 @@ class SupportModel(GroupModel):
     """The group law of finitely supported maps extended by a top group.
 
     An element is a ``(support, tops)`` pair: ``support`` holds canonical
-    ``(point, coeff)`` entries (``norm_support`` under ``mods``, points sorted
-    by ``point_key``, None for their natural order) and ``tops`` lies in the
-    top group, which moves the points.  With ``shift(phi, t)`` the support
-    ``phi`` with every point moved by ``t``,
+    ``(point, coeff)`` entries (``norm_support`` under ``mods``) and ``tops``
+    lies in the top group, which moves the points.  With ``shift(phi, t)``
+    the support ``phi`` with every point moved by ``t``,
 
         (phi1, t1) (phi2, t2) = (phi1 + shift(phi2, t1^-1), t1 t2).
 
@@ -502,13 +503,11 @@ class SupportModel(GroupModel):
     (``top_multiply``, ``top_invert``) and its action (``shift``).
     """
 
-    point_key = None
-
     def identity(self):
         return ((), self.top_identity)
 
     def norm_base(self, entries) -> tuple:
-        return norm_support(entries, self.mods, key=self.point_key)
+        return norm_support(entries, self.mods)
 
     def coeff_total(self, a) -> tuple[int, ...]:
         return support_total(a[0], self.mods)
@@ -529,21 +528,18 @@ class ExtensionModel(SupportModel):
     abelian group, extended by s-tuples of inner elements that translate the
     labels coordinate by coordinate."""
 
-    # coset labels of different spaces need not be comparable, so sort by repr
-    point_key = repr
-
     def __init__(self, inner: GroupModel, orders: Sequence[int], cosets: Sequence[CosetSpace]):
         super().__init__()
         self.inner = inner
-        self.mods = self.orders = tuple(orders)
+        self.mods = tuple(orders)
         self.cosets = tuple(cosets)
         self.s = len(cosets)
-        self.name = f"B{self.orders} lamps over {inner.name}^{self.s}"
+        self.name = f"B{self.mods} lamps over {inner.name}^{self.s}"
         self.top_identity = (inner.identity(),) * self.s
         ident_labels = tuple(c.identity_label for c in self.cosets)
-        for j in range(len(self.orders)):
-            unit = tuple(1 if i == j else 0 for i in range(len(self.orders)))
-            name = "b" if len(self.orders) == 1 else f"b{j + 1}"
+        for j in range(len(self.mods)):
+            unit = tuple(1 if i == j else 0 for i in range(len(self.mods)))
+            name = "b" if len(self.mods) == 1 else f"b{j + 1}"
             self.generators[name] = (((ident_labels, unit),), self.top_identity)
         single = len(inner.generators) == 1 and self.s == 1
         for i in range(self.s):
@@ -572,7 +568,7 @@ class ExtensionModel(SupportModel):
             labs = tuple(
                 c.label(self.inner.random_element(rng)) for c in self.cosets
             )
-            coeff = tuple(rng.randrange(k) for k in self.orders)
+            coeff = tuple(rng.randrange(k) for k in self.mods)
             entries.append((labs, coeff))
         tops = tuple(self.inner.random_element(rng) for _ in range(self.s))
         return (self.norm_base(entries), tops)
@@ -597,15 +593,15 @@ def lamp_extension_data(orders: Sequence[int], data: GData, cosets: Sequence[Cos
     orders = tuple(orders)
     if not orders or any(k < 2 for k in orders):
         raise ValueError("lamp group orders must all be at least 2")
-    return lamp_data(ExtensionModel(data.model, orders, cosets), orders, data, cosets)
+    return lamp_data(ExtensionModel(data.model, orders, cosets), data, cosets)
 
 
-def lamp_data(model: SupportModel, orders: Sequence[int], data: GData, cosets: Sequence[CosetSpace]) -> GData:
+def lamp_data(model: SupportModel, data: GData, cosets: Sequence[CosetSpace]) -> GData:
     """The two lamp endomorphisms on a carrier ``model`` of the lamp extension.
 
     A support point of the carrier is an s-tuple of coset labels, a
-    coefficient an element of B (residues mod ``orders``), and ``tops`` an
-    s-tuple of elements of ``data.model``.
+    coefficient an element of B (residues mod ``model.mods``), and ``tops``
+    an s-tuple of elements of ``data.model``.
 
     The first endomorphism contracts lamp positions along the inverse of the
     induced coset map and applies each ``f_i`` on top; its letters count the
@@ -630,7 +626,7 @@ def lamp_data(model: SupportModel, orders: Sequence[int], data: GData, cosets: S
         newtops = tuple(endo.image(g) for endo, g in zip(data.endos, tops))
         return (model.norm_base(entries), newtops)
 
-    cells, letter = coset_product(enumerate_abelian(orders), data.endos)
+    cells, letter = coset_product(enumerate_abelian(model.mods), data.endos)
     ident_labels = tuple(c.identity_label for c in cosets)
 
     def coset_index(a) -> int:

@@ -256,6 +256,6 @@ def machine_to_mealy(machine: SelfSimilarMachine) -> TableMachine:
                 raise ValueError(f"state {name} has a composite section; export recursions instead")
             yield from (nxt for nxt, _ in w)
 
-    if closure(machine.generators, successors, max(MAX_STATES, len(machine.generators)))[1]:
+    if closure(machine.generators, successors, MAX_STATES)[1]:
         raise ValueError(f"state closure exceeded {MAX_STATES} states; not exportable")
     return TableMachine(machine.alphabet_size, table)

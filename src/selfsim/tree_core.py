@@ -38,9 +38,10 @@ String = tuple[int, ...]
 Codes = tuple[int, ...]
 
 # the most states a closure (``inflate``, a Mealy export, a recursion listing)
-# may reach before it is taken for a machine that is not finite-state
+# may reach before it is taken for a machine that is not finite-state; one that
+# starts from more states keeps them all and may reach no other
 MAX_STATES = 512
-# the most letters of an inflated alphabet: m^k blocks of length k
+# the most letters of an inflated alphabet (m^k blocks of length k) and of a block
 MAX_LETTERS = 65536
 
 
@@ -281,8 +282,6 @@ def trivial_to_depth(machine: SelfSimilarMachine, word, depth: int) -> bool:
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    if isinstance(word, Automorphism):
-        word = word.word
     return _trivial(machine, machine.encode(word), depth)
 
 
@@ -391,11 +390,13 @@ def portrait(a: Automorphism, depth: int) -> Portrait:
     return Portrait(depth, labels)
 
 
-def closure(starts: Iterable, successors, limit: int, key=None) -> tuple[list, bool]:
+def closure(starts: Sequence, successors, limit: int, key=None) -> tuple[list, bool]:
     """The first ``limit`` items reached breadth first from ``starts``, keeping
     the first of each ``key`` (the item itself by default), and whether more
-    are reachable.  It returns on first seeing item ``limit + 1``, so
-    ``successors`` runs only on items the answer needs."""
+    are reachable.  The starts are never cut: the limit is at least their
+    number.  It returns on first seeing item ``limit + 1``, so ``successors``
+    runs only on items the answer needs."""
+    limit = max(limit, len(starts))
     found: list = []
     seen: set = set()
     # the inner loop reads ``found`` while the outer one appends to it
@@ -466,13 +467,16 @@ def inflate(machine: SelfSimilarMachine, k: int) -> TableMachine:
 
     Blocks are ordered big-endian: block (y_1..y_k) is letter sum(y_i * m^(k-i)).
     The table holds the generators and every state their block sections
-    reach; raises when m^k exceeds ``MAX_LETTERS`` or the closure ``MAX_STATES``.
+    reach; raises when m^k or k exceeds ``MAX_LETTERS`` (for m = 1 every m^k
+    is 1) or the closure ``MAX_STATES``.
     """
     if k < 1:
         raise ValueError("inflation level must be at least 1")
     m = machine.alphabet_size
     if m ** min(k, MAX_LETTERS.bit_length()) > MAX_LETTERS:  # as m**k > MAX_LETTERS for m > 1
         raise ValueError(f"{m}^{k} block letters exceed the limit of {MAX_LETTERS}")
+    if k > MAX_LETTERS:
+        raise ValueError(f"blocks of {k} letters exceed the limit of {MAX_LETTERS}")
     blocks = list(product(range(m), repeat=k))
     index = {b: i for i, b in enumerate(blocks)}
     table: dict[str, tuple[list[GroupWord], Perm]] = {}

@@ -279,26 +279,6 @@ def poly_norm(poly: Poly2, p: int) -> Poly2:
     return {k: c % p for k, c in poly.items() if c % p}
 
 
-def poly_add(a: Poly2, b: Poly2, p: int) -> Poly2:
-    out = dict(a)
-    for k, c in b.items():
-        out[k] = out.get(k, 0) + c
-    return poly_norm(out, p)
-
-
-def poly_scale(a: Poly2, c: int, p: int) -> Poly2:
-    return poly_norm({k: v * c for k, v in a.items()}, p)
-
-
-def poly_mul(a: Poly2, b: Poly2, p: int) -> Poly2:
-    out: Poly2 = {}
-    for (m1, n1), c1 in a.items():
-        for (m2, n2), c2 in b.items():
-            k = (m1 + m2, n1 + n2)
-            out[k] = out.get(k, 0) + c1 * c2
-    return poly_norm(out, p)
-
-
 def _divide_linear(poly: Poly2, p: int, var: int) -> Poly2:
     """Exact division by (x-1) (var=0) or (y-1) (var=1); raises if not divisible."""
     slices: dict[int, dict[int, int]] = {}
@@ -331,27 +311,21 @@ def _sum_out(entries, var: int) -> Poly2:
 
 
 def decompose(s: Poly2, p: int) -> tuple[Poly2, Poly2, Poly2]:
-    """Split an augmentation-ideal element as p(x)(x-1) + q(y)(y-1) + r(x,y)(x-1)(y-1)."""
+    """Split an augmentation-ideal element as p(x)(x-1) + q(y)(y-1) + r(x,y)(x-1)(y-1).
+
+    The last term vanishes at x=1 and at y=1, and s(1, 1) = 0, so
+    p(x)(x-1) = s(x, 1), q(y)(y-1) = s(1, y) and
+    r(x,y)(x-1)(y-1) = s - s(x, 1) - s(1, y).
+    """
     s = poly_norm(s, p)
     if sum(s.values()) % p:
         raise ValueError("total coefficient sum is nonzero: not an ideal element")
-    # the last term vanishes at x=1 and at y=1: p(x)(x-1) = s(x, 1), q(y)(y-1) = s(1, y)
-    P = _divide_linear(_sum_out(s.items(), 0), p, 0)
-    Q = _divide_linear(_sum_out(s.items(), 1), p, 1)
-    xm1 = {(1, 0): 1, (0, 0): -1}
-    ym1 = {(0, 1): 1, (0, 0): -1}
-    rem = poly_add(
-        s, poly_scale(poly_add(poly_mul(P, xm1, p), poly_mul(Q, ym1, p), p), -1, p), p
-    )
-    R = _divide_linear(_divide_linear(rem, p, 0), p, 1)
-    return P, Q, R
-
-
-def recompose(P: Poly2, Q: Poly2, R: Poly2, p: int) -> Poly2:
-    xm1 = {(1, 0): 1, (0, 0): -1}
-    ym1 = {(0, 1): 1, (0, 0): -1}
-    out = poly_add(poly_mul(P, xm1, p), poly_mul(Q, ym1, p), p)
-    return poly_add(out, poly_mul(poly_mul(R, xm1, p), ym1, p), p)
+    sx, sy = _sum_out(s.items(), 0), _sum_out(s.items(), 1)
+    rest = dict(s)
+    for key, c in (*sx.items(), *sy.items()):
+        rest[key] = rest.get(key, 0) - c
+    R = _divide_linear(_divide_linear(rest, p, 0), p, 1)
+    return _divide_linear(sx, p, 0), _divide_linear(sy, p, 1), R
 
 
 # ---------------------------------------------------------------------------
@@ -491,7 +465,7 @@ def lamplighter_data(orders: Sequence[int]) -> GData:
         name = "b" if len(orders) == 1 else f"b{j + 1}"
         model.generators[name] = model.base_generator(j)
     model.generators["z"] = model.top_generator(0)
-    return lamp_data(model, orders, z_data(), [z_coset_space()])
+    return lamp_data(model, z_data(), [z_coset_space()])
 
 
 def mixed_base_data(orders: Sequence[int], l: int) -> GData:
@@ -572,10 +546,7 @@ __all__ = [
     "fibonacci_states",
     "lamplighter_data",
     "lamplighter_extension_data",
-    "poly_add",
-    "poly_mul",
     "prop31_endos",
-    "recompose",
     "thmD",
     "mixed_base_data",
     "cp_wr_z2_data",

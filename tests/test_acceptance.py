@@ -28,7 +28,6 @@ from selfsim.wreath_models import (
     lamplighter_data,
     lamplighter_extension_data,
     prop31_endos,
-    recompose,
     mixed_base_data,
     cp_wr_z2_data,
     z_data,
@@ -36,6 +35,8 @@ from selfsim.wreath_models import (
     zwrz_data,
     zwrz_wr_c2_data,
 )
+
+from test_wreath_models import recompose
 
 
 def record(number: int, label: str, ok: bool):

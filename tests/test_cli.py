@@ -191,6 +191,17 @@ def test_export_keeps_generators_beyond_max_states():
     assert out.endswith("state a600: 0->0 a600, 1->1 a600, 2->2 a599\n")
 
 
+def test_listing_and_inflation_keep_generators_beyond_max_states(tmp_path):
+    # a closure never cuts its starts, so every walk over the 600 generators completes
+    code, out, _ = run_cli(["build", "--data", "zomega:n=600"])
+    assert code == 0 and len(out.splitlines()) == 600
+    path = tmp_path / "zomega600.txt"
+    code, _, _ = run_cli(["build", "--data", "zomega:n=600", "--emit", "file", "-o", str(path)])
+    assert code == 0
+    code, out, _ = run_cli(["inflate", "--machine", str(path), "-k", "1", "--emit", "file"])
+    assert code == 0 and out.encode() == path.read_bytes()
+
+
 def test_build_dot_output():
     code, out, _ = run_cli(["build", "--data", "zwrz", "--emit", "dot"])
     assert code == 0
@@ -301,6 +312,11 @@ def test_exit_codes_for_errors(tmp_path):
     start = time.perf_counter()
     code, out, err = run_cli(["inflate", "--machine", "builtin:adding", "-k", "17", "--emit", "file"])
     assert (code, out, err) == (2, "", "error: 2^17 block letters exceed the limit of 65536\n")
+    # on a one-letter alphabet every m^k is 1, so the block length is bounded too
+    one = tmp_path / "one.txt"
+    one.write_text("alphabet 1\nstate a: 0->0 a\n", encoding="utf-8")
+    code, out, err = run_cli(["inflate", "--machine", str(one), "-k", "65537", "--emit", "file"])
+    assert (code, out, err) == (2, "", "error: blocks of 65537 letters exceed the limit of 65536\n")
     assert time.perf_counter() - start < 0.5  # listing 2^17 blocks takes over a second
     # neither can a table whose sections are proper words
     code, _, err = run_cli(["inflate", "--machine", "builtin:thmD(2)", "-k", "1", "--emit", "file"])

@@ -468,7 +468,8 @@ def test_closure_is_breadth_first_and_keeps_the_first_of_each_key():
     found, more = closure([1, 4, 2], lambda n: [n + 3, n + 4], 10, key=lambda n: n % 3)
     assert (found, more) == ([1, 2, 6], False)
     assert closure([], lambda n: [n], 3) == ([], False)
-    assert closure([7, 8], lambda n: [], 1) == ([7], True)
+    # the limit never cuts the starts
+    assert closure([7, 8], lambda n: [], 1) == ([7, 8], False)
 
 
 def test_closure_stops_at_the_first_item_past_the_limit():
