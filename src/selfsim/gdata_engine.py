@@ -103,9 +103,6 @@ class GData:
             raise ValueError("group data needs at least one virtual endomorphism")
         self.model = model
         self.endos = tuple(endos)
-        self.offsets = tuple(
-            sum(e.index for e in self.endos[:i]) for i in range(len(self.endos))
-        )
 
     @property
     def degree(self) -> int:
@@ -134,10 +131,12 @@ SEARCH_LEN = 5
 class EngineMachine(SelfSimilarMachine):
     """Lazily generated machine realising a group through its data.
 
-    Every model element reachable by sections becomes a named state; entries
-    are memoised by exact model equality, which keeps word-level aliases of the
-    same element from spawning new states.  New states are named q1, q2, ..
-    in the order that entry computations first reach them.
+    Every model element reachable by sections becomes a named state, stored
+    once as the element of its code; exact model equality keeps word-level
+    aliases of one element from spawning new states.  New states are named
+    q1, q2, .. in the order that entries first reach them.  ``entry`` computes
+    a state's entry from its element on every call: the compiled row is the
+    one cache of it.
     """
 
     def __init__(self, data: GData):
@@ -145,39 +144,38 @@ class EngineMachine(SelfSimilarMachine):
         self.data = data
         self.model = data.model
         ident = self.model.identity()
-        self._state_elements: dict[str, object] = {"e": ident}
+        self._elements: dict[int, object] = {}  # code -> element of the letter
         self._state_names: dict[object, str] = {ident: "e"}
-        names = []
         for name, g in self.model.generators.items():
-            if g in self._state_names:
-                continue
-            self._state_elements[name] = g
-            self._state_names[g] = name
-            names.append(name)
-        self.generators = tuple(names)
+            if g not in self._state_names:
+                self._add_state(name, g)
+        self.generators = tuple(self._names)
         self._fresh = itertools.count(1)
-        self._code_elements: dict[int, object] = {}  # code -> element of the letter
         # short_word's generator ball, grown one BFS sphere at a time
         self._ball: list[dict] = [{ident: GroupWord.identity()}]
+
+    def _add_state(self, name: str, elem) -> None:
+        self._state_names[elem] = name
+        self._elements[self.encode([(name, 1)])[0]] = elem
 
     def state_of(self, elem) -> str:
         name = self._state_names.get(elem)
         if name is None:
             name = f"q{next(self._fresh)}"
-            while name in self._state_elements:
+            while self._codes.get(name) in self._elements:  # skip names of states
                 name = f"q{next(self._fresh)}"
-            self._state_names[elem] = name
-            self._state_elements[name] = elem
+            self._add_state(name, elem)
         return name
 
-    def _compute_entry(self, name: str):
-        if name not in self._state_elements:
+    def entry(self, name: str):
+        g = self._elements.get(self._codes.get(name))
+        if g is None:
             raise ValueError(f"undeclared state: {name!r}")
-        g = self._state_elements[name]
         model = self.model
         images = []
         sections = []
-        for offset, endo in zip(self.data.offsets, self.data.endos):
+        for endo in self.data.endos:
+            offset = len(images)  # the orbit's letters follow those of the orbits before it
             for t in endo.transversal:
                 h, j = schreier(endo, g, t)
                 images.append(offset + j)
@@ -195,16 +193,15 @@ class EngineMachine(SelfSimilarMachine):
     def cache_key(self, codes: tuple) -> object:
         """Exact model element of a code tuple: the memo key of ``_record`` and ``states``."""
         model = self.model
-        elements = self._code_elements
+        elements = self._elements
         elem = model.identity()
         for c in codes:
             g = elements.get(c)
-            if g is None:
-                name = self._names[c >> 1]
-                if name not in self._state_elements:
-                    raise ValueError(f"undeclared state: {name!r}")
-                g = self._state_elements[name]
-                g = elements[c] = model.invert(g) if c & 1 else g
+            if g is None:  # an inverse code reads its state's element once
+                g = elements.get(c ^ 1)
+                if g is None:
+                    raise ValueError(f"undeclared state: {self._names[c >> 1]!r}")
+                g = elements[c] = model.invert(g)
             elem = model.multiply(elem, g)
         return elem
 
@@ -231,7 +228,7 @@ class EngineMachine(SelfSimilarMachine):
         model = self.model
         letters = []
         for name in self.generators:
-            g = self._state_elements[name]
+            g = self._elements[self._codes[name]]
             letters.append((g, GroupWord.gen(name)))
             letters.append((model.invert(g), GroupWord.gen(name, -1)))
         last = self._ball[-1]

@@ -24,14 +24,13 @@ Symbol = tuple[str, int]
 class Perm:
     """A bijection of ``{0..m-1}`` stored as its tuple of images."""
 
-    __slots__ = ("images", "_inv")
+    __slots__ = ("images",)
 
     def __init__(self, images: Iterable[int]):
         images = tuple(images)
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a permutation of 0..{len(images) - 1}: {images!r}")
         self.images = images
-        self._inv = None
 
     @classmethod
     def identity(cls, m: int) -> "Perm":
@@ -58,14 +57,10 @@ class Perm:
         return Perm(other.images[i] for i in self.images)
 
     def inverse(self) -> "Perm":
-        if self._inv is None:
-            images = [0] * len(self.images)
-            for i, j in enumerate(self.images):
-                images[j] = i
-            inv = Perm(images)
-            inv._inv = self
-            self._inv = inv
-        return self._inv
+        images = [0] * len(self.images)
+        for i, j in enumerate(self.images):
+            images[j] = i
+        return Perm(images)
 
     def is_identity(self) -> bool:
         return all(i == j for i, j in enumerate(self.images))

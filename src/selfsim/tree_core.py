@@ -48,15 +48,16 @@ MAX_LETTERS = 65536
 class SelfSimilarMachine:
     """Base for wreath-recursion machines.
 
-    Subclasses provide ``_compute_entry(name) -> (sections, perm)`` where
-    ``sections`` is a tuple of ``alphabet_size`` words over this machine's
-    state names.  ``encode`` turns a word into a code tuple, numbering states
-    on first sight, and ``decode`` turns it back; a code's row is compiled from
-    ``entry`` the first time a pass reads the code.  The triviality memo keys
-    a code tuple by ``cache_key`` of its class representative under
-    conjugation and inversion: here the representative itself, while a machine
-    with an exact group ``model`` (see ``gdata_engine``) returns the model
-    element, which also deduplicates its ``states``.
+    Subclasses give ``entry(name) -> (sections, perm)`` where ``sections`` is
+    a tuple of ``alphabet_size`` words over this machine's state names.
+    ``encode`` turns a word into a code tuple, numbering states on first sight,
+    and ``decode`` turns it back.  A code's row is the one compiled form of
+    its state: ``_row`` compiles it once, from ``entry``, the first time a pass
+    reads the code or its inverse.  The triviality memo keys a code tuple by
+    ``cache_key`` of its class representative under conjugation and inversion:
+    here the representative itself, while a machine with an exact group
+    ``model`` (see ``gdata_engine``) returns the model element, which also
+    deduplicates its ``states``.
     """
 
     model = None
@@ -66,7 +67,6 @@ class SelfSimilarMachine:
             raise ValueError("alphabet size must be at least 1")
         self.alphabet_size = alphabet_size
         self.generators: tuple[str, ...] = ()
-        self._entries: dict[str, tuple[tuple[GroupWord, ...], Perm]] = {}
         self._codes: dict[object, int] = {}  # state name -> its code 2i
         self._names: list = []  # i -> state name
         # code -> ((section codes at y, image of y) for each letter y), or
@@ -75,13 +75,7 @@ class SelfSimilarMachine:
         # cyclic core or (cache_key of its class, None) -> its record (``_record``)
         self._triv: dict[object, list] = {}
 
-    def entry(self, name: str) -> tuple[tuple[GroupWord, ...], Perm]:
-        got = self._entries.get(name)
-        if got is None:
-            got = self._entries[name] = self._compute_entry(name)
-        return got
-
-    def _compute_entry(self, name: str) -> tuple[tuple[GroupWord, ...], Perm]:
+    def entry(self, name) -> tuple[tuple[GroupWord, ...], Perm]:
         raise NotImplementedError
 
     def encode(self, word: Iterable) -> Codes:
@@ -102,13 +96,18 @@ class SelfSimilarMachine:
         return GroupWord(tuple((names[c >> 1], -1 if c & 1 else 1) for c in codes), reduced=True)
 
     def _row(self, c: int) -> tuple:
-        """Compile the row of ``c``: an inverse code reads its state's entry
-        through the inverse permutation and the inverted sections."""
-        sections, perm = self.entry(self._names[c >> 1])
+        """Compile the row of ``c``.  A state's row comes from its ``entry``;
+        where the state sends x to y with section w, its inverse sends y to x
+        with section w^-1."""
+        row = self._rows[c & ~1]
+        if row is None:
+            sections, perm = self.entry(self._names[c >> 1])
+            row = self._rows[c & ~1] = tuple(zip(map(self.encode, sections), perm.images))
         if c & 1:
-            perm = perm.inverse()
-            sections = [sections[x].inverse() for x in perm.images]
-        row = self._rows[c] = tuple(zip(map(self.encode, sections), perm.images))
+            inverse = [None] * len(row)
+            for x, (sec, y) in enumerate(row):
+                inverse[y] = (tuple(d ^ 1 for d in reversed(sec)), x)
+            row = self._rows[c] = tuple(inverse)
         return row
 
     def cache_key(self, codes: Codes) -> object:
@@ -126,22 +125,23 @@ class TableMachine(SelfSimilarMachine):
 
     def __init__(self, alphabet_size: int, table: dict[str, tuple[Sequence[GroupWord], Perm]]):
         super().__init__(alphabet_size)
-        self.generators = tuple(table)
-        names = set(table)
-        for name, (sections, perm) in table.items():
-            sections = tuple(sections)
+        self._table = {name: (tuple(secs), perm) for name, (secs, perm) in table.items()}
+        self.generators = tuple(self._table)
+        for name, (sections, perm) in self._table.items():
             if len(sections) != alphabet_size:
                 raise ValueError(f"state {name}: expected {alphabet_size} sections")
             if perm.degree != alphabet_size:
                 raise ValueError(f"state {name}: root permutation degree mismatch")
             for w in sections:
                 for sym, _ in w:
-                    if sym not in names:
+                    if sym not in self._table:
                         raise ValueError(f"state {name}: undeclared state {sym!r} in section")
-            self._entries[name] = (sections, perm)
 
-    def _compute_entry(self, name: str):
-        raise ValueError(f"undeclared state: {name!r}")
+    def entry(self, name: str) -> tuple[tuple[GroupWord, ...], Perm]:
+        got = self._table.get(name)
+        if got is None:
+            raise ValueError(f"undeclared state: {name!r}")
+        return got
 
 
 class _UnionMachine(SelfSimilarMachine):
@@ -152,7 +152,7 @@ class _UnionMachine(SelfSimilarMachine):
         super().__init__(sides[0].alphabet_size)
         self.sides = tuple(sides)
 
-    def _compute_entry(self, name):
+    def entry(self, name):
         i, q = name
         sections, perm = self.sides[i].entry(q)
         return tuple(_lift(i, w) for w in sections), perm

@@ -1,3 +1,4 @@
+import functools
 import gc
 import random
 import weakref
@@ -250,13 +251,19 @@ def test_state_closure_of_builtins_within_generators():
 
 
 # The per-letter section calculus that the compiled rows replaced, kept as the
-# reference for the code-tuple passes: every letter reads the machine's entry.
+# reference for the code-tuple passes: every letter reads the machine's entry,
+# memoised here since an engine computes its entry anew on each call.
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_entry(machine, name):
+    return machine.entry(name)
 
 
 def _reference_root_perm(machine, word):
     images = tuple(range(machine.alphabet_size))
     for name, sign in word:
-        _, perm = machine.entry(name)
+        _, perm = _reference_entry(machine, name)
         q = perm if sign > 0 else perm.inverse()
         images = tuple(q(i) for i in images)
     return Perm(images)
@@ -266,7 +273,7 @@ def _reference_section_word(machine, word, y):
     out = []
     cur = y
     for name, sign in word:
-        sections, perm = machine.entry(name)
+        sections, perm = _reference_entry(machine, name)
         if sign > 0:
             part = sections[cur].letters
             cur = perm(cur)
