@@ -19,7 +19,7 @@ import re
 
 from .perm_word import GroupWord, Perm, _validate_name
 from .tree_core import MAX_STATES, SelfSimilarMachine, TableMachine, closure
-from .wreath_models import thmD, thmD_engine_machine
+from .wreath_models import MAX_NAMED_COPIES, thmD, thmD_engine_machine
 
 _ITEM_RE = re.compile(r"(\d+)\s*->\s*(\d+)\s+([A-Za-z_][A-Za-z0-9_]*)\Z")
 
@@ -132,8 +132,8 @@ def diagram1() -> TableMachine:
 
 def diagram2(n: int) -> TableMachine:
     """First n generators of the chain a1 = (e, a1, e)(0 1), ai = (ai, ai, a(i-1))."""
-    if n < 1:
-        raise ValueError("diagram2 needs n >= 1")
+    if not 1 <= n <= MAX_NAMED_COPIES:
+        raise ValueError(f"diagram2 needs 1 <= n <= {MAX_NAMED_COPIES}")
     rows = {"a1": [(1, "e"), (0, "a1"), (2, "e")]}
     for i in range(2, n + 1):
         rows[f"a{i}"] = [(0, f"a{i}"), (1, f"a{i}"), (2, f"a{i - 1}")]
@@ -178,8 +178,8 @@ def prop31(l: int, d: int) -> TableMachine:
     Base states g1..gl, top states a1..ad; base indices wrap cyclically
     (g0 = gl, a0 = ad).
     """
-    if l < 1 or d < 1:
-        raise ValueError("prop31 needs l >= 1 and d >= 1")
+    if not (1 <= l <= MAX_NAMED_COPIES and 1 <= d <= MAX_NAMED_COPIES):
+        raise ValueError(f"prop31 needs 1 <= l, d <= {MAX_NAMED_COPIES}")
 
     def g(i: int) -> str:
         return f"g{(i - 1) % l + 1}"

@@ -83,10 +83,16 @@ def z_coset_space() -> CosetSpace:
     )
 
 
-# generator a{k} of zomega is a k-long tuple, so n named copies take ~n^2/2 entries
+# generator a{k} of zomega is a k-long tuple, so n named copies take ~n^2/2
+# entries; the same bound holds l and d of ``zl-wr-zd`` (l + d generators of
+# width l or d), the base slots of a concatenation and ``diagram2(n)``
 MAX_NAMED_COPIES = 1000
-# the largest p of ``thmD``: its table holds about p^2/2 letters
+# the largest p of ``thmD`` and ``cp-wr-z2``: the table holds about p^2/2 letters
 MAX_THMD_P = 1000
+# the largest |B| of a lamplighter selector, whose machine has 2|B| + 1 letters
+MAX_LAMPS = 256
+# the most selectors that ``concat:`` joins
+MAX_CONCAT_PARTS = 8
 
 
 def zomega_data(named_copies: int = 5) -> GData:
@@ -165,6 +171,8 @@ def concatenate(d1: GData, d2: GData) -> GData:
         raise ValueError("concatenation needs wreath-model data on both sides")
     if m1.top_dim != m2.top_dim:
         raise ValueError("concatenation needs a common top group")
+    if m1.width + m2.width > MAX_NAMED_COPIES:
+        raise ValueError(f"concatenation needs at most {MAX_NAMED_COPIES} base slots")
     model = WreathModel(m1.free_rank + m2.free_rank, m1.torsion + m2.torsion, m1.top_dim)
     endos: list[VirtualEndo] = []
 
@@ -218,8 +226,8 @@ def prop31_endos(l: int, d: int) -> GData:
     """Data for ``Z^l wr Z^d``: halve the first top coordinate while rotating the
     base index down (g0 = gl), rotate the variables (d >= 2 only), and read
     total base exponents into the first top coordinate."""
-    if l < 1 or d < 1:
-        raise ValueError("need l >= 1 and d >= 1")
+    if not (1 <= l <= MAX_NAMED_COPIES and 1 <= d <= MAX_NAMED_COPIES):
+        raise ValueError(f"zl-wr-zd needs 1 <= l, d <= {MAX_NAMED_COPIES}")
     model = WreathModel(l, (), d)
     for i in range(l):
         model.generators[f"g{i + 1}"] = model.base_generator(i)
@@ -345,8 +353,8 @@ def cp_wr_z2_data(p: int, inverse_transversal: bool = False) -> GData:
     ``inverse_transversal`` switches the coset representatives from powers of
     the lamp to powers of its inverse (see ``thmD_transversal_comparison``).
     """
-    if p < 2:
-        raise ValueError("need p >= 2")
+    if not 2 <= p <= MAX_THMD_P:
+        raise ValueError(f"cp-wr-z2 needs 2 <= p <= {MAX_THMD_P}")
     model = WreathModel(0, (p,), 2)
     model.generators["s"] = model.base_generator(0)
     model.generators["a"] = model.top_generator(1)
@@ -502,13 +510,15 @@ def data_by_selector(selector: str) -> GData:
     Selectors: ``z``, ``zomega:n=<n>`` (n defaults to 5),
     ``zl-wr-zd:l=<l>,d=<d>``, ``cp-wr-z2:p=<p>``, ``zwrz``, ``zwrz-wr-c2``,
     ``lamplighter:B=<k1,..,kr>`` and ``concat:<sel>+<sel>`` (both sides over
-    the same top group).
+    the same top group, up to ``MAX_CONCAT_PARTS`` parts).
     """
     selector = selector.strip()
     if selector.startswith("concat:"):
         parts = selector[len("concat:") :].split("+")
         if len(parts) < 2:
             raise ValueError("concat needs two selectors joined by '+'")
+        if len(parts) > MAX_CONCAT_PARTS:
+            raise ValueError(f"concat joins at most {MAX_CONCAT_PARTS} selectors")
         data = data_by_selector(parts[0])
         for part in parts[1:]:
             data = concatenate(data, data_by_selector(part))
@@ -528,7 +538,12 @@ def data_by_selector(selector: str) -> GData:
         key, eq, value = argstr.partition("=")
         if key.strip() != "B" or not eq:
             raise ValueError("lamplighter selector needs B=<k1,..,kr>")
-        orders = tuple(int(v) for v in value.split(",") if v.strip())
+        orders, size = [], 1
+        for v in filter(str.strip, value.split(",")):  # |B| is bounded factor by factor
+            orders.append(int(v))
+            size *= max(orders[-1], 1)  # WreathModel rejects orders below 2
+            if size > MAX_LAMPS:
+                raise ValueError(f"lamplighter needs |B| <= {MAX_LAMPS}")
         return lamplighter_data(orders)
     raise ValueError(f"unknown data selector: {selector!r}")
 

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -18,6 +19,11 @@ sys.path.append(str(Path(__file__).resolve().parent.parent / "benchmarks"))
 import workloads  # noqa: E402  (the benchmark's golden commands and relation files)
 
 GOLDEN = workloads.golden_commands()
+# build in every emit mode on 17 selectors, orbit-type and inflate -k 1|2 in
+# every emit mode on 11 builtins, and a few states, portrait and witness runs:
+# each argv with the sha256 of its (exit, stdout, stderr) (``_digest``)
+PINNED_PATH = Path(__file__).resolve().parent / "cli_digests.json"
+PINNED = json.loads(PINNED_PATH.read_text(encoding="utf-8"))
 
 
 def run_cli(argv):
@@ -397,3 +403,59 @@ def test_golden_outputs_are_byte_identical(cmd, tmp_path):
     assert (code, out) == (cmd["exit"], cmd["stdout"])
     for name, text in cmd["files"].items():
         assert (tmp_path / name).read_text(encoding="utf-8") == text
+
+
+def _digest(result) -> str:
+    return hashlib.sha256(json.dumps(list(result)).encode()).hexdigest()
+
+
+def test_pinned_commands_are_byte_identical():
+    changed = [" ".join(c["argv"]) for c in PINNED if _digest(run_cli(c["argv"])) != c["sha256"]]
+    assert not changed, changed
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["witness", "--model", "cp-wr-z2:p=1001", "--word", "s", "--max-depth", "1"],
+         "cp-wr-z2 needs 2 <= p <= 1000"),
+        (["orbit-type", "--machine", "builtin:thmD-engine(80000)"], "cp-wr-z2 needs 2 <= p <= 1000"),
+        (["build", "--data", "zl-wr-zd:l=2000,d=1"], "zl-wr-zd needs 1 <= l, d <= 1000"),
+        (["build", "--data", "zl-wr-zd:l=1,d=1001"], "zl-wr-zd needs 1 <= l, d <= 1000"),
+        (["orbit-type", "--machine", "builtin:prop31(400000,1)"], "prop31 needs 1 <= l, d <= 1000"),
+        (["orbit-type", "--machine", "builtin:prop31(1,1001)"], "prop31 needs 1 <= l, d <= 1000"),
+        (["build", "--data", "lamplighter:B=" + ",".join(["2"] * 16)], "lamplighter needs |B| <= 256"),
+        # a long factor list stops at the first factor past the bound
+        (["build", "--data", "lamplighter:B=" + ",".join(["2"] * 100000)], "lamplighter needs |B| <= 256"),
+        (["build", "--data", "lamplighter:B=400000"], "lamplighter needs |B| <= 256"),
+        (["build", "--data", "lamplighter:B=257"], "lamplighter needs |B| <= 256"),
+        (["orbit-type", "--machine", "builtin:diagram2(400000)"], "diagram2 needs 1 <= n <= 1000"),
+        (["orbit-type", "--machine", "builtin:diagram2(1001)"], "diagram2 needs 1 <= n <= 1000"),
+        (["concat", "--data", "+".join(["zwrz"] * 9)], "concat joins at most 8 selectors"),
+        (["concat", "--data", "+".join(["zwrz"] * 200)], "concat joins at most 8 selectors"),
+    ],
+)
+def test_over_bound_parameters_exit_2_before_building(argv, message):
+    start = time.perf_counter()
+    assert run_cli(argv) == (2, "", f"error: {message}\n")
+    assert time.perf_counter() - start < 0.1
+
+
+def test_bounds_admit_their_largest_values():
+    for argv in (
+        ["orbit-type", "--machine", "builtin:thmD-engine(1000)"],
+        ["orbit-type", "--machine", "builtin:diagram2(1000)"],
+        ["build", "--data", "lamplighter:B=256", "--emit", "file"],
+        ["concat", "--data", "+".join(["zwrz"] * 8)],
+    ):
+        code, out, err = run_cli(argv)
+        assert code in (0, 2) and "needs" not in err and "at most" not in err, (argv, err)
+
+
+if __name__ == "__main__":
+    # re-record the pinned digests from the tree on the path: run this only on
+    # the commit whose behaviour is the reference
+    for c in PINNED:
+        c["sha256"] = _digest(run_cli(c["argv"]))
+    lines = ",\n".join(json.dumps(c) for c in PINNED)
+    PINNED_PATH.write_text(f"[\n{lines}\n]\n", encoding="utf-8")

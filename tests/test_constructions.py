@@ -23,7 +23,11 @@ from selfsim.tree_core import (
     trivial_to_depth,
 )
 from selfsim.wreath_models import (
+    WreathModel,
+    _divide_linear,
     cp_wr_z2_data,
+    data_by_selector,
+    fibonacci_states,
     lamplighter_data,
     lamplighter_extension_data,
     mixed_base_data,
@@ -91,6 +95,17 @@ def test_two_coordinate_lamp_extension():
         assert model.multiply(model.multiply(x, y), z) == model.multiply(x, model.multiply(y, z))
         assert model.is_identity(model.multiply(x, model.invert(x)))
     machine = build_representation(data)
+    # the entries pin coset_product's letter order: lamp total slowest, then
+    # the coset of the first coordinate fastest
+    entries = []
+    for name in machine.generators:
+        sections, perm = machine.entry(name)
+        entries.append(" ".join([name, str(perm), *map(str, sections)]))
+    assert entries == [
+        "b (0 4)(1 5)(2 6)(3 7) e b b b e b b b b",
+        "z1a (0 1)(2 3)(4 5)(6 7) e z1a e z1a e q1 e q1 z2a",
+        "z2a (0 2)(1 3)(4 6)(5 7) e e z2a z2a e e q2 q2 z1a",
+    ]
     assert orbit_type(machine) == (8, 1)
     for _ in range(25):
         g = model.random_element(rng)
@@ -197,3 +212,50 @@ def test_engine_rejects_undeclared_state():
     machine = build_representation(z_data())
     with pytest.raises(ValueError):
         machine.entry("zz")
+
+
+def _z_orbits(s: int) -> GData:
+    """s copies of the halving data on Z."""
+    base = z_data()
+    return GData(base.model, [base.endos[0]] * s)
+
+
+_SWAPS = [Perm.identity(4), Perm((1, 0, 2, 3)), Perm((0, 1, 3, 2)), Perm((1, 0, 3, 2))]
+
+
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        (lambda: GData(z_data().model, []), "group data needs at least one virtual endomorphism"),
+        (lambda: wreath_by_regular_data(_z_orbits(3), [Perm.identity(3), Perm((1, 2, 0)), Perm((1, 0, 2))]),
+         "the permutation list is not closed under composition"),
+        # a closed group of four permutations whose swaps fix points
+        (lambda: wreath_by_regular_data(_z_orbits(4), _SWAPS),
+         "not regular: a non-identity element fixes a point"),
+        (lambda: lamp_extension_data((2,), _z_orbits(2), [z_coset_space()]),
+         "need one coset space per endomorphism"),
+        (lambda: lamp_extension_data((2, 1), z_data(), [z_coset_space()]),
+         "lamp group orders must all be at least 2"),
+        (lambda: lamp_extension_data((), z_data(), [z_coset_space()]),
+         "lamp group orders must all be at least 2"),
+        (lambda: WreathModel(0, (), 1), "base group needs at least one component"),
+        (lambda: WreathModel(0, (1,), 1), "torsion orders must be at least 2"),
+        (lambda: WreathModel(1, (), 0), "top dimension must be at least 1"),
+        (lambda: _divide_linear({(0, 0): 1}, 3, 0), "polynomial is not in the augmentation ideal"),
+        (lambda: fibonacci_states(2, 1), "need n >= 2"),
+        (lambda: data_by_selector("concat:zwrz"), "concat needs two selectors joined by '+'"),
+        # a name taken on both sides gains the first free suffix
+        (lambda: " ".join(data_by_selector("concat:zwrz+zwrz+zwrz").model.generators), "g1 a1 g1_2 g1_3"),
+        (lambda: trivial_to_depth(mealy.adding_machine(), GroupWord.gen("zz"), 1),
+         "undeclared state: 'zz'"),
+        # the identity is no state of an engine
+        (lambda: build_representation(z_data()).entry("e"), "undeclared state: 'e'"),
+        (lambda: GroupWord([("a", 2)]), "symbol sign must be +1 or -1, got 2"),
+    ],
+)
+def test_input_check_texts(call, text):
+    try:
+        got = call()
+    except ValueError as exc:
+        got = str(exc)
+    assert got == text
