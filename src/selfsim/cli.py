@@ -80,9 +80,9 @@ def _format_string(letters: tuple[int, ...], m: int) -> str:
 def recursion_lines(machine: SelfSimilarMachine) -> list[str]:
     """Tuple-notation recursion, one line per state: ``name = (w0, .., w(m-1)) cycles``.
 
-    An engine section is written as a generator word of at most
-    ``gdata_engine.SEARCH_LEN`` letters; a section outside that ball gets a
-    state of its own, printed after the generators.  A machine that keeps
+    An engine section is written as the generator word ``short_word`` finds
+    in its bounded ball; a section outside that ball gets a state of its own,
+    printed after the generators.  A machine that keeps
     spawning such states past ``MAX_STATES`` has no finite listing and raises
     instead.
     """

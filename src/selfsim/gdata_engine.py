@@ -124,8 +124,11 @@ def schreier(endo: VirtualEndo, g, t) -> tuple[object, int]:
     return h, j
 
 
-# ``short_word`` searches generator words of at most SEARCH_LEN letters
+# ``short_word`` searches generator words of at most SEARCH_LEN letters, and
+# grows no sphere that could take its ball past MAX_BALL elements: with g
+# generators a sphere holds up to 2g times the elements of the one before
 SEARCH_LEN = 5
+MAX_BALL = 1 << 16
 
 
 class EngineMachine(SelfSimilarMachine):
@@ -210,28 +213,31 @@ class EngineMachine(SelfSimilarMachine):
         generators for ``elem`` (generator order, ``+`` before ``-``), or None.
 
         The ball grows by one sphere only when a lookup has missed every
-        sphere built so far.  Spheres are built in BFS order, which is lex
-        order on words, so the first word to reach an element is its
-        lex-least geodesic.
+        sphere built so far, and only while it stays within ``MAX_BALL``.
+        Spheres are built in BFS order, which is lex order on words, so the
+        first word to reach an element is its lex-least geodesic.
         """
         for radius in range(SEARCH_LEN + 1):
-            if radius == len(self._ball):
-                self._grow()
+            if radius == len(self._ball) and not self._grow():
+                return None
             word = self._ball[radius].get(elem)
             if word is not None:
                 return word
         return None
 
-    def _grow(self) -> None:
+    def _grow(self) -> bool:
         """Append the next sphere to ``_ball``, the spheres of the generator
-        ball as element -> lex-least geodesic word dicts in BFS order."""
+        ball as element -> lex-least geodesic word dicts in BFS order, unless
+        it could take the ball past ``MAX_BALL`` elements."""
+        last = self._ball[-1]
+        if sum(map(len, self._ball)) + 2 * len(self.generators) * len(last) > MAX_BALL:
+            return False
         model = self.model
         letters = []
         for name in self.generators:
             g = self._elements[self._codes[name]]
             letters.append((g, GroupWord.gen(name)))
             letters.append((model.invert(g), GroupWord.gen(name, -1)))
-        last = self._ball[-1]
         prev = self._ball[-2] if len(self._ball) > 1 else {}
         new: dict = {}
         for x, word in last.items():
@@ -240,6 +246,7 @@ class EngineMachine(SelfSimilarMachine):
                 if nxt not in new and nxt not in last and nxt not in prev:
                     new[nxt] = word * letter
         self._ball.append(new)
+        return True
 
     def automorphism_of(self, elem) -> Automorphism:
         if self.model.is_identity(elem):

@@ -92,7 +92,7 @@ MAX_THMD_P = 1000
 # the largest |B| of a lamplighter selector, whose machine has 2|B| + 1 letters
 MAX_LAMPS = 256
 # the most selectors that ``concat:`` joins
-MAX_CONCAT_PARTS = 8
+MAX_CONCAT_PARTS = 4
 
 
 def zomega_data(named_copies: int = 5) -> GData:

@@ -431,8 +431,8 @@ def test_pinned_commands_are_byte_identical():
         (["build", "--data", "lamplighter:B=257"], "lamplighter needs |B| <= 256"),
         (["orbit-type", "--machine", "builtin:diagram2(400000)"], "diagram2 needs 1 <= n <= 1000"),
         (["orbit-type", "--machine", "builtin:diagram2(1001)"], "diagram2 needs 1 <= n <= 1000"),
-        (["concat", "--data", "+".join(["zwrz"] * 9)], "concat joins at most 8 selectors"),
-        (["concat", "--data", "+".join(["zwrz"] * 200)], "concat joins at most 8 selectors"),
+        (["concat", "--data", "+".join(["zwrz"] * 5)], "concat joins at most 4 selectors"),
+        (["concat", "--data", "+".join(["zwrz"] * 200)], "concat joins at most 4 selectors"),
     ],
 )
 def test_over_bound_parameters_exit_2_before_building(argv, message):
@@ -446,7 +446,7 @@ def test_bounds_admit_their_largest_values():
         ["orbit-type", "--machine", "builtin:thmD-engine(1000)"],
         ["orbit-type", "--machine", "builtin:diagram2(1000)"],
         ["build", "--data", "lamplighter:B=256", "--emit", "file"],
-        ["concat", "--data", "+".join(["zwrz"] * 8)],
+        ["concat", "--data", "+".join(["zwrz"] * 4)],
     ):
         code, out, err = run_cli(argv)
         assert code in (0, 2) and "needs" not in err and "at most" not in err, (argv, err)

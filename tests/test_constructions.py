@@ -25,6 +25,7 @@ from selfsim.tree_core import (
 from selfsim.wreath_models import (
     WreathModel,
     _divide_linear,
+    concatenate,
     cp_wr_z2_data,
     data_by_selector,
     fibonacci_states,
@@ -244,6 +245,8 @@ _SWAPS = [Perm.identity(4), Perm((1, 0, 2, 3)), Perm((0, 1, 3, 2)), Perm((1, 0, 
         (lambda: _divide_linear({(0, 0): 1}, 3, 0), "polynomial is not in the augmentation ideal"),
         (lambda: fibonacci_states(2, 1), "need n >= 2"),
         (lambda: data_by_selector("concat:zwrz"), "concat needs two selectors joined by '+'"),
+        (lambda: concatenate(prop31_endos(600, 1), prop31_endos(401, 1)),
+         "concatenation needs at most 1000 base slots"),
         # a name taken on both sides gains the first free suffix
         (lambda: " ".join(data_by_selector("concat:zwrz+zwrz+zwrz").model.generators), "g1 a1 g1_2 g1_3"),
         (lambda: trivial_to_depth(mealy.adding_machine(), GroupWord.gen("zz"), 1),

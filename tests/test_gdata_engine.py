@@ -5,6 +5,7 @@ import pytest
 
 from selfsim import mealy
 from selfsim.gdata_engine import (
+    MAX_BALL,
     SEARCH_LEN,
     GData,
     SequenceModel,
@@ -376,6 +377,16 @@ def test_short_word_matches_the_whole_ball(name):
     # and the grown levels still give the same words
     for elem in ball:
         check(elem)
+
+
+def test_short_word_grows_no_sphere_past_the_ball_bound():
+    # with n generators, sphere 2 may hold 2n times the 2n words of sphere 1
+    for n, word in ((100, "a1 a2"), (200, None)):
+        assert (1 + 2 * n + (2 * n) ** 2 > MAX_BALL) is (word is None)
+        machine = build_representation(zomega_data(n))
+        got = machine.short_word(machine.element_of(parse_word("a1 a2")))
+        assert (got and str(got)) == word
+        assert len(machine._ball) == (3 if word else 2)
 
 
 INFLATE_DATA = {

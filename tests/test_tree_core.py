@@ -1,4 +1,3 @@
-import functools
 import gc
 import random
 import weakref
@@ -255,9 +254,14 @@ def test_state_closure_of_builtins_within_generators():
 # memoised here since an engine computes its entry anew on each call.
 
 
-@functools.lru_cache(maxsize=None)
+_REFERENCE_ENTRIES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _reference_entry(machine, name):
-    return machine.entry(name)
+    entries = _REFERENCE_ENTRIES.setdefault(machine, {})
+    if name not in entries:
+        entries[name] = machine.entry(name)
+    return entries[name]
 
 
 def _reference_root_perm(machine, word):
