@@ -490,21 +490,26 @@ def norm_support(entries, mods) -> tuple:
 
 def support_total(support, mods) -> tuple[int, ...]:
     """The canonical sum of the coefficients of a support."""
-    return reduce_coeff((sum(c[i] for _, c in support) for i in range(len(mods))), mods)
+    if not support:
+        return (0,) * len(mods)
+    return reduce_coeff(map(sum, zip(*(c for _, c in support))), mods)
 
 
 class SupportModel(GroupModel):
     """The group law of finitely supported maps extended by a top group.
 
     An element is a ``(support, tops)`` pair: ``support`` holds canonical
-    ``(point, coeff)`` entries (``norm_support`` under ``mods``) and ``tops``
-    lies in the top group, which moves the points.  With ``shift(phi, t)``
-    the support ``phi`` with every point moved by ``t``,
+    ``(point, coeff)`` entries (``norm_support`` under ``mods``: points
+    strictly increasing, no zero coefficient) and ``tops`` lies in the top
+    group, which moves the points.  With ``shift(phi, t)`` the support ``phi``
+    with every point moved by ``t``,
 
         (phi1, t1) (phi2, t2) = (phi1 + shift(phi2, t1^-1), t1 t2).
 
     Subclasses set ``mods`` and ``top_identity`` and give the top group law
-    (``top_multiply``, ``top_invert``) and its action (``shift``).
+    (``top_multiply``, ``top_invert``) and its action (``shift``), which must
+    return a sorted tuple: ``multiply`` then adds two supports by one merge,
+    and ``invert`` negates a shifted support, neither renormalising.
     """
 
     def identity(self):
@@ -518,13 +523,33 @@ class SupportModel(GroupModel):
 
     def multiply(self, a, b):
         (phi1, t1), (phi2, t2) = a, b
-        moved = self.shift(phi2, self.top_invert(t1))
-        return (self.norm_base(list(phi1) + moved), self.top_multiply(t1, t2))
+        tops = self.top_multiply(t1, t2)
+        if not phi2:
+            return (phi1, tops)
+        moved = phi2 if t1 == self.top_identity else self.shift(phi2, self.top_invert(t1))
+        if not phi1:
+            return (moved, tops)
+        out, i, j = [], 0, 0
+        while i < len(phi1) and j < len(moved):
+            (p, c), (q, d) = phi1[i], moved[j]
+            if p < q:
+                out.append(phi1[i])
+                i += 1
+            elif q < p:
+                out.append(moved[j])
+                j += 1
+            else:  # a shared point: add the coefficients and drop a zero sum
+                coeff = reduce_coeff(map(add, c, d), self.mods)
+                if any(coeff):
+                    out.append((p, coeff))
+                i += 1
+                j += 1
+        return (tuple(out) + phi1[i:] + moved[j:], tops)
 
     def invert(self, a):
         phi, tops = a
         negated = [(point, reduce_coeff(map(neg, coeff), self.mods)) for point, coeff in phi]
-        return (self.norm_base(self.shift(negated, tops)), self.top_invert(tops))
+        return (self.shift(negated, tops), self.top_invert(tops))
 
 
 class ExtensionModel(SupportModel):
@@ -560,11 +585,12 @@ class ExtensionModel(SupportModel):
     def top_invert(self, tops) -> tuple:
         return tuple(self.inner.invert(g) for g in tops)
 
-    def shift(self, support, tops) -> list:
-        return [
+    def shift(self, support, tops) -> tuple:
+        # ``translate`` need not keep the order of the labels
+        return tuple(sorted(
             (tuple(c.translate(lab, g) for c, lab, g in zip(self.cosets, labs, tops)), coeff)
             for labs, coeff in support
-        ]
+        ))
 
     def random_element(self, rng):
         entries = []

@@ -375,9 +375,17 @@ def equal_to_depth(a: Automorphism, b: Automorphism, depth: int) -> bool:
 
 
 def portrait(a: Automorphism, depth: int) -> Portrait:
+    """The root permutation at every vertex above ``depth``; raises when these
+    m^0 + .. + m^(depth-1) vertices exceed ``MAX_LETTERS``."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     machine = a.machine
+    vertices, level = 0, 1
+    for _ in range(depth):  # stops within MAX_LETTERS + 1 levels, also for m = 1
+        vertices += level
+        if vertices > MAX_LETTERS:
+            raise ValueError(f"a depth-{depth} portrait exceeds the limit of {MAX_LETTERS} vertices")
+        level *= machine.alphabet_size
     labels: dict[String, Perm] = {}
     frontier: list[tuple[String, Codes]] = [((), machine.encode(a.word))]
     for _ in range(depth):

@@ -130,8 +130,9 @@ class WreathModel(SupportModel):
     def top_invert(self, top: TopVector) -> TopVector:
         return tuple(map(neg, top))
 
-    def shift(self, support, top: TopVector) -> list:
-        return [(tuple(map(add, point, top)), coeff) for point, coeff in support]
+    def shift(self, support, top: TopVector) -> tuple:
+        # a translation keeps the lexicographic order of the points
+        return tuple([(tuple(map(add, point, top)), coeff) for point, coeff in support])
 
     def base_generator(self, slot: int):
         unit = tuple(int(i == slot) for i in range(self.width))
@@ -175,6 +176,7 @@ def concatenate(d1: GData, d2: GData) -> GData:
         raise ValueError(f"concatenation needs at most {MAX_NAMED_COPIES} base slots")
     model = WreathModel(m1.free_rank + m2.free_rank, m1.torsion + m2.torsion, m1.top_dim)
     endos: list[VirtualEndo] = []
+    seen: set = set()  # the lifted generators, to drop a repeat
 
     def lift(data: GData, down, up) -> None:
         """Add one side's generators to ``model`` and its endomorphisms to
@@ -191,8 +193,9 @@ def concatenate(d1: GData, d2: GData) -> GData:
 
         for name, g in data.model.generators.items():
             lifted = embed(g)
-            if lifted in model.generators.values():
+            if lifted in seen:
                 continue
+            seen.add(lifted)
             if name in model.generators:  # same name from both sides
                 n = 2
                 while f"{name}_{n}" in model.generators:

@@ -82,6 +82,15 @@ def test_portrait_adding():
     assert out == "- (0 1)\n  0 ()\n  1 (0 1)\n"
 
 
+def test_portrait_depth_is_bounded(tmp_path):
+    # 2^0 + .. + 2^39 vertices on adding; one vertex per level on one letter
+    (tmp_path / "one.txt").write_text("alphabet 1\nstate a: 0->0 a\n", encoding="utf-8")
+    for machine, depth in (("builtin:adding", "40"), (str(tmp_path / "one.txt"), "100000")):
+        code, out, err = run_cli(["portrait", "--machine", machine, "--word", "a", "--depth", depth])
+        assert (code, out) == (2, "")
+        assert err == f"error: a depth-{depth} portrait exceeds the limit of 65536 vertices\n"
+
+
 def test_states_adding():
     code, out, _ = run_cli(
         ["states", "--machine", "builtin:adding", "--word", "a", "--max", "8", "--sep-depth", "6"]

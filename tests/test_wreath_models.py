@@ -4,9 +4,17 @@ import zlib
 from operator import neg
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfsim import mealy
-from selfsim.gdata_engine import ExtensionModel, build_representation, norm_support, reduce_coeff
+from selfsim.gdata_engine import (
+    CosetSpace,
+    ExtensionModel,
+    build_representation,
+    norm_support,
+    reduce_coeff,
+)
 from selfsim.tree_core import equal_to_depth
 from selfsim.wreath_models import (
     WreathModel,
@@ -141,6 +149,73 @@ def test_shared_law_matches_parent_laws(name):
         a, b = model.random_element(rng), model.random_element(rng)
         assert model.multiply(a, b) == multiply(a, b)
         assert model.invert(a) == invert(a)
+
+
+def _zigzag(n):
+    return 2 * n if n >= 0 else -2 * n - 1
+
+
+# the integers labelled 0, -1, 1, -2, .. -> 0, 1, 2, 3, ..: a coset space whose
+# translation does not keep the order of the labels
+ZIGZAG_COSETS = CosetSpace(
+    label=_zigzag,
+    translate=lambda lab, g: _zigzag((lab // 2 if lab % 2 == 0 else -(lab + 1) // 2) + g),
+    identity_label=0,
+    lambda_image=lambda lab: None,
+)
+
+
+@st.composite
+def _support_model_operands(draw):
+    """A ``WreathModel`` with free and torsion slots or a lamp carrier, and
+    two elements of it in canonical form."""
+    kind = draw(st.sampled_from(["wreath", (2,), (2, 3), "zigzag"]))
+    if kind == "wreath":
+        torsion = draw(st.sampled_from([(), (2,), (3,), (2, 3)]))
+        free = draw(st.integers(0 if torsion else 1, 2))
+        model = WreathModel(free, torsion, draw(st.integers(1, 3)))
+        points = tops = st.tuples(*[st.integers(-2, 2)] * model.top_dim)
+    elif kind == "zigzag":
+        model = ExtensionModel(z_data().model, (3,), [ZIGZAG_COSETS])
+        points, tops = st.tuples(st.integers(0, 6)), st.tuples(st.integers(-3, 3))
+    else:
+        model = lamplighter_extension_data(kind).model
+        points = tops = st.tuples(st.integers(-3, 3))
+    coeffs = st.tuples(*(st.integers(-3, 3) if k == 0 else st.integers(0, k - 1) for k in model.mods))
+    elements = st.tuples(st.lists(st.tuples(points, coeffs), max_size=5).map(model.norm_base), tops)
+    return model, draw(elements), draw(elements)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(_support_model_operands())
+def test_merge_law_matches_renormalising_law(operands):
+    """``SupportModel``'s merge against the law that renormalises every
+    product, also with an empty support on either side or an identity top on
+    the left."""
+    model, a, b = operands
+    mods = model.mods
+
+    def multiply(x, y):
+        (phi1, t1), (phi2, t2) = x, y
+        moved = model.shift(phi2, model.top_invert(t1))
+        return (norm_support(list(phi1) + list(moved), mods), model.top_multiply(t1, t2))
+
+    def invert(x):
+        phi, tops = x
+        negated = [(point, reduce_coeff(map(neg, coeff), mods)) for point, coeff in phi]
+        return (norm_support(model.shift(negated, tops), mods), model.top_invert(tops))
+
+    def assert_canonical(g):
+        points = [point for point, _ in g[0]]
+        assert all(p < q for p, q in zip(points, points[1:]))
+        assert all(any(coeff) for _, coeff in g[0])
+
+    for x in (a, ((), a[1]), (a[0], model.top_identity)):
+        for y in (b, ((), b[1])):
+            assert model.multiply(x, y) == multiply(x, y)
+            assert_canonical(model.multiply(x, y))
+        assert model.invert(x) == invert(x)
+        assert_canonical(model.invert(x))
 
 
 def _subgroup_samples(model, endo, rng, want):
