@@ -25,6 +25,8 @@ Equality of tree automorphisms is undecidable in general; everything here is
 depth-bounded, and ``trivial_to_depth`` is the one decision procedure: equality
 across two machines is triviality on their disjoint union.  Its memo keys a
 word by ``cache_key`` of its class under conjugation and inversion (``_record``).
+Depth 1 is decided from the root permutation alone, by cursor walks that build
+no section words (``_image``), and leaves no memo record.
 """
 
 from __future__ import annotations
@@ -235,6 +237,14 @@ def _pass(machine: SelfSimilarMachine, codes: Codes, y: int) -> tuple[Codes, int
     return tuple(out), cur
 
 
+def _image(machine: SelfSimilarMachine, codes: Codes, y: int) -> int:
+    """The image of ``y`` under a code word: the cursor of ``_pass`` without the section."""
+    rows = machine._rows
+    for c in codes:
+        y = (rows[c] or machine._row(c))[y][1]
+    return y
+
+
 def _expand(machine: SelfSimilarMachine, codes: Codes) -> Optional[tuple[Codes, ...]]:
     """All sections of a code word, or None once a cursor ends away from its start."""
     secs = []
@@ -248,7 +258,7 @@ def _expand(machine: SelfSimilarMachine, codes: Codes) -> Optional[tuple[Codes, 
 
 def root_perm(machine: SelfSimilarMachine, word: GroupWord) -> Perm:
     codes = machine.encode(word)
-    return Perm(_pass(machine, codes, y)[1] for y in range(machine.alphabet_size))
+    return Perm(_image(machine, codes, y) for y in range(machine.alphabet_size))
 
 
 def section_word(machine: SelfSimilarMachine, word: GroupWord, y: int) -> GroupWord:
@@ -278,7 +288,8 @@ def trivial_to_depth(machine: SelfSimilarMachine, word, depth: int) -> bool:
 
     Synchronised recursive descent with one per-machine memo (see
     ``_record``), rather than enumeration of all m^depth strings.  Depth 0
-    holds for every word; a negative depth is an error.
+    holds for every word, and depth 1 is decided from the root permutation
+    alone, without a memo record; a negative depth is an error.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -331,6 +342,8 @@ def _record(machine: SelfSimilarMachine, codes: Codes) -> list:
     cyclic core; a new core keys its record by ``machine.cache_key`` of its
     class representative (for a machine with a model, the element), shared by
     every core of the class, and expands the core, a shortest word of the class.
+    Records are made at depth 2 and deeper only: ``_trivial`` decides depth 1
+    from the root permutation and writes nothing.
     """
     memo = machine._triv
     core = _cyclic_core(codes)
@@ -349,6 +362,8 @@ def _record(machine: SelfSimilarMachine, codes: Codes) -> list:
 def _trivial(machine: SelfSimilarMachine, codes: Codes, d: int) -> bool:
     if d <= 0 or not codes:
         return True
+    if d == 1:
+        return all(_image(machine, codes, y) == y for y in range(machine.alphabet_size))
     status = _record(machine, codes)
     if status[1] is not None and d >= status[1]:
         return False
@@ -513,11 +528,14 @@ def find_moving_string(a: Automorphism, max_depth: int) -> Optional[String]:
 
 
 def _extract_witness(machine: SelfSimilarMachine, codes: Codes, k: int) -> String:
-    passes = [_pass(machine, codes, y) for y in range(machine.alphabet_size)]
-    for y, (_, image) in enumerate(passes):
-        if image != y:
+    """A string of length k moved by a code word that fixes every shorter
+    string; at k = 1 it walks cursors only and builds no section words."""
+    m = machine.alphabet_size
+    for y in range(m):
+        if _image(machine, codes, y) != y:
             return (y,)
-    for y, (sec, _) in enumerate(passes):
+    for y in range(m):
+        sec = _pass(machine, codes, y)[0]
         if not _trivial(machine, sec, k - 1):
             return (y,) + _extract_witness(machine, sec, k - 1)
     raise AssertionError("witness extraction reached a trivial subtree")

@@ -242,8 +242,7 @@ def prop31_endos(l: int, d: int) -> GData:
         entries = []
         for vec, coeff in base:
             if vec[0] % 2 == 0:
-                rotated = tuple(coeff[(j + 1) % l] for j in range(l))
-                entries.append(((vec[0] // 2,) + vec[1:], rotated))
+                entries.append(((vec[0] // 2,) + vec[1:], coeff[1:] + coeff[:1]))
         return (model.norm_base(entries), (top[0] // 2,) + top[1:])
 
     f1 = VirtualEndo(
@@ -256,10 +255,9 @@ def prop31_endos(l: int, d: int) -> GData:
 
     def f2_image(g):
         base, top = g
-        entries = [
-            (tuple(vec[(j + 1) % d] for j in range(d)), coeff) for vec, coeff in base
-        ]
-        return (model.norm_base(entries), tuple(top[(j + 1) % d] for j in range(d)))
+        # rotating the support vectors changes their order, so renormalise
+        entries = [(vec[1:] + vec[:1], coeff) for vec, coeff in base]
+        return (model.norm_base(entries), top[1:] + top[:1])
 
     def f3_image(g):
         return ((), (model.coeff_total(g)[0],) + (0,) * (d - 1))

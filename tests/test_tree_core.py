@@ -389,6 +389,31 @@ def test_class_wide_verdicts_match_per_letter_reference(name):
     assert 0 in verdicts and len(verdicts) > 1
 
 
+@pytest.mark.parametrize("name", CROSS_CHECK_MACHINES)
+def test_depth_one_makes_no_record(name):
+    # depth 1 reads the root permutation only, compiling rows from the cursor
+    # walk alone: a fresh machine keeps an empty memo until a depth-2 check
+    machine, names = _cross_check_machine(name)
+    rng = random.Random(f"depth-one/{name}")
+    first_signs, verdicts, fixing = set(), set(), None
+    for i in range(40):
+        head = GroupWord([(rng.choice(names), -1 if i % 2 else 1)])
+        word = head * _random_word(rng, names, 12)
+        if word:
+            first_signs.add(word.letters[0][1])
+        expected = _reference_root_perm(machine, word)
+        assert trivial_to_depth(machine, word, 1) is expected.is_identity(), str(word)
+        assert root_perm(machine, word) == expected, str(word)
+        verdicts.add(expected.is_identity())
+        if word and expected.is_identity():
+            fixing = word
+    assert machine._triv == {}
+    assert first_signs == {1, -1} and verdicts == {True, False} and fixing is not None
+    deepest = _reference_trivial_depth(machine, fixing, 2, {})
+    assert trivial_to_depth(machine, fixing, 2) is (deepest == 2), str(fixing)
+    assert machine._triv
+
+
 def test_engine_memo_keys_never_equal_code_tuples():
     # on Z^omega the element of a1^6 is the tuple (6,), the code tuple of a4
     machine = build_representation(data_by_selector("zomega"))
