@@ -144,6 +144,12 @@ class EngineMachine(SelfSimilarMachine):
 
     def __init__(self, data: GData):
         super().__init__(data.degree)
+        # a level table of depth k >= 2 compiles every state within k-1 levels
+        # below its code, while an engine's states are model elements without
+        # bound whose words cancel in their sections, so its descent compiles
+        # far fewer (``witness --model lamplighter:B=2,3`` reaches 14 states
+        # at leaf 1 and 41 at leaf 2): only depth 1 is decided by tables
+        self._leaf = min(self._leaf, 1)
         self.data = data
         self.model = data.model
         ident = self.model.identity()

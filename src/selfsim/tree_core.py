@@ -25,8 +25,13 @@ Equality of tree automorphisms is undecidable in general; everything here is
 depth-bounded, and ``trivial_to_depth`` is the one decision procedure: equality
 across two machines is triviality on their disjoint union.  Its memo keys a
 word by ``cache_key`` of its class under conjugation and inversion (``_record``).
-Depth 1 is decided from the root permutation alone, by cursor walks that build
-no section words (``_image``), and leaves no memo record.
+Near the leaves it needs no memo: a word acts on the m^k strings of length k as
+a permutation, which fits a byte table while m^k <= 256.  The machine's leaf is
+the deepest such k, at most 8 (5 for m = 3, 4 for m = 4, 8 for m = 2, 0 past 256
+letters).  Every depth up to it is decided by composing per-code level tables
+with ``bytes.translate`` (``_level``); each table is derived once from the
+code's row.  Records are made at depth ``leaf + 1`` and deeper only.  Machines
+with a group model keep leaf 1 (see ``gdata_engine.EngineMachine``).
 """
 
 from __future__ import annotations
@@ -45,6 +50,8 @@ Codes = tuple[int, ...]
 MAX_STATES = 512
 # the most letters of an inflated alphabet (m^k blocks of length k) and of a block
 MAX_LETTERS = 65536
+# the identity level table (``_level``): every byte fixed
+_IDENTITY = bytes(range(256))
 
 
 class SelfSimilarMachine:
@@ -59,7 +66,9 @@ class SelfSimilarMachine:
     ``cache_key`` of its class representative under conjugation and inversion:
     here the representative itself, while a machine with an exact group
     ``model`` (see ``gdata_engine``) returns the model element, which also
-    deduplicates its ``states``.
+    deduplicates its ``states``.  Depths up to ``_leaf`` (log_m 256, at most
+    8; an engine keeps 1) are decided by level tables derived from the rows,
+    without the memo, which holds records from depth ``_leaf + 1`` down.
     """
 
     model = None
@@ -76,6 +85,10 @@ class SelfSimilarMachine:
         self._rows: list = []
         # cyclic core or (cache_key of its class, None) -> its record (``_record``)
         self._triv: dict[object, list] = {}
+        # the deepest level whose m^k strings fit a byte table, at most 8, and
+        # for each level k up to it: code -> its level-k table (``_level``)
+        self._leaf = max(k for k in range(9) if alphabet_size**k <= 256)
+        self._levels: list[dict[int, bytes]] = [{} for _ in range(self._leaf + 1)]
 
     def entry(self, name) -> tuple[tuple[GroupWord, ...], Perm]:
         raise NotImplementedError
@@ -245,6 +258,30 @@ def _image(machine: SelfSimilarMachine, codes: Codes, y: int) -> int:
     return y
 
 
+def _level(machine: SelfSimilarMachine, codes: Codes, k: int) -> bytes:
+    """The action of a code word on the m^k strings of length k <= ``_leaf``:
+    byte s is the big-endian number of the image of string s.  A code's table
+    is derived once from its row and the level-(k-1) actions of its sections;
+    ``translate`` wants 256 bytes, so the table fixes the bytes past m^k.  The
+    word composes its codes' tables, one ``translate`` each."""
+    n = machine.alphabet_size ** (k - 1)
+    action = _IDENTITY[: n * machine.alphabet_size]
+    tables = machine._levels[k]
+    for c in codes:
+        table = tables.get(c)
+        if table is None:
+            table = bytearray()
+            # string x r, in the order of x's entries in the row, goes to the
+            # image of x followed by the image of r under the section at x: the
+            # identity rotated by image m^(k-1) adds that to each byte of below
+            for sec, image in machine._rows[c] or machine._row(c):
+                below = _level(machine, sec, k - 1) if k > 1 else b"\0"
+                table += below.translate(_IDENTITY[image * n :] + _IDENTITY[: image * n])
+            table = tables[c] = bytes(table) + _IDENTITY[len(table) :]
+        action = action.translate(table)
+    return action
+
+
 def _expand(machine: SelfSimilarMachine, codes: Codes) -> Optional[tuple[Codes, ...]]:
     """All sections of a code word, or None once a cursor ends away from its start."""
     secs = []
@@ -288,8 +325,10 @@ def trivial_to_depth(machine: SelfSimilarMachine, word, depth: int) -> bool:
 
     Synchronised recursive descent with one per-machine memo (see
     ``_record``), rather than enumeration of all m^depth strings.  Depth 0
-    holds for every word, and depth 1 is decided from the root permutation
-    alone, without a memo record; a negative depth is an error.
+    holds for every word, and a depth up to the machine's leaf (log_m 256,
+    at most 8, and 1 for a machine with a model) is decided from the level
+    table of the word (``_level``), without a memo record; a negative depth is
+    an error.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -342,8 +381,8 @@ def _record(machine: SelfSimilarMachine, codes: Codes) -> list:
     cyclic core; a new core keys its record by ``machine.cache_key`` of its
     class representative (for a machine with a model, the element), shared by
     every core of the class, and expands the core, a shortest word of the class.
-    Records are made at depth 2 and deeper only: ``_trivial`` decides depth 1
-    from the root permutation and writes nothing.
+    Records are made at depth ``leaf + 1`` and deeper only: ``_trivial``
+    decides the depths up to the leaf from level tables and writes nothing.
     """
     memo = machine._triv
     core = _cyclic_core(codes)
@@ -362,8 +401,9 @@ def _record(machine: SelfSimilarMachine, codes: Codes) -> list:
 def _trivial(machine: SelfSimilarMachine, codes: Codes, d: int) -> bool:
     if d <= 0 or not codes:
         return True
-    if d == 1:
-        return all(_image(machine, codes, y) == y for y in range(machine.alphabet_size))
+    if d <= machine._leaf:
+        action = _level(machine, codes, d)
+        return action == _IDENTITY[: len(action)]
     status = _record(machine, codes)
     if status[1] is not None and d >= status[1]:
         return False
@@ -528,14 +568,19 @@ def find_moving_string(a: Automorphism, max_depth: int) -> Optional[String]:
 
 
 def _extract_witness(machine: SelfSimilarMachine, codes: Codes, k: int) -> String:
-    """A string of length k moved by a code word that fixes every shorter
-    string; at k = 1 it walks cursors only and builds no section words."""
+    """The lex-least string of length k moved by a code word that fixes every
+    shorter string.  At k <= ``_leaf`` it is the first moved byte of the level
+    table, read big-endian; deeper (or past 256 letters, where the leaf is 0),
+    the first letter that moves or whose section moves a string, followed by
+    that section's witness."""
     m = machine.alphabet_size
+    if k <= machine._leaf:
+        moved = next(s for s, t in enumerate(_level(machine, codes, k)) if s != t)
+        return tuple(moved // m**i % m for i in reversed(range(k)))
     for y in range(m):
-        if _image(machine, codes, y) != y:
+        sec, image = _pass(machine, codes, y)
+        if image != y:
             return (y,)
-    for y in range(m):
-        sec = _pass(machine, codes, y)[0]
         if not _trivial(machine, sec, k - 1):
             return (y,) + _extract_witness(machine, sec, k - 1)
     raise AssertionError("witness extraction reached a trivial subtree")

@@ -1,7 +1,9 @@
 import gc
+import math
 import random
 import weakref
 from collections import deque
+from itertools import product
 
 import pytest
 
@@ -14,6 +16,7 @@ from selfsim.tree_core import (
     Automorphism,
     MAX_STATES,
     TableMachine,
+    apply_word,
     closure,
     equal_to_depth,
     find_moving_string,
@@ -389,28 +392,93 @@ def test_class_wide_verdicts_match_per_letter_reference(name):
     assert 0 in verdicts and len(verdicts) > 1
 
 
+def _level_order(machine, word, k):
+    """The order of the permutation a word induces on the strings of length k."""
+    strings = list(product(range(machine.alphabet_size), repeat=k))
+    image = {s: apply_word(machine, word, s) for s in strings}
+    order = 1
+    for s in strings:
+        n, t = 1, image[s]
+        while t != s:
+            n, t = n + 1, image[t]
+        order = math.lcm(order, n)
+    return order
+
+
 @pytest.mark.parametrize("name", CROSS_CHECK_MACHINES)
-def test_depth_one_makes_no_record(name):
-    # depth 1 reads the root permutation only, compiling rows from the cursor
-    # walk alone: a fresh machine keeps an empty memo until a depth-2 check
+def test_leaf_depths_make_no_record(name):
+    # depths up to the leaf compose level tables compiled from rows: a fresh
+    # machine keeps an empty memo until a check one level deeper
     machine, names = _cross_check_machine(name)
-    rng = random.Random(f"depth-one/{name}")
-    first_signs, verdicts, fixing = set(), set(), None
+    leaf = machine._leaf
+    assert leaf == (1 if machine.model is not None else {3: 5, 4: 4}[machine.alphabet_size])
+    rng = random.Random(f"leaf-depths/{name}")
+    memo = {}
+    first_signs, verdicts = set(), set()
     for i in range(40):
         head = GroupWord([(rng.choice(names), -1 if i % 2 else 1)])
         word = head * _random_word(rng, names, 12)
         if word:
             first_signs.add(word.letters[0][1])
-        expected = _reference_root_perm(machine, word)
-        assert trivial_to_depth(machine, word, 1) is expected.is_identity(), str(word)
-        assert root_perm(machine, word) == expected, str(word)
-        verdicts.add(expected.is_identity())
-        if word and expected.is_identity():
-            fixing = word
+        assert root_perm(machine, word) == _reference_root_perm(machine, word), str(word)
+        deepest = _reference_trivial_depth(machine, word, leaf, memo)
+        for d in range(1, leaf + 1):
+            assert trivial_to_depth(machine, word, d) is (d <= deepest), (str(word), d)
+        verdicts.add(deepest)
     assert machine._triv == {}
-    assert first_signs == {1, -1} and verdicts == {True, False} and fixing is not None
-    deepest = _reference_trivial_depth(machine, fixing, 2, {})
-    assert trivial_to_depth(machine, fixing, 2) is (deepest == 2), str(fixing)
+    assert first_signs == {1, -1} and 0 in verdicts and len(verdicts) > 1
+    # the generator of largest order (at most 64) on the strings of length
+    # leaf, raised to that order, fixes every string of length <= leaf
+    orders = [(_level_order(machine, GroupWord([(g, 1)]), leaf), g) for g in names]
+    order, g = max(pair for pair in orders if pair[0] <= 64)
+    fixing = GroupWord([(g, 1)]) ** order
+    assert order > 1 and trivial_to_depth(machine, fixing, leaf) and machine._triv == {}
+    deepest = _reference_trivial_depth(machine, fixing, leaf + 1, {})
+    assert trivial_to_depth(machine, fixing, leaf + 1) is (deepest == leaf + 1), str(fixing)
+    assert machine._triv
+
+
+def _brute_witness(machine, word, max_depth):
+    """The first string of the shortest moved length in ``product`` order."""
+    for k in range(1, max_depth + 1):
+        for s in product(range(machine.alphabet_size), repeat=k):
+            if apply_word(machine, word, s) != s:
+                return s
+    return None
+
+
+@pytest.mark.parametrize("name", CROSS_CHECK_MACHINES)
+def test_witness_is_the_first_moved_string_of_brute_force(name):
+    # witnesses at depth <= leaf are decoded big-endian from a level table,
+    # deeper ones descend through the sections first
+    machine, names = _cross_check_machine(name)
+    rng = random.Random(f"witness/{name}")
+    words = [_random_word(rng, names, 8) for _ in range(12)]
+    for g in names:
+        n = _level_order(machine, GroupWord([(g, 1)]), machine._leaf)
+        words += [GroupWord([(g, 1)]) ** k for k in {n // 2, n, 2 * n} if 0 < k <= 64]
+    depths = set()
+    for word in words:
+        expected = _brute_witness(machine, word, 6)
+        assert find_moving_string(Automorphism(machine, word), 6) == expected, str(word)
+        depths.add(len(expected) if expected else None)
+    assert None in depths and 1 in depths and max(d for d in depths if d) > machine._leaf
+
+
+def test_alphabet_past_256_letters_decides_every_depth_by_records():
+    # 512 letters fit no byte table: depth 1 makes a record like any deeper one
+    machine = inflate(mealy.builtin_machine("adding"), 9)
+    assert machine.alphabet_size == 512 and machine._leaf == 0
+    a = GroupWord.gen("a")
+    memo = {}
+    cases = {a: (0,), a**-1: (0,), a**3: (0,), a**512: (0, 0), a**0: None}
+    for word, witness in cases.items():
+        assert root_perm(machine, word) == _reference_root_perm(machine, word), str(word)
+        deepest = _reference_trivial_depth(machine, word, 3, memo)
+        assert deepest == (3 if witness is None else len(witness) - 1)
+        for d in (1, 2, 3):
+            assert trivial_to_depth(machine, word, d) is (d <= deepest), (str(word), d)
+        assert find_moving_string(Automorphism(machine, word), 3) == witness, str(word)
     assert machine._triv
 
 
