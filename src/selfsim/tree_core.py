@@ -569,15 +569,9 @@ def find_moving_string(a: Automorphism, max_depth: int) -> Optional[String]:
 
 def _extract_witness(machine: SelfSimilarMachine, codes: Codes, k: int) -> String:
     """The lex-least string of length k moved by a code word that fixes every
-    shorter string.  At k <= ``_leaf`` it is the first moved byte of the level
-    table, read big-endian; deeper (or past 256 letters, where the leaf is 0),
-    the first letter that moves or whose section moves a string, followed by
-    that section's witness."""
-    m = machine.alphabet_size
-    if k <= machine._leaf:
-        moved = next(s for s, t in enumerate(_level(machine, codes, k)) if s != t)
-        return tuple(moved // m**i % m for i in reversed(range(k)))
-    for y in range(m):
+    shorter string: the first letter that moves or whose section moves a
+    string, followed by that section's witness."""
+    for y in range(machine.alphabet_size):
         sec, image = _pass(machine, codes, y)
         if image != y:
             return (y,)

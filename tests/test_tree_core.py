@@ -449,8 +449,8 @@ def _brute_witness(machine, word, max_depth):
 
 @pytest.mark.parametrize("name", CROSS_CHECK_MACHINES)
 def test_witness_is_the_first_moved_string_of_brute_force(name):
-    # witnesses at depth <= leaf are decoded big-endian from a level table,
-    # deeper ones descend through the sections first
+    # the witness loop takes the first moved letter or descends into the
+    # first section that moves a string; checks up to the leaf read tables
     machine, names = _cross_check_machine(name)
     rng = random.Random(f"witness/{name}")
     words = [_random_word(rng, names, 8) for _ in range(12)]
