@@ -67,7 +67,11 @@ class GroupModel:
 
 
 class VirtualEndo:
-    """A finite-index subgroup, a homomorphism out of it, and a right transversal."""
+    """A finite-index subgroup, a homomorphism out of it, and a right transversal.
+
+    The inverses of the transversal elements are computed once, in
+    ``inverses``, for ``schreier``.
+    """
 
     def __init__(
         self,
@@ -84,6 +88,7 @@ class VirtualEndo:
         self.coset_index = coset_index
         if not self.transversal or self.transversal[0] != model.identity():
             raise ValueError("transversal must start with the identity")
+        self.inverses = tuple(map(model.invert, self.transversal))
 
     @classmethod
     def whole(cls, model: GroupModel, image: Callable[[object], object]) -> "VirtualEndo":
@@ -114,11 +119,17 @@ class GData:
 
 
 def schreier(endo: VirtualEndo, g, t) -> tuple[object, int]:
-    """The cocycle value ``t g t_j^-1`` and the index j of the coset of ``t g``."""
+    """The cocycle value ``t g t_j^-1`` and the index j of the coset of ``t g``.
+
+    No product has the identity as a factor: ``t g`` is ``g`` itself when ``t``
+    is the first transversal element (the identity), and the value is ``t g``
+    itself when j = 0.  ``t_j^-1`` is read from ``endo.inverses``.  The value
+    is still checked against the subgroup.
+    """
     model = endo.model
-    tg = model.multiply(t, g)
+    tg = g if t is endo.transversal[0] else model.multiply(t, g)
     j = endo.coset_index(tg)
-    h = model.multiply(tg, model.invert(endo.transversal[j]))
+    h = model.multiply(tg, endo.inverses[j]) if j else tg
     if not endo.contains(h):
         raise ValueError("coset oracle inconsistency: cocycle value escaped the subgroup")
     return h, j
@@ -204,10 +215,12 @@ class EngineMachine(SelfSimilarMachine):
         return self.cache_key(self.encode(word))
 
     def cache_key(self, codes: tuple) -> object:
-        """Exact model element of a code tuple: the memo key of ``_record`` and ``states``."""
+        """Exact model element of a code tuple: the memo key of ``_record`` and
+        ``states``.  The product starts from the first code's element; the
+        empty tuple is the identity."""
         model = self.model
         elements = self._elements
-        elem = model.identity()
+        elem = None
         for c in codes:
             g = elements.get(c)
             if g is None:  # an inverse code reads its state's element once
@@ -215,8 +228,8 @@ class EngineMachine(SelfSimilarMachine):
                 if g is None:
                     raise ValueError(f"undeclared state: {self._names[c >> 1]!r}")
                 g = elements[c] = model.invert(g)
-            elem = model.multiply(elem, g)
-        return elem
+            elem = g if elem is None else model.multiply(elem, g)
+        return model.identity() if elem is None else elem
 
     def short_word(self, elem) -> Optional[GroupWord]:
         """The lex-least shortest word of at most SEARCH_LEN letters in the

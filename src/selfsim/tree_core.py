@@ -36,6 +36,7 @@ with a group model keep leaf 1 (see ``gdata_engine.EngineMachine``).
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import chain, product
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -275,7 +276,7 @@ def _level(machine: SelfSimilarMachine, codes: Codes, k: int) -> bytes:
             # image of x followed by the image of r under the section at x: the
             # identity rotated by image m^(k-1) adds that to each byte of below
             for sec, image in machine._rows[c] or machine._row(c):
-                below = _level(machine, sec, k - 1) if k > 1 else b"\0"
+                below = _level(machine, sec, k - 1) if sec and k > 1 else _IDENTITY[:n]
                 table += below.translate(_IDENTITY[image * n :] + _IDENTITY[: image * n])
             table = tables[c] = bytes(table) + _IDENTITY[len(table) :]
         action = action.translate(table)
@@ -476,16 +477,19 @@ def closure(starts: Sequence, successors, limit: int, key=None) -> tuple[list, b
 def states(a: Automorphism, max_states: int, sep_depth: int) -> StateSet:
     """BFS closure of ``a`` under sections, deduplicated exactly (model) or to depth.
 
-    Stops with ``truncated=True`` at the first state past ``max_states``;
-    a truncated result is expected for non-finite-state automorphisms.
+    On a machine with a model a section is kept by its element, ``cache_key``,
+    computed once per distinct code tuple within the call.  Stops with
+    ``truncated=True`` at the first state past ``max_states``; a truncated
+    result is expected for non-finite-state automorphisms.
     """
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
     if sep_depth < 1:
         raise ValueError("sep_depth must be at least 1")
     machine = a.machine
-    key = machine.cache_key
-    if machine.model is None:
+    if machine.model is not None:
+        key = cache(machine.cache_key)  # one element per distinct code tuple
+    else:
         kept: list[Codes] = []
 
         def key(codes: Codes) -> Codes:  # the first kept word acting like codes to sep_depth

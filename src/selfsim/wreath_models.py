@@ -362,9 +362,21 @@ def cp_wr_z2_data(p: int, inverse_transversal: bool = False) -> GData:
     model.generators["b"] = model.top_generator(0)
 
     def f1_image(g):
+        """The Q part of ``decompose``: Q(y)(y-1) = s(1, y), the column sums
+        s_n of the support, so q_n = q_(n-1) - s_n, constant between columns."""
         base, top = g
-        Q = _divide_linear(_sum_out(((vec, c) for vec, (c,) in base), 1), p, 1)  # decompose's Q
-        return (model.norm_base((vec, (c,)) for vec, c in Q.items()), (0, top[1]))
+        columns: dict[int, int] = {}
+        for (_, n), (c,) in base:
+            columns[n] = columns.get(n, 0) + c
+        ys = sorted(columns)
+        entries, q = [], 0
+        for n, following in zip(ys, ys[1:]):
+            q = (q - columns[n]) % p
+            if q:
+                entries.extend(((0, k), (q,)) for k in range(n, following))
+        if ys and (q - columns[ys[-1]]) % p:
+            raise ValueError("polynomial is not in the augmentation ideal")
+        return (tuple(entries), (0, top[1]))
 
     lamp = model.base_generator(0)
     step = model.invert(lamp) if inverse_transversal else lamp
@@ -375,16 +387,16 @@ def cp_wr_z2_data(p: int, inverse_transversal: bool = False) -> GData:
 
     f1 = VirtualEndo(
         model,
-        contains=lambda g: model.coeff_total(g)[0] % p == 0,
+        contains=lambda g: sum(c for _, (c,) in g[0]) % p == 0,
         image=f1_image,
         transversal=transversal,
-        coset_index=lambda g: (sign * model.coeff_total(g)[0]) % p,
+        coset_index=lambda g: (sign * sum(c for _, (c,) in g[0])) % p,
     )
 
     def f2_image(g):
+        # (m, n) -> (n, m + n) is a bijection, so no two points merge
         base, (i, j) = g
-        entries = [(((n, m + n)), coeff) for (m, n), coeff in base]
-        return (model.norm_base(entries), (j, i + j))
+        return (tuple(sorted(((n, m + n), coeff) for (m, n), coeff in base)), (j, i + j))
 
     return GData(model, [f1, VirtualEndo.whole(model, f2_image)])
 

@@ -23,6 +23,7 @@ from selfsim.perm_word import GroupWord, Perm, parse_word
 from selfsim.tree_core import apply_word, equal_to_depth, inflate, orbit_type, trivial_to_depth
 from selfsim.wreath_models import (
     CosetSpace,
+    cp_wr_z2_data,
     data_by_selector,
     lamplighter_data,
     lamplighter_extension_data,
@@ -67,6 +68,61 @@ def test_schreier_cocycle_randomized():
             hh, _ = schreier(endo, h, endo.transversal[j])
             total, _ = schreier(endo, g + h, t)
             assert total == hg + hh
+
+
+# every kind of endomorphism: whole, index 2, a lifted one, a regular wreath,
+# lamps over Z, both C_p wr Z^2 transversals and a concatenation
+ENGINE_DATA = {
+    **{
+        sel: lambda sel=sel: data_by_selector(sel)
+        for sel in (
+            "z",
+            "zwrz",
+            "zwrz-wr-c2",
+            "zomega",
+            "lamplighter:B=2,3",
+            "cp-wr-z2:p=2",
+            "cp-wr-z2:p=3",
+            "concat:lamplighter:B=2+zwrz",
+        )
+    },
+    "cp-wr-z2:p=2 inverse": lambda: cp_wr_z2_data(2, True),
+    "cp-wr-z2:p=3 inverse": lambda: cp_wr_z2_data(3, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_DATA))
+def test_schreier_matches_the_plain_formula(name):
+    data = ENGINE_DATA[name]()
+    model = data.model
+    rng = random.Random(zlib.crc32(name.encode()))
+    for endo in data.endos:
+        # the identity as a new object where the model makes one
+        ts = [model.identity(), *endo.transversal]
+        for _ in range(40):
+            g = model.random_element(rng)
+            for t in ts:
+                tg = model.multiply(t, g)
+                j = endo.coset_index(tg)
+                h = model.multiply(tg, model.invert(endo.transversal[j]))
+                assert schreier(endo, g, t) == (h, j)
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_DATA))
+def test_cache_key_matches_the_identity_started_product(name):
+    machine = build_representation(ENGINE_DATA[name]())
+    model = machine.model
+    for state in machine.generators:  # spawn the states of the generators' sections
+        machine.entry(state)
+    states = {c: g for c, g in machine._elements.items() if not c & 1}
+    assert machine.cache_key(()) == model.identity()
+    rng = random.Random(zlib.crc32(name.encode()))
+    for _ in range(100):
+        codes = tuple(rng.choice(list(states)) | rng.randrange(2) for _ in range(rng.randint(1, 6)))
+        want = model.identity()
+        for c in codes:
+            want = model.multiply(want, model.invert(states[c ^ 1]) if c & 1 else states[c])
+        assert machine.cache_key(codes) == want
 
 
 def test_transversal_must_start_at_identity():

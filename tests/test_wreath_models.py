@@ -18,6 +18,8 @@ from selfsim.gdata_engine import (
 from selfsim.tree_core import equal_to_depth
 from selfsim.wreath_models import (
     WreathModel,
+    _divide_linear,
+    _sum_out,
     concatenate,
     data_by_selector,
     decompose,
@@ -424,6 +426,49 @@ def test_prime_wreath_f1_keeps_the_q_part_of_decompose(p):
         assert {vec: c for vec, (c,) in base} == Q and top == (0, h[1][1])
         nonzero += bool(Q)
     assert nonzero > 100
+
+
+def _reference_f1_image(model, p, g):
+    """The Q part of ``decompose`` by dict arithmetic, renormalised."""
+    base, top = g
+    Q = _divide_linear(_sum_out(((vec, c) for vec, (c,) in base), 1), p, 1)
+    return (model.norm_base((vec, (c,)) for vec, c in Q.items()), (0, top[1]))
+
+
+def _reference_f2_image(model, g):
+    """The substitution (x, y) -> (y, xy), renormalised."""
+    base, (i, j) = g
+    return (model.norm_base([((n, m + n), coeff) for (m, n), coeff in base]), (j, i + j))
+
+
+@pytest.mark.parametrize("inverse_transversal", [False, True])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_prime_wreath_images_match_the_renormalising_references(p, inverse_transversal):
+    data = cp_wr_z2_data(p, inverse_transversal)
+    model, (f1, f2) = data.model, data.endos
+    rng = random.Random(f"images/{p}/{inverse_transversal}")
+    gapped = 0  # Q with a point between two columns of the support
+    for _ in range(250):
+        g = model.identity()
+        for _ in range(rng.randint(1, 3)):
+            g = model.multiply(g, model.random_element(rng))
+        h = model.multiply(g, model.invert(f1.transversal[f1.coset_index(g)]))
+        assert f1.contains(h)
+        assert f1.image(h) == _reference_f1_image(model, p, h)
+        assert f2.image(g) == _reference_f2_image(model, g)
+        assert f2.image(h) == _reference_f2_image(model, h)
+        columns = {n for (_, n), _ in h[0]}
+        gapped += any(n not in columns for (_, n), _ in f1.image(h)[0])
+    assert gapped > 20
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_prime_wreath_f1_rejects_elements_outside_the_subgroup(p):
+    data = cp_wr_z2_data(p)
+    lamp = data.model.generators["s"]
+    assert not data.endos[0].contains(lamp)
+    with pytest.raises(ValueError, match="polynomial is not in the augmentation ideal"):
+        data.endos[0].image(lamp)
 
 
 def test_prime_wreath_f2_example():
