@@ -148,9 +148,9 @@ class EngineMachine(SelfSimilarMachine):
     Every model element reachable by sections becomes a named state, stored
     once as the element of its code; exact model equality keeps word-level
     aliases of one element from spawning new states.  New states are named
-    q1, q2, .. in the order that entries first reach them.  ``entry`` computes
-    a state's entry from its element on every call: the compiled row is the
-    one cache of it.
+    q1, q2, .. in the order that compiled rows first reach them.  ``_row``
+    compiles a state's row straight from its element, so its model arithmetic
+    runs once per machine, and ``entry`` decodes that row.
     """
 
     def __init__(self, data: GData):
@@ -163,52 +163,68 @@ class EngineMachine(SelfSimilarMachine):
         # union of an engine with a table keeps the full leaf: there the engine
         # word never meets its inverse, so its descent compiles every state
         # anyway (``thmD_transversal_comparison(2, 12)``: 9,318 states at
-        # either leaf, 0.58 s at leaf 5 against 0.72 s at leaf 1)
+        # either leaf, 0.25-0.34 s at leaf 5 against 0.40-0.42 s at leaf 1)
         self._leaf = min(self._leaf, 1)
         self.data = data
         self.model = data.model
         ident = self.model.identity()
         self._elements: dict[int, object] = {}  # code -> element of the letter
-        self._state_names: dict[object, str] = {ident: "e"}
+        # element -> its code tuple as a section: (c,) for the state of code c,
+        # and () for the identity, which is no state
+        self._words: dict[object, tuple] = {ident: ()}
         for name, g in self.model.generators.items():
-            if g not in self._state_names:
+            if g not in self._words:
                 self._add_state(name, g)
         self.generators = tuple(self._names)
         self._fresh = itertools.count(1)
         # short_word's generator ball, grown one BFS sphere at a time
         self._ball: list[dict] = [{ident: GroupWord.identity()}]
 
-    def _add_state(self, name: str, elem) -> None:
-        self._state_names[elem] = name
-        self._elements[self.encode([(name, 1)])[0]] = elem
+    def _add_state(self, name: str, elem) -> tuple:
+        word = self._words[elem] = self.encode([(name, 1)])
+        self._elements[word[0]] = elem
+        return word
 
-    def state_of(self, elem) -> str:
-        name = self._state_names.get(elem)
-        if name is None:
+    def _word_of(self, elem) -> tuple:
+        """The code tuple of an element: its state's one code, or () for the
+        identity.  An element seen for the first time becomes the next free
+        state of q1, q2, .."""
+        word = self._words.get(elem)
+        if word is None:
             name = f"q{next(self._fresh)}"
             while self._codes.get(name) in self._elements:  # skip names of states
                 name = f"q{next(self._fresh)}"
-            self._add_state(name, elem)
-        return name
+            word = self._add_state(name, elem)
+        return word
+
+    def state_of(self, elem) -> str:
+        word = self._word_of(elem)
+        return self._names[word[0] >> 1] if word else "e"
+
+    def _row(self, c: int) -> tuple:
+        """The row of ``c``; a state's row is compiled from its element g: the
+        section at letter (i, j) is f_i(t_ij g t_ij'^-1) as a code tuple
+        (``_word_of``) and the image of (i, j) is (i, j')."""
+        if self._rows[c & ~1] is None:
+            g = self._elements.get(c & ~1)
+            if g is None:
+                raise ValueError(f"undeclared state: {self._names[c >> 1]!r}")
+            row = []
+            for endo in self.data.endos:
+                offset = len(row)  # the orbit's letters follow those of the orbits before it
+                for t in endo.transversal:
+                    h, j = schreier(endo, g, t)
+                    row.append((self._word_of(endo.image(h)), offset + j))
+            self._rows[c & ~1] = tuple(row)
+        return super()._row(c)
 
     def entry(self, name: str):
-        g = self._elements.get(self._codes.get(name))
-        if g is None:
+        """A state's compiled row, decoded into section words and a root permutation."""
+        c = self._codes.get(name)
+        if c is None:
             raise ValueError(f"undeclared state: {name!r}")
-        model = self.model
-        images = []
-        sections = []
-        for endo in self.data.endos:
-            offset = len(images)  # the orbit's letters follow those of the orbits before it
-            for t in endo.transversal:
-                h, j = schreier(endo, g, t)
-                images.append(offset + j)
-                sec = endo.image(h)
-                if model.is_identity(sec):
-                    sections.append(GroupWord.identity())
-                else:
-                    sections.append(GroupWord.gen(self.state_of(sec)))
-        return tuple(sections), Perm(images)
+        row = self._row(c)
+        return tuple(self.decode(sec) for sec, _ in row), Perm(y for _, y in row)
 
     def element_of(self, word: GroupWord):
         """Exact model element of a word over this machine's states."""

@@ -12,10 +12,13 @@ so elements of non-finite-state representations remain fully manipulable.
 Internally a machine works on code tuples: the state numbered i on first sight
 is the code 2i and its inverse the code 2i+1, so inversion is ``c ^ 1``.  The
 row of a code holds, for each letter y, the code tuple of its section at y and
-the image of y.  One cursor pass along a code word from letter y yields the
-section of the word at y and, where the cursor ends, the image of y; the m
-passes together give every section and the root permutation.  ``GroupWord``
-stays the public type: the module functions encode and decode at the boundary.
+the image of y.  It is the one compiled form of a state, made on first read:
+from the state's ``entry``, or for an engine straight from its model element
+(``gdata_engine.EngineMachine``, whose ``entry`` decodes the row).  One cursor
+pass along a code word from letter y yields the section of the word at y and,
+where the cursor ends, the image of y; the m passes together give every
+section and the root permutation.  ``GroupWord`` stays the public type: the
+module functions encode and decode at the boundary.
 
 ``closure`` is the one bounded breadth-first walk: state enumeration, orbit
 types, inflation, Mealy export and recursion listings all use it, and each
@@ -62,14 +65,16 @@ class SelfSimilarMachine:
     a tuple of ``alphabet_size`` words over this machine's state names.
     ``encode`` turns a word into a code tuple, numbering states on first sight,
     and ``decode`` turns it back.  A code's row is the one compiled form of
-    its state: ``_row`` compiles it once, from ``entry``, the first time a pass
-    reads the code or its inverse.  The triviality memo keys a code tuple by
-    ``cache_key`` of its class representative under conjugation and inversion:
-    here the representative itself, while a machine with an exact group
-    ``model`` (see ``gdata_engine``) returns the model element, which also
-    deduplicates its ``states``.  Depths up to ``_leaf`` (log_m 256, at most
-    8; an engine keeps 1) are decided by level tables derived from the rows,
-    without the memo, which holds records from depth ``_leaf + 1`` down.
+    its state: ``_row`` compiles it once, the first time a pass reads the code
+    or its inverse, here from ``entry``; an engine compiles the row straight
+    from its model element, and its ``entry`` decodes the row.  The triviality
+    memo keys a code tuple by ``cache_key`` of its class representative under
+    conjugation and inversion: here the representative itself, while a
+    machine with an exact group ``model`` (see ``gdata_engine``) returns the
+    model element, which also deduplicates its ``states``.  Depths up to
+    ``_leaf`` (log_m 256, at most 8; an engine keeps 1) are decided by level
+    tables derived from the rows, without the memo, which holds records from
+    depth ``_leaf + 1`` down.
     """
 
     model = None
@@ -112,9 +117,9 @@ class SelfSimilarMachine:
         return GroupWord(tuple((names[c >> 1], -1 if c & 1 else 1) for c in codes), reduced=True)
 
     def _row(self, c: int) -> tuple:
-        """Compile the row of ``c``.  A state's row comes from its ``entry``;
-        where the state sends x to y with section w, its inverse sends y to x
-        with section w^-1."""
+        """Compile the row of ``c``.  A state's row comes from its ``entry``
+        (an engine compiles it first, from its element); where the state sends
+        x to y with section w, its inverse sends y to x with section w^-1."""
         row = self._rows[c & ~1]
         if row is None:
             sections, perm = self.entry(self._names[c >> 1])
@@ -565,9 +570,10 @@ def find_moving_string(a: Automorphism, max_depth: int) -> Optional[String]:
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
     machine = a.machine
+    codes = machine.encode(a.word)
     for k in range(1, max_depth + 1):
-        if not trivial_to_depth(machine, a.word, k):
-            return _extract_witness(machine, machine.encode(a.word), k)
+        if not _trivial(machine, codes, k):
+            return _extract_witness(machine, codes, k)
     return None
 
 

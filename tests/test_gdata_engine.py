@@ -7,6 +7,7 @@ from selfsim import mealy
 from selfsim.gdata_engine import (
     MAX_BALL,
     SEARCH_LEN,
+    EngineMachine,
     GData,
     SequenceModel,
     VirtualEndo,
@@ -20,7 +21,17 @@ from selfsim.gdata_engine import (
     wreath_by_regular_data,
 )
 from selfsim.perm_word import GroupWord, Perm, parse_word
-from selfsim.tree_core import apply_word, equal_to_depth, inflate, orbit_type, trivial_to_depth
+from selfsim.tree_core import (
+    Automorphism,
+    SelfSimilarMachine,
+    apply_word,
+    equal_to_depth,
+    find_moving_string,
+    inflate,
+    orbit_type,
+    states,
+    trivial_to_depth,
+)
 from selfsim.wreath_models import (
     CosetSpace,
     cp_wr_z2_data,
@@ -125,6 +136,69 @@ def test_cache_key_matches_the_identity_started_product(name):
         assert machine.cache_key(codes) == want
 
 
+class EntryEngine(EngineMachine):
+    """The reference for rows compiled from elements: an engine whose rows
+    compile from ``entry``, which computes a state's recursion line from its
+    element with ``schreier``, ``GroupWord.gen`` and ``Perm`` on every call."""
+
+    def _row(self, c):
+        return SelfSimilarMachine._row(self, c)
+
+    def entry(self, name):
+        g = self._elements.get(self._codes.get(name))
+        if g is None:
+            raise ValueError(f"undeclared state: {name!r}")
+        model = self.model
+        images = []
+        sections = []
+        for endo in self.data.endos:
+            offset = len(images)
+            for t in endo.transversal:
+                h, j = schreier(endo, g, t)
+                images.append(offset + j)
+                sec = endo.image(h)
+                if model.is_identity(sec):
+                    sections.append(GroupWord.identity())
+                else:
+                    sections.append(GroupWord.gen(self.state_of(sec)))
+        return tuple(sections), Perm(images)
+
+
+def _closures_and_searches(machine, rng):
+    """A fixed run of truncated ``states`` closures and ``find_moving_string``
+    searches on random generator words, which creates engine states."""
+    letters = [(gen, sign) for gen in machine.generators for sign in (1, -1)]
+    out = []
+    for _ in range(6):
+        aut = Automorphism(machine, GroupWord(rng.choice(letters) for _ in range(rng.randint(1, 4))))
+        found = states(aut, 25, 1)
+        out.append(([str(s.word) for s in found.states], found.truncated, find_moving_string(aut, 8)))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_DATA))
+def test_compiled_rows_match_the_entry_formula(name):
+    machine = build_representation(ENGINE_DATA[name]())
+    reference = EntryEngine(ENGINE_DATA[name]())
+    seed = zlib.crc32(name.encode())
+    got = _closures_and_searches(machine, random.Random(seed))
+    assert got == _closures_and_searches(reference, random.Random(seed))
+    assert machine._names == reference._names
+    # every state, the ones its entries reach for the first time included
+    for state in [n for n in machine._names if machine._codes[n] in machine._elements]:
+        assert machine.entry(state) == reference.entry(state)
+    assert machine._names == reference._names
+    rng = {side: random.Random(seed) for side in (machine, reference)}
+    for _ in range(100):
+        got = []
+        for side in (machine, reference):
+            aut = side.automorphism_of(side.model.random_element(rng[side]))
+            sections = [str(aut.section(y).word) for y in range(side.alphabet_size)]
+            got.append((str(aut.word), aut.root_perm(), sections))
+        assert got[0] == got[1]
+    assert machine._names == reference._names
+
+
 def test_transversal_must_start_at_identity():
     model = z_data().model
     with pytest.raises(ValueError):
@@ -226,9 +300,14 @@ def test_oracle_inconsistency_is_an_error():
         transversal=(0, 1),
         coset_index=lambda n: 0,  # wrong on odd cosets
     )
-    machine = build_representation(GData(model, [broken]))
+    data = GData(model, [broken])
     with pytest.raises(ValueError):
-        machine.entry("a")
+        build_representation(data).entry("a")
+    # passes read the compiled rows, and compiling a row checks every value
+    with pytest.raises(ValueError):
+        find_moving_string(build_representation(data).automorphism("a"), 3)
+    with pytest.raises(ValueError):
+        states(build_representation(data).automorphism("a"), 10, 1)
 
 
 # -- wreath product by a regular group --------------------------------------
