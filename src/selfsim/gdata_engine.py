@@ -384,7 +384,10 @@ class TupleKModel(GroupModel):
         self.perms = tuple(perms)
         self.s = self.perms[0].degree
         self.name = f"{inner.name} wr K{self.s}"
-        self._index = {p: i for i, p in enumerate(self.perms)}
+        index = {p: i for i, p in enumerate(self.perms)}
+        # the top index of perms[i] * perms[j], and of perms[i]^-1
+        self._product = tuple(tuple(index[p * q] for q in self.perms) for p in self.perms)
+        self._inverse = tuple(index[p.inverse()] for p in self.perms)
         ident = inner.identity()
         for gname, g in inner.generators.items():
             tup = tuple(g if r == 0 else ident for r in range(self.s))
@@ -398,15 +401,15 @@ class TupleKModel(GroupModel):
 
     def multiply(self, a, b):
         (ga, ka), (gb, kb) = a, b
-        p = self.perms[ka]
-        base = tuple(self.inner.multiply(ga[r], gb[p(r)]) for r in range(self.s))
-        return (base, self._index[p * self.perms[kb]])
+        multiply = self.inner.multiply
+        base = tuple(multiply(x, gb[r]) for x, r in zip(ga, self.perms[ka].images))
+        return (base, self._product[ka][kb])
 
     def invert(self, a):
         g, k = a
-        q = self.perms[k].inverse()
-        base = tuple(self.inner.invert(g[q(r)]) for r in range(self.s))
-        return (base, self._index[q])
+        q = self._inverse[k]
+        invert = self.inner.invert
+        return (tuple(invert(g[r]) for r in self.perms[q].images), q)
 
     def random_element(self, rng):
         base = tuple(self.inner.random_element(rng) for _ in range(self.s))

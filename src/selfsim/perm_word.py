@@ -182,7 +182,7 @@ class GroupWord:
     def __str__(self) -> str:
         if not self.letters:
             return "e"
-        return " ".join(n if s > 0 else f"{n}^-1" for n, s in self.letters)
+        return " ".join(f"{n}" if s > 0 else f"{n}^-1" for n, s in self.letters)
 
     def __repr__(self) -> str:
         return f"GroupWord({str(self)!r})"

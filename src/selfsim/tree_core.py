@@ -39,9 +39,10 @@ with a group model keep leaf 1 (see ``gdata_engine.EngineMachine``).
 
 from __future__ import annotations
 
+import operator
 from functools import cache
 from itertools import chain, product
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .perm_word import GroupWord, Perm, parse_word
 
@@ -223,10 +224,37 @@ class Portrait(NamedTuple):
     labels: dict[String, Perm]
 
 
-class StateSet(NamedTuple):
-    """Result of a depth-bounded state enumeration."""
+class _Decoded(Sequence):
+    """Read-only states over a closure's code tuples: each read decodes a
+    fresh ``Automorphism``, so a caller that reads only the length decodes
+    nothing."""
 
-    states: list[Automorphism]
+    __slots__ = ("machine", "codes")
+
+    def __init__(self, machine: SelfSimilarMachine, codes: list[Codes]):
+        self.machine = machine
+        self.codes = codes
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, i: int) -> Automorphism:
+        return Automorphism(self.machine, self.machine.decode(self.codes[operator.index(i)]))
+
+    def __iter__(self) -> Iterator[Automorphism]:
+        machine = self.machine
+        for codes in self.codes:
+            yield Automorphism(machine, machine.decode(codes))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+class StateSet(NamedTuple):
+    """Result of a depth-bounded state enumeration.  Each item read from
+    ``states`` decodes a fresh ``Automorphism`` (see ``states``)."""
+
+    states: Sequence[Automorphism]
     truncated: bool
 
     def __len__(self) -> int:
@@ -485,7 +513,9 @@ def states(a: Automorphism, max_states: int, sep_depth: int) -> StateSet:
     On a machine with a model a section is kept by its element, ``cache_key``,
     computed once per distinct code tuple within the call.  Stops with
     ``truncated=True`` at the first state past ``max_states``; a truncated
-    result is expected for non-finite-state automorphisms.
+    result is expected for non-finite-state automorphisms.  The result keeps
+    the found code tuples: each read of an item of ``states`` decodes a fresh
+    ``Automorphism``, and ``len`` and ``truncated`` decode nothing.
     """
     if max_states < 1:
         raise ValueError("max_states must be at least 1")
@@ -511,7 +541,7 @@ def states(a: Automorphism, max_states: int, sep_depth: int) -> StateSet:
         return [_pass(machine, codes, y)[0] for y in range(machine.alphabet_size)]
 
     found, more = closure([machine.encode(a.word)], sections, max_states, key)
-    return StateSet([Automorphism(machine, machine.decode(c)) for c in found], more)
+    return StateSet(_Decoded(machine, found), more)
 
 
 def orbit_type(machine: SelfSimilarMachine) -> tuple[int, ...]:

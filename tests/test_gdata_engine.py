@@ -1,3 +1,4 @@
+import itertools
 import random
 import zlib
 
@@ -46,6 +47,7 @@ from selfsim.wreath_models import (
     zwrz_wr_c2_data,
 )
 
+from test_constructions import _z_orbits
 from test_wreath_models import ALL_DATA
 
 
@@ -337,6 +339,52 @@ def test_wreath_by_regular_validates_group():
         wreath_by_regular_data(data, [Perm.identity(3), Perm((1, 0, 2))])
     with pytest.raises(ValueError):
         wreath_by_regular_data(data, [Perm.identity(2), Perm((0, 1))])
+
+
+# S3 acting on itself by right multiplication, identity first
+_S3 = list(itertools.permutations(range(3)))
+_S3_REGULAR = [Perm(_S3.index(tuple(g[i] for i in x)) for x in _S3) for g in _S3]
+
+# the order-2 group of zwrz-wr-c2, the rotations of 3 points, and S3, whose
+# tops do not commute
+REGULAR_WREATHS = {
+    "zwrz-wr-c2": zwrz_wr_c2_data,
+    "C3": lambda: wreath_by_regular_data(
+        _z_orbits(3), [Perm.identity(3), Perm((1, 2, 0)), Perm((2, 0, 1))]
+    ),
+    "S3": lambda: wreath_by_regular_data(_z_orbits(6), _S3_REGULAR),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REGULAR_WREATHS))
+def test_tuple_k_tops_match_the_perm_product_formula(name):
+    model = REGULAR_WREATHS[name]().model
+    index = {p: i for i, p in enumerate(model.perms)}
+
+    def multiply(a, b):  # the formula the top table replaced
+        (ga, ka), (gb, kb) = a, b
+        p = model.perms[ka]
+        base = tuple(model.inner.multiply(ga[r], gb[p(r)]) for r in range(model.s))
+        return (base, index[p * model.perms[kb]])
+
+    def invert(a):
+        g, k = a
+        q = model.perms[k].inverse()
+        return (tuple(model.inner.invert(g[q(r)]) for r in range(model.s)), index[q])
+
+    rng = random.Random(f"tuple-k/{name}")
+    elements = [model.random_element(rng) for _ in range(60)]
+    elements += [(model.random_element(rng)[0], k) for k in range(len(model.perms))]
+    elements += list(model.generators.values())
+    for ka in range(len(model.perms)):  # every pair of tops
+        for kb in range(len(model.perms)):
+            a = (model.random_element(rng)[0], ka)
+            b = (model.random_element(rng)[0], kb)
+            assert model.multiply(a, b) == multiply(a, b)
+    for a in elements:
+        assert model.invert(a) == invert(a)
+        for b in rng.sample(elements, 10):
+            assert model.multiply(a, b) == multiply(a, b)
 
 
 def test_wreath_identity_element_has_trivial_action():

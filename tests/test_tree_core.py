@@ -15,6 +15,7 @@ from selfsim.tree_core import (
     _UnionMachine,
     Automorphism,
     MAX_STATES,
+    StateSet,
     TableMachine,
     apply_word,
     closure,
@@ -30,6 +31,8 @@ from selfsim.tree_core import (
     trivial_to_depth,
 )
 from selfsim.wreath_models import data_by_selector, thmD_engine_machine
+
+from test_gdata_engine import ENGINE_DATA
 
 
 @pytest.fixture
@@ -644,3 +647,53 @@ def test_states_match_the_loop_they_replace():
             truncated += got.truncated
             complete += not got.truncated
     assert truncated > 50 and complete > 50  # both outcomes are exercised
+
+
+@pytest.mark.parametrize("name", sorted(set(CROSS_CHECK_MACHINES) | set(ENGINE_DATA)))
+def test_lazy_states_decode_like_the_eager_list(name):
+    if name in CROSS_CHECK_MACHINES:
+        machine, names = _cross_check_machine(name)
+    else:
+        machine = build_representation(ENGINE_DATA[name]())
+        names = list(machine.generators)
+    rng = random.Random(f"lazy-states/{name}")
+    truncated = complete = 0
+    # the identity closes in one state on every machine
+    for word in [GroupWord.identity()] + [_random_word(rng, names, 4) for _ in range(6)]:
+        sep = rng.randint(1, 4)
+        size = len(states(Automorphism(machine, word), 40, sep))
+        # caps below, at and above the closure's size, so both sides of truncation
+        for cap in {1, max(1, size - 1), size, size + 1}:
+            r = states(Automorphism(machine, word), cap, sep)
+            found = r.states.codes
+            eager = [machine.decode(c) for c in found]  # the list ``states`` returned
+            assert len(r.states) == len(eager) == len(r)
+            assert [a.word for a in r.states] == eager
+            assert [a.word for a in r.states] == eager  # a second iteration
+            assert [r.states[i].word for i in range(-len(eager), len(eager))] == eager + eager
+            assert r.states[-1].word == eager[-1] and r.states[0].word == word
+            assert all(a.machine is machine for a in r.states)
+            assert repr(r.states) == repr(list(r.states))  # as the list printed
+            with pytest.raises(IndexError):
+                r.states[len(eager)]
+            with pytest.raises(TypeError):  # items only, no slices
+                r.states[:1]
+            flipped = StateSet(r.states, not r.truncated)  # as benchmarks/run.py's ``wrong``
+            assert [a.word for a in flipped.states] == eager
+            assert flipped.truncated is not r.truncated
+            truncated += r.truncated
+            complete += not r.truncated
+    assert truncated > 0 and complete > 0
+
+
+def test_states_decode_only_the_items_read():
+    machine = build_representation(data_by_selector("cp-wr-z2:p=3"))
+    decoded = []
+    decode = machine.decode
+    machine.decode = lambda codes: decoded.append(codes) or decode(codes)
+    aut = machine.automorphism("a b^-1 a")
+    got = states(aut, 240, 1)
+    assert got.truncated and len(got.states) == 240 and got.states[0].word == aut.word
+    assert len(decoded) == 1
+    assert len([a.word for a in got.states]) == 240
+    assert len(decoded) == 241
