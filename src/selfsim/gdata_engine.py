@@ -155,16 +155,19 @@ class EngineMachine(SelfSimilarMachine):
 
     def __init__(self, data: GData):
         super().__init__(data.degree)
-        # a level table of depth k >= 2 compiles every state within k-1 levels
-        # below its code, while an engine's states are model elements without
-        # bound whose words cancel in their sections, so its descent compiles
-        # far fewer (``witness --model lamplighter:B=2,3`` reaches 14 states
-        # at leaf 1 and 41 at leaf 2): only depth 1 is decided by tables.  A
-        # union of an engine with a table keeps the full leaf: there the engine
-        # word never meets its inverse, so its descent compiles every state
-        # anyway (``thmD_transversal_comparison(2, 12)``: 9,318 states at
-        # either leaf, 0.25-0.34 s at leaf 5 against 0.40-0.42 s at leaf 1)
-        self._leaf = min(self._leaf, 1)
+        # a level table of depth k >= 2 compiles all m section rows of each
+        # code, where the record descent stops at the first moving section and
+        # skips the rows of sections that cancel.  At degree <= 6 (a leaf of
+        # 3 or more) the tables still win, since each record below the leaf
+        # multiplies out a model element (``cache_key``): on cp-wr-z2:p=3,
+        # ``find_moving_string(a^27, 12)`` takes 0.75 s and 1,904 memo keys
+        # against 4.9 s and 50,036 at leaf 1, with the same states and rows.
+        # Past degree 6 the rows cost more than the records they save
+        # (``witness --model lamplighter:B=2,3``, degree 13: 7 rows compiled
+        # and 2.7 ms at leaf 2 against 3 rows and 1.2 ms at leaf 1), so only
+        # depth 1 is decided by tables there (leaf 2 is degree 7 to 16)
+        if self._leaf == 2:
+            self._leaf = 1
         self.data = data
         self.model = data.model
         ident = self.model.identity()

@@ -33,8 +33,8 @@ a permutation, which fits a byte table while m^k <= 256.  The machine's leaf is
 the deepest such k, at most 8 (5 for m = 3, 4 for m = 4, 8 for m = 2, 0 past 256
 letters).  Every depth up to it is decided by composing per-code level tables
 with ``bytes.translate`` (``_level``); each table is derived once from the
-code's row.  Records are made at depth ``leaf + 1`` and deeper only.  Machines
-with a group model keep leaf 1 (see ``gdata_engine.EngineMachine``).
+code's row.  Records are made at depth ``leaf + 1`` and deeper only.  An
+engine of degree 7 or more keeps leaf 1 (see ``gdata_engine.EngineMachine``).
 """
 
 from __future__ import annotations
@@ -73,9 +73,9 @@ class SelfSimilarMachine:
     conjugation and inversion: here the representative itself, while a
     machine with an exact group ``model`` (see ``gdata_engine``) returns the
     model element, which also deduplicates its ``states``.  Depths up to
-    ``_leaf`` (log_m 256, at most 8; an engine keeps 1) are decided by level
-    tables derived from the rows, without the memo, which holds records from
-    depth ``_leaf + 1`` down.
+    ``_leaf`` (log_m 256, at most 8; 1 for an engine of degree > 6) are
+    decided by level tables derived from the rows, without the memo, which
+    holds records from depth ``_leaf + 1`` down.
     """
 
     model = None
@@ -360,7 +360,7 @@ def trivial_to_depth(machine: SelfSimilarMachine, word, depth: int) -> bool:
     Synchronised recursive descent with one per-machine memo (see
     ``_record``), rather than enumeration of all m^depth strings.  Depth 0
     holds for every word, and a depth up to the machine's leaf (log_m 256,
-    at most 8, and 1 for a machine with a model) is decided from the level
+    at most 8, and 1 for an engine of degree > 6) is decided from the level
     table of the word (``_level``), without a memo record; a negative depth is
     an error.
     """

@@ -201,6 +201,64 @@ def test_compiled_rows_match_the_entry_formula(name):
     assert machine._names == reference._names
 
 
+@pytest.mark.parametrize("name", sorted(ENGINE_DATA))
+def test_level_tables_match_the_record_path(name):
+    # an engine decides depths up to its leaf from level tables; the same data
+    # with leaf 1 decides them from memo records, as an engine of degree > 6 does
+    machine = build_representation(ENGINE_DATA[name]())
+    records = build_representation(ENGINE_DATA[name]())
+    records._leaf = 1
+    leaf = machine._leaf
+    letters = [(g, s) for g in machine.generators for s in (1, -1)]
+    rng = random.Random(zlib.crc32(name.encode()))
+    moved = set()
+    for i in range(30):
+        n = rng.randint(1, 12)
+        if i % 2:  # powers of one letter fix the most levels
+            word = GroupWord([rng.choice(letters)]) ** n
+        else:
+            word = GroupWord(rng.choice(letters) for _ in range(n))
+        for d in range(1, leaf + 3):
+            assert trivial_to_depth(machine, word, d) is trivial_to_depth(records, word, d), (str(word), d)
+        witness = find_moving_string(Automorphism(machine, word), leaf + 2)
+        assert witness == find_moving_string(Automorphism(records, word), leaf + 2), str(word)
+        moved.add(len(witness) if witness else None)
+    # these words reach the same states on both paths; a word whose element is
+    # the identity would not, as tables compile every state within leaf - 1
+    # levels.  cache_key also files the elements of inverse codes: count states
+    counts = [sum(not c & 1 for c in side._elements) for side in (machine, records)]
+    assert counts[0] == counts[1]
+    assert 1 in moved and max(d for d in moved if d) > 1
+
+
+LEAVES = {
+    "z": 8,
+    "zwrz": 5,
+    "zomega": 5,
+    "cp-wr-z2:p=2": 5,
+    "cp-wr-z2:p=3": 4,
+    "zwrz-wr-c2": 4,
+    "lamplighter:B=2": 3,
+    "concat:lamplighter:B=2+zwrz": 1,  # degree 8
+    "lamplighter:B=2,3": 1,  # degree 13
+}
+
+
+@pytest.mark.parametrize("selector", sorted(LEAVES))
+def test_engine_leaf_by_degree(selector):
+    machine = build_representation(data_by_selector(selector))
+    assert machine._leaf == LEAVES[selector]
+
+
+@pytest.mark.parametrize("p, n, witness, most_keys", [(2, 16, None, 300), (3, 9, (1,) + (0,) * 9, 200)])
+def test_deep_searches_make_records_below_the_leaf_only(p, n, witness, most_keys):
+    # a^(p^k) fixes many levels before it moves; at leaf 1 these searches
+    # made 3,615 (a^16) and 1,906 (a^9) memo keys
+    machine = build_representation(data_by_selector(f"cp-wr-z2:p={p}"))
+    assert find_moving_string(Automorphism(machine, GroupWord.gen("a") ** n), 12) == witness
+    assert len(machine._triv) <= most_keys
+
+
 def test_transversal_must_start_at_identity():
     model = z_data().model
     with pytest.raises(ValueError):

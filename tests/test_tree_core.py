@@ -414,7 +414,7 @@ def test_leaf_depths_make_no_record(name):
     # machine keeps an empty memo until a check one level deeper
     machine, names = _cross_check_machine(name)
     leaf = machine._leaf
-    assert leaf == (1 if machine.model is not None else {3: 5, 4: 4}[machine.alphabet_size])
+    assert leaf == {3: 5, 4: 4}[machine.alphabet_size]
     rng = random.Random(f"leaf-depths/{name}")
     memo = {}
     first_signs, verdicts = set(), set()
