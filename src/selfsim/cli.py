@@ -158,6 +158,8 @@ def _cmd_portrait(args) -> int:
 
 
 def _cmd_states(args) -> int:
+    if args.max > MAX_STATES:  # the bound of every other walk over states
+        raise ValueError(f"--max exceeds the limit of {MAX_STATES} states")
     machine = _load_machine(args.machine)
     a = Automorphism(machine, _parse_word(machine, args.word))
     result = states(a, args.max, args.sep_depth)
@@ -168,6 +170,8 @@ def _cmd_states(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    if args.depth < 0:  # also where the file holds no relation
+        raise ValueError("depth must be nonnegative")
     machine = _load_machine(args.machine)
     failed = 0
     for raw in Path(args.relations).read_text(encoding="utf-8").splitlines():

@@ -53,9 +53,9 @@ def parse(text: str) -> TableMachine:
         if not line.startswith("state "):
             raise ValueError(f"line {lineno}: expected 'state <name>: ...'")
         stated = True
-        head, _, body = line[len("state ") :].partition(":")
+        head, colon, body = line[len("state ") :].partition(":")
         name = head.strip()
-        if not body:
+        if not colon:
             raise ValueError(f"line {lineno}: missing ':' after state name")
         rows: dict[int, tuple[int, str]] = {}
         for item in body.split(","):

@@ -42,7 +42,7 @@ from __future__ import annotations
 import operator
 from functools import cache
 from itertools import chain, product
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .perm_word import GroupWord, Perm, parse_word
 
@@ -225,9 +225,9 @@ class Portrait(NamedTuple):
 
 
 class _Decoded(Sequence):
-    """Read-only states over a closure's code tuples: each read decodes a
-    fresh ``Automorphism``, so a caller that reads only the length decodes
-    nothing."""
+    """Read-only states over a closure's code tuples: each read, iteration
+    included (``Sequence`` iterates through ``__getitem__``), decodes a fresh
+    ``Automorphism``, so a caller that reads only the length decodes nothing."""
 
     __slots__ = ("machine", "codes")
 
@@ -240,11 +240,6 @@ class _Decoded(Sequence):
 
     def __getitem__(self, i: int) -> Automorphism:
         return Automorphism(self.machine, self.machine.decode(self.codes[operator.index(i)]))
-
-    def __iter__(self) -> Iterator[Automorphism]:
-        machine = self.machine
-        for codes in self.codes:
-            yield Automorphism(machine, machine.decode(codes))
 
     def __repr__(self) -> str:
         return repr(list(self))
@@ -284,14 +279,6 @@ def _pass(machine: SelfSimilarMachine, codes: Codes, y: int) -> tuple[Codes, int
     return tuple(out), cur
 
 
-def _image(machine: SelfSimilarMachine, codes: Codes, y: int) -> int:
-    """The image of ``y`` under a code word: the cursor of ``_pass`` without the section."""
-    rows = machine._rows
-    for c in codes:
-        y = (rows[c] or machine._row(c))[y][1]
-    return y
-
-
 def _level(machine: SelfSimilarMachine, codes: Codes, k: int) -> bytes:
     """The action of a code word on the m^k strings of length k <= ``_leaf``:
     byte s is the big-endian number of the image of string s.  A code's table
@@ -329,7 +316,7 @@ def _expand(machine: SelfSimilarMachine, codes: Codes) -> Optional[tuple[Codes, 
 
 def root_perm(machine: SelfSimilarMachine, word: GroupWord) -> Perm:
     codes = machine.encode(word)
-    return Perm(_image(machine, codes, y) for y in range(machine.alphabet_size))
+    return Perm(_pass(machine, codes, y)[1] for y in range(machine.alphabet_size))
 
 
 def section_word(machine: SelfSimilarMachine, word: GroupWord, y: int) -> GroupWord:
@@ -596,25 +583,23 @@ def inflate(machine: SelfSimilarMachine, k: int) -> TableMachine:
 
 
 def find_moving_string(a: Automorphism, max_depth: int) -> Optional[String]:
-    """A shortest string moved by ``a``, or None if trivial to ``max_depth``."""
+    """The lex-least string of the shortest length moved by ``a``, or None if
+    ``a`` is trivial to ``max_depth``: deepening finds that length, then one walk
+    takes at each level the first letter that moves or whose section moves a string."""
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
     machine = a.machine
     codes = machine.encode(a.word)
-    for k in range(1, max_depth + 1):
-        if not _trivial(machine, codes, k):
-            return _extract_witness(machine, codes, k)
+    k = next((d for d in range(1, max_depth + 1) if not _trivial(machine, codes, d)), 0)
+    string: String = ()
+    while k:  # codes moves a string of length k and fixes all shorter ones; a letter moves by k = 1
+        for y in range(machine.alphabet_size):
+            sec, image = _pass(machine, codes, y)
+            if image != y:
+                return string + (y,)
+            if not _trivial(machine, sec, k - 1):
+                break
+        else:
+            raise AssertionError("the witness walk reached a trivial subtree")
+        string, codes, k = string + (y,), sec, k - 1
     return None
-
-
-def _extract_witness(machine: SelfSimilarMachine, codes: Codes, k: int) -> String:
-    """The lex-least string of length k moved by a code word that fixes every
-    shorter string: the first letter that moves or whose section moves a
-    string, followed by that section's witness."""
-    for y in range(machine.alphabet_size):
-        sec, image = _pass(machine, codes, y)
-        if image != y:
-            return (y,)
-        if not _trivial(machine, sec, k - 1):
-            return (y,) + _extract_witness(machine, sec, k - 1)
-    raise AssertionError("witness extraction reached a trivial subtree")

@@ -270,12 +270,21 @@ def test_exit_codes_for_errors(tmp_path):
     ):
         code, out, err = run_cli(argv)
         assert (code, out, err) == (2, "", "error: undeclared state: 'zz'\n")
-    # a negative depth passes no relation, and a separation depth below 1 is no
-    # probe at all, so neither may report "PASS" or "complete"
+    # a negative depth passes no relation, also from a file that holds none,
+    # and a separation depth below 1 is no probe at all, so neither may report
+    # "PASS" or "complete"; --max has the state bound of every other walk
     (tmp_path / "a.txt").write_text("a\n", encoding="utf-8")
+    (tmp_path / "empty.txt").write_text("", encoding="utf-8")
+    (tmp_path / "comments.txt").write_text("# none\n\n  # here\n", encoding="utf-8")
     for argv, message in (
         (["check", "--machine", "builtin:adding", "--relations", str(tmp_path / "a.txt"), "--depth", "-3"],
          "depth must be nonnegative"),
+        (["check", "--machine", "builtin:adding", "--relations", str(tmp_path / "empty.txt"), "--depth", "-1"],
+         "depth must be nonnegative"),
+        (["check", "--machine", "builtin:adding", "--relations", str(tmp_path / "comments.txt"), "--depth", "-1"],
+         "depth must be nonnegative"),
+        (["states", "--machine", "builtin:thmD(2)", "--word", "a", "--max", "513", "--sep-depth", "8"],
+         "--max exceeds the limit of 512 states"),
         (["states", "--machine", "builtin:diagram2(4)", "--word", "a4", "--max", "16", "--sep-depth", "0"],
          "sep_depth must be at least 1"),
         (["states", "--machine", "builtin:diagram2(4)", "--word", "a4", "--max", "16", "--sep-depth", "-2"],

@@ -82,6 +82,7 @@ def test_parse_rejects_non_invertible_rows():
     [
         ("alphabet 2\nfoo\n", "line 2: expected 'state <name>: ...'"),
         ("alphabet 2\nstate a 0->1 e\n", "line 2: missing ':' after state name"),
+        ("alphabet 2\nstate a:\n", "line 2: bad item ''"),
         ("alphabet 2\nstate a: 0->1 e, 1=>0 a\n", "line 2: bad item '1=>0 a'"),
         ("alphabet 2\nstate a: 0->2 e, 1->0 a\n", "line 2: letter out of range in '0->2 e'"),
         ("alphabet 2\nstate a: 0->1 e, 0->0 a\n", "line 2: duplicate input letter 0"),

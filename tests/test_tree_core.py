@@ -335,8 +335,8 @@ def _cross_check_machine(name):
         sides = (mealy.builtin_machine("thmD(2)"), mealy.builtin_machine("diagram1"))
         machine = _UnionMachine(sides)
         return machine, [(i, n) for i, side in enumerate(sides) for n in side.generators]
-    elif name in ("cp-wr-z2:p=2", "zomega"):
-        machine = build_representation(data_by_selector(name))
+    elif name in ENGINE_DATA:
+        machine = build_representation(ENGINE_DATA[name]())
     else:
         machine = mealy.builtin_machine(name)
     return machine, list(machine.generators)
@@ -450,20 +450,24 @@ def _brute_witness(machine, word, max_depth):
     return None
 
 
-@pytest.mark.parametrize("name", CROSS_CHECK_MACHINES)
+@pytest.mark.parametrize("name", sorted(set(CROSS_CHECK_MACHINES) | set(ENGINE_DATA)))
 def test_witness_is_the_first_moved_string_of_brute_force(name):
     # the witness loop takes the first moved letter or descends into the
-    # first section that moves a string; checks up to the leaf read tables
+    # first section that moves a string; checks up to the leaf read tables.
+    # Depth: two levels past the leaf, while m^depth stays within 20,000
+    # strings; powers up to 256 letters, so the z engine passes its leaf 8
     machine, names = _cross_check_machine(name)
+    m = machine.alphabet_size
+    depth = max(d for d in range(1, machine._leaf + 3) if m**d <= 20_000)
     rng = random.Random(f"witness/{name}")
     words = [_random_word(rng, names, 8) for _ in range(12)]
     for g in names:
         n = _level_order(machine, GroupWord([(g, 1)]), machine._leaf)
-        words += [GroupWord([(g, 1)]) ** k for k in {n // 2, n, 2 * n} if 0 < k <= 64]
+        words += [GroupWord([(g, 1)]) ** k for k in {n // 2, n, 2 * n} if 0 < k <= 256]
     depths = set()
     for word in words:
-        expected = _brute_witness(machine, word, 6)
-        assert find_moving_string(Automorphism(machine, word), 6) == expected, str(word)
+        expected = _brute_witness(machine, word, depth)
+        assert find_moving_string(Automorphism(machine, word), depth) == expected, str(word)
         depths.add(len(expected) if expected else None)
     assert None in depths and 1 in depths and max(d for d in depths if d) > machine._leaf
 
@@ -651,11 +655,7 @@ def test_states_match_the_loop_they_replace():
 
 @pytest.mark.parametrize("name", sorted(set(CROSS_CHECK_MACHINES) | set(ENGINE_DATA)))
 def test_lazy_states_decode_like_the_eager_list(name):
-    if name in CROSS_CHECK_MACHINES:
-        machine, names = _cross_check_machine(name)
-    else:
-        machine = build_representation(ENGINE_DATA[name]())
-        names = list(machine.generators)
+    machine, names = _cross_check_machine(name)
     rng = random.Random(f"lazy-states/{name}")
     truncated = complete = 0
     # the identity closes in one state on every machine
