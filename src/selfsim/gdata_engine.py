@@ -234,7 +234,7 @@ class EngineMachine(SelfSimilarMachine):
         return self.cache_key(self.encode(word))
 
     def cache_key(self, codes: tuple) -> object:
-        """Exact model element of a code tuple: the memo key of ``_record`` and
+        """Exact model element of a code tuple: the memo key of ``_trivial`` and
         ``states``.  The product starts from the first code's element; the
         empty tuple is the identity."""
         model = self.model

@@ -27,7 +27,7 @@ stops at the first state past its bound.
 Equality of tree automorphisms is undecidable in general; everything here is
 depth-bounded, and ``trivial_to_depth`` is the one decision procedure: equality
 across two machines is triviality on their disjoint union.  Its memo keys a
-word by ``cache_key`` of its class under conjugation and inversion (``_record``).
+word by ``cache_key`` of its class under conjugation and inversion (``_trivial``).
 Near the leaves it needs no memo: a word acts on the m^k strings of length k as
 a permutation, which fits a byte table while m^k <= 256.  The machine's leaf is
 the deepest such k, at most 8 (5 for m = 3, 4 for m = 4, 8 for m = 2, 0 past 256
@@ -90,7 +90,7 @@ class SelfSimilarMachine:
         # code -> ((section codes at y, image of y) for each letter y), or
         # None until a pass first reads the code
         self._rows: list = []
-        # cyclic core or (cache_key of its class, None) -> its record (``_record``)
+        # cyclic core or (cache_key of its class, None) -> its record (``_trivial``)
         self._triv: dict[object, list] = {}
         # the deepest level whose m^k strings fit a byte table, at most 8, and
         # for each level k up to it: code -> its level-k table (``_level``)
@@ -133,7 +133,7 @@ class SelfSimilarMachine:
         return row
 
     def cache_key(self, codes: Codes) -> object:
-        """The triviality memo key of a class representative (``_record``)."""
+        """The triviality memo key of a class representative (``_trivial``)."""
         return codes
 
     def automorphism(self, word) -> "Automorphism":
@@ -303,17 +303,6 @@ def _level(machine: SelfSimilarMachine, codes: Codes, k: int) -> bytes:
     return action
 
 
-def _expand(machine: SelfSimilarMachine, codes: Codes) -> Optional[tuple[Codes, ...]]:
-    """All sections of a code word, or None once a cursor ends away from its start."""
-    secs = []
-    for y in range(machine.alphabet_size):
-        sec, end = _pass(machine, codes, y)
-        if end != y:
-            return None
-        secs.append(sec)
-    return tuple(secs)
-
-
 def root_perm(machine: SelfSimilarMachine, word: GroupWord) -> Perm:
     codes = machine.encode(word)
     return Perm(_pass(machine, codes, y)[1] for y in range(machine.alphabet_size))
@@ -345,7 +334,7 @@ def trivial_to_depth(machine: SelfSimilarMachine, word, depth: int) -> bool:
     """True iff the word fixes every string of length <= depth.
 
     Synchronised recursive descent with one per-machine memo (see
-    ``_record``), rather than enumeration of all m^depth strings.  Depth 0
+    ``_trivial``), rather than enumeration of all m^depth strings.  Depth 0
     holds for every word, and a depth up to the machine's leaf (log_m 256,
     at most 8, and 1 for an engine of degree > 6) is decided from the level
     table of the word (``_level``), without a memo record; a negative depth is
@@ -392,50 +381,48 @@ def _class_key(codes: Codes) -> Codes:
     return min(_least_rotation(core), _least_rotation(tuple(c ^ 1 for c in reversed(core))))
 
 
-def _record(machine: SelfSimilarMachine, codes: Codes) -> list:
-    """The memo record of a nonempty code word: ``[deepest depth proven trivial,
-    shallowest depth seen nontrivial, section code tuples or None when the root
-    moves]``.
-
-    A tree automorphism preserves levels, so a word, its conjugates and its
-    inverse fix the same strings to every depth.  A word is looked up by its
-    cyclic core; a new core keys its record by ``machine.cache_key`` of its
-    class representative (for a machine with a model, the element), shared by
-    every core of the class, and expands the core, a shortest word of the class.
-    Records are made at depth ``leaf + 1`` and deeper only: ``_trivial``
-    decides the depths up to the leaf from level tables and writes nothing.
-    """
-    memo = machine._triv
-    core = _cyclic_core(codes)
-    got = memo.get(core)
-    if got is None:
-        # a pair holding None never equals a code tuple
-        key = (machine.cache_key(_class_key(core)), None)
-        got = memo.get(key)
-        if got is None:
-            secs = _expand(machine, core)
-            got = memo[key] = [0, None if secs else 1, secs]
-        memo[core] = got
-    return got
-
-
 def _trivial(machine: SelfSimilarMachine, codes: Codes, d: int) -> bool:
+    """Whether a code word fixes every string of length <= d: up to the leaf by
+    level tables (``_level``), which write nothing, and deeper by the memo record
+    ``[deepest depth proven trivial, section code tuples or None when the root
+    moves]`` of its class.  A tree automorphism preserves levels, so a word, its
+    conjugates and its inverse fix the same strings to every depth.  A word is
+    looked up by its cyclic core; a new core keys its record by
+    ``machine.cache_key`` of its class representative (for a machine with a
+    model, the element), shared by every core of the class, and expands the
+    core, a shortest word of the class, up to the first cursor pass that ends
+    away from its start.
+    """
     if d <= 0 or not codes:
         return True
     if d <= machine._leaf:
         action = _level(machine, codes, d)
         return action == _IDENTITY[: len(action)]
-    status = _record(machine, codes)
-    if status[1] is not None and d >= status[1]:
-        return False
-    if status[0] >= d:
+    memo = machine._triv
+    core = _cyclic_core(codes)
+    record = memo.get(core)
+    if record is None:
+        # a pair holding None never equals a code tuple
+        key = (machine.cache_key(_class_key(core)), None)
+        record = memo.get(key)
+        if record is None:
+            secs: Optional[list] = []
+            for y in range(machine.alphabet_size):
+                sec, end = _pass(machine, core, y)
+                if end != y:
+                    secs = None
+                    break
+                secs.append(sec)
+            record = memo[key] = [0, secs]
+        memo[core] = record
+    if record[0] >= d:
         return True
-    for sec in status[2]:
+    if record[1] is None:
+        return False
+    for sec in record[1]:
         if not _trivial(machine, sec, d - 1):
-            if status[1] is None or d < status[1]:
-                status[1] = d
             return False
-    status[0] = d
+    record[0] = d
     return True
 
 
@@ -512,16 +499,19 @@ def states(a: Automorphism, max_states: int, sep_depth: int) -> StateSet:
     if machine.model is not None:
         key = cache(machine.cache_key)  # one element per distinct code tuple
     else:
-        kept: list[Codes] = []
+        level = min(sep_depth, machine._leaf)  # words alike to sep_depth are alike at level
+        kept: dict[bytes, list[Codes]] = {}
 
         def key(codes: Codes) -> Codes:  # the first kept word acting like codes to sep_depth
-            for r in kept:
+            same = kept.setdefault(_level(machine, codes, level) if level else b"", [])
+            for r in same:
                 n = 0  # r^-1 codes, a conjugate of codes r^-1, cancels their common prefix
                 while n < min(len(codes), len(r)) and codes[n] == r[n]:
                     n += 1
-                if _trivial(machine, tuple(c ^ 1 for c in reversed(r[n:])) + codes[n:], sep_depth):
+                quotient = tuple(c ^ 1 for c in reversed(r[n:])) + codes[n:]
+                if level == sep_depth or _trivial(machine, quotient, sep_depth):
                     return r
-            kept.append(codes)
+            same.append(codes)
             return codes
 
     def sections(codes: Codes) -> list[Codes]:

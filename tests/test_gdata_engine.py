@@ -30,6 +30,7 @@ from selfsim.tree_core import (
     find_moving_string,
     inflate,
     orbit_type,
+    root_perm,
     states,
     trivial_to_depth,
 )
@@ -277,6 +278,27 @@ def test_engine_states_memoized_by_element():
     two = machine.state_of(2)
     assert machine.state_of(1 + 1) == two
     assert machine.state_of(1) == "a"
+
+
+def test_new_states_skip_the_names_of_generators():
+    # the generator q1 keeps its name, so the first new state is q2
+    data = z_data()
+    data.model.generators = {"q1": 1}
+    machine = build_representation(data)
+    assert machine.generators == ("q1",)
+    assert machine.state_of(2) == "q2"
+    assert machine.state_of(3) == "q3"
+    assert machine.state_of(1) == "q1"
+
+
+def test_words_over_undeclared_names_are_errors():
+    # a row (root_perm) and an element (cache_key) are read only for states
+    machine = build_representation(z_data())
+    for word in (GroupWord.gen("zz"), GroupWord.gen("a") * GroupWord.gen("zz").inverse()):
+        with pytest.raises(ValueError, match="^undeclared state: 'zz'$"):
+            root_perm(machine, word)
+        with pytest.raises(ValueError, match="^undeclared state: 'zz'$"):
+            machine.element_of(word)
 
 
 def test_direct_power_machine_matches_chain():

@@ -7,11 +7,13 @@ from itertools import product
 
 import pytest
 
-from selfsim import mealy
+from selfsim import mealy, tree_core
 from selfsim.gdata_engine import build_representation
 from selfsim.perm_word import GroupWord, Perm, commutator
 from selfsim.tree_core import (
     _class_key,
+    _pass,
+    _trivial,
     _UnionMachine,
     Automorphism,
     MAX_STATES,
@@ -360,7 +362,7 @@ def test_compiled_passes_match_per_letter_reference(name):
             assert section_word(machine, word, y) == _reference_section_word(machine, word, y)
         deepest = _reference_trivial_depth(machine, word, 6, memo)
         depths = list(range(1, 7))
-        rng.shuffle(depths)  # exercise both memo bounds in every order
+        rng.shuffle(depths)  # prove and refute records in every order
         for d in depths:
             assert trivial_to_depth(machine, word, d) is (d <= deepest), (str(word), d)
             verdicts.add((d > 1, d <= deepest))
@@ -393,6 +395,37 @@ def test_class_wide_verdicts_match_per_letter_reference(name):
             assert len(witness) == deepest + 1
             assert Automorphism(machine, word).apply(witness) != witness, (str(word), witness)
     assert 0 in verdicts and len(verdicts) > 1
+
+
+@pytest.mark.parametrize("name", CROSS_CHECK_MACHINES)
+def test_shared_memo_answers_like_a_fresh_machine_past_the_leaf(name):
+    # one machine answers every question in shuffled order, so records made by
+    # deeper or shallower questions, about the word or its class, are read at
+    # every depth up to four levels past the leaf; each answer is compared with
+    # that of a fresh machine
+    machine, names = _cross_check_machine(name)
+    leaf = machine._leaf
+    rng = random.Random(f"memo-order/{name}")
+    words = [_random_word(rng, names, 12) for _ in range(6)]
+    for _ in range(6):
+        u, v = _random_word(rng, names, 4), _random_word(rng, names, 4)
+        words.append(commutator(u, v))
+    for g in names[:3]:
+        n = _level_order(machine, GroupWord([(g, 1)]), leaf)
+        if n <= 64:
+            words.append(GroupWord([(g, 1)]) ** n)  # fixes every string of length leaf
+    questions = [(word, d) for word in words for d in range(1, leaf + 5)]
+    rng.shuffle(questions)
+    verdicts = set()
+    for word, d in questions:
+        fresh = _cross_check_machine(name)[0]
+        verdict = trivial_to_depth(machine, word, d)
+        assert verdict is trivial_to_depth(fresh, word, d), (str(word), d)
+        fresh = _cross_check_machine(name)[0]
+        witness = find_moving_string(Automorphism(fresh, word), d)
+        assert find_moving_string(Automorphism(machine, word), d) == witness, (str(word), d)
+        verdicts.add((d > leaf, verdict))
+    assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def _level_order(machine, word, k):
@@ -651,6 +684,72 @@ def test_states_match_the_loop_they_replace():
             truncated += got.truncated
             complete += not got.truncated
     assert truncated > 50 and complete > 50  # both outcomes are exercised
+
+
+def _scan_states(a, max_states, sep_depth):
+    """``states`` on a machine without a model, keyed by the pairwise scan it
+    replaced: each new word is checked against every kept word, in order, by
+    ``_trivial`` at ``sep_depth`` on their prefix-cancelled quotient."""
+    machine = a.machine
+    kept = []
+
+    def key(codes):
+        for r in kept:
+            n = 0
+            while n < min(len(codes), len(r)) and codes[n] == r[n]:
+                n += 1
+            if _trivial(machine, tuple(c ^ 1 for c in reversed(r[n:])) + codes[n:], sep_depth):
+                return r
+        kept.append(codes)
+        return codes
+
+    def sections(codes):
+        return [_pass(machine, codes, y)[0] for y in range(machine.alphabet_size)]
+
+    found, more = closure([machine.encode(a.word)], sections, max_states, key)
+    return [machine.decode(c) for c in found], more
+
+
+@pytest.mark.parametrize(
+    "name, caps",
+    [
+        ("adding", (1, 6, 40)),
+        ("brunner_sidki", (1, 6, 40)),
+        ("diagram1", (1, 6, 40)),
+        ("diagram3", (1, 6, 40)),
+        ("prop31(2,2)", (1, 6, 40)),
+        ("thmD(2)", (1, 6, 40, 120)),
+        ("thmD(3)", (1, 6, 40, 120)),
+        ("thmD(300)", (1, 3, 8)),  # 300 letters: leaf 0, every depth by records
+    ],
+)
+def test_states_by_level_match_the_pairwise_scan(name, caps, monkeypatch):
+    # kept words are grouped by their action at level min(sep_depth, leaf);
+    # up to the leaf that action decides alone, without a _trivial call
+    leaf = mealy.builtin_machine(name)._leaf
+    names = mealy.builtin_machine(name).generators
+    rng = random.Random(f"level-states/{name}")
+    calls = []
+    counted = lambda machine, codes, d: calls.append(d) or _trivial(machine, codes, d)
+    seps = sorted({1, leaf, leaf + 1, leaf + 3} - {0})
+    outcomes, deep_calls = set(), 0
+    for _ in range(3):
+        word = _random_word(rng, names, 4)
+        for sep, cap in product(seps, caps):
+            want = _scan_states(mealy.builtin_machine(name).automorphism(word), cap, sep)
+            calls.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(tree_core, "_trivial", counted)
+                got = states(mealy.builtin_machine(name).automorphism(word), cap, sep)
+            assert ([a.word for a in got.states], got.truncated) == want, (str(word), sep, cap)
+            if sep <= leaf:
+                assert calls == [], (str(word), sep, cap)
+            deep_calls += len(calls)
+            outcomes.add((sep <= leaf, got.truncated))
+    # truncated closures on both sides of the leaf (thmD(300) has only one),
+    # and the counter sees the record-depth comparisons past the leaf
+    assert {(sep <= leaf, True) for sep in seps} <= outcomes
+    assert deep_calls > 0
 
 
 @pytest.mark.parametrize("name", sorted(set(CROSS_CHECK_MACHINES) | set(ENGINE_DATA)))
