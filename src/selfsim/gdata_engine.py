@@ -148,9 +148,9 @@ class EngineMachine(SelfSimilarMachine):
     Every model element reachable by sections becomes a named state, stored
     once as the element of its code; exact model equality keeps word-level
     aliases of one element from spawning new states.  New states are named
-    q1, q2, .. in the order that compiled rows first reach them.  ``_row``
-    compiles a state's row straight from its element, so its model arithmetic
-    runs once per machine, and ``entry`` decodes that row.
+    q1, q2, .. in the order that compiled rows first reach them.  ``_compile``
+    compiles a state's row straight from its element on first read, so its
+    model arithmetic runs once per machine, and ``entry`` decodes that row.
     """
 
     def __init__(self, data: GData):
@@ -204,30 +204,20 @@ class EngineMachine(SelfSimilarMachine):
         word = self._word_of(elem)
         return self._names[word[0] >> 1] if word else "e"
 
-    def _row(self, c: int) -> tuple:
-        """The row of ``c``; a state's row is compiled from its element g: the
-        section at letter (i, j) is f_i(t_ij g t_ij'^-1) as a code tuple
-        (``_word_of``) and the image of (i, j) is (i, j')."""
-        if self._rows[c & ~1] is None:
-            g = self._elements.get(c & ~1)
-            if g is None:
-                raise ValueError(f"undeclared state: {self._names[c >> 1]!r}")
-            row = []
-            for endo in self.data.endos:
-                offset = len(row)  # the orbit's letters follow those of the orbits before it
-                for t in endo.transversal:
-                    h, j = schreier(endo, g, t)
-                    row.append((self._word_of(endo.image(h)), offset + j))
-            self._rows[c & ~1] = tuple(row)
-        return super()._row(c)
-
-    def entry(self, name: str):
-        """A state's compiled row, decoded into section words and a root permutation."""
-        c = self._codes.get(name)
-        if c is None:
-            raise ValueError(f"undeclared state: {name!r}")
-        row = self._row(c)
-        return tuple(self.decode(sec) for sec, _ in row), Perm(y for _, y in row)
+    def _compile(self, c: int) -> tuple:
+        """The row of a state, from its element g: the section at letter (i, j)
+        is f_i(t_ij g t_ij'^-1) as a code tuple (``_word_of``) and the image of
+        (i, j) is (i, j')."""
+        g = self._elements.get(c)
+        if g is None:
+            return super()._compile(c)
+        row = []
+        for endo in self.data.endos:
+            offset = len(row)  # the orbit's letters follow those of the orbits before it
+            for t in endo.transversal:
+                h, j = schreier(endo, g, t)
+                row.append((self._word_of(endo.image(h)), offset + j))
+        return tuple(row)
 
     def element_of(self, word: GroupWord):
         """Exact model element of a word over this machine's states."""

@@ -9,14 +9,14 @@ section calculus
 
 so elements of non-finite-state representations remain fully manipulable.
 
-Internally a machine works on code tuples: the state numbered i on first sight
-is the code 2i and its inverse the code 2i+1, so inversion is ``c ^ 1``.  The
-row of a code holds, for each letter y, the code tuple of its section at y and
-the image of y.  It is the one compiled form of a state, made on first read:
-from the state's ``entry``, or for an engine straight from its model element
-(``gdata_engine.EngineMachine``, whose ``entry`` decodes the row).  One cursor
-pass along a code word from letter y yields the section of the word at y and,
-where the cursor ends, the image of y; the m passes together give every
+Internally a machine works on code tuples: the state numbered i is the code 2i
+and its inverse the code 2i+1, so inversion is ``c ^ 1``.  The row of a code
+holds, for each letter y, the code tuple of its section at y and the image of y.
+It is the one compiled form of a state, and ``entry`` is the row decoded: each
+machine compiles rows through ``_compile``, a table at construction, a union
+from its sides' rows, an engine from its model element (``gdata_engine``).  One
+cursor pass along a code word from letter y yields the section of the word at y
+and, where the cursor ends, the image of y; the m passes together give every
 section and the root permutation.  ``GroupWord`` stays the public type: the
 module functions encode and decode at the boundary.
 
@@ -62,13 +62,13 @@ _IDENTITY = bytes(range(256))
 class SelfSimilarMachine:
     """Base for wreath-recursion machines.
 
-    Subclasses give ``entry(name) -> (sections, perm)`` where ``sections`` is
-    a tuple of ``alphabet_size`` words over this machine's state names.
-    ``encode`` turns a word into a code tuple, numbering states on first sight,
-    and ``decode`` turns it back.  A code's row is the one compiled form of
-    its state: ``_row`` compiles it once, the first time a pass reads the code
-    or its inverse, here from ``entry``; an engine compiles the row straight
-    from its model element, and its ``entry`` decodes the row.  The triviality
+    A subclass gives each state its row, the one compiled form of the state:
+    ``_compile(c)`` returns the row of even code c (a table writes its rows at
+    construction instead), and ``_row`` keeps it from the first read and
+    derives the inverse row.  ``encode`` turns a word into a code tuple,
+    numbering states on first sight, and ``decode`` turns it back; ``entry``
+    decodes a state's row into ``(sections, perm)``, ``sections`` a tuple of
+    ``alphabet_size`` words over this machine's state names.  The triviality
     memo keys a code tuple by ``cache_key`` of its class representative under
     conjugation and inversion: here the representative itself, while a
     machine with an exact group ``model`` (see ``gdata_engine``) returns the
@@ -97,9 +97,6 @@ class SelfSimilarMachine:
         self._leaf = max(k for k in range(9) if alphabet_size**k <= 256)
         self._levels: list[dict[int, bytes]] = [{} for _ in range(self._leaf + 1)]
 
-    def entry(self, name) -> tuple[tuple[GroupWord, ...], Perm]:
-        raise NotImplementedError
-
     def encode(self, word: Iterable) -> Codes:
         """The code tuple of a word's ``(name, sign)`` letters."""
         codes = self._codes
@@ -117,14 +114,25 @@ class SelfSimilarMachine:
         names = self._names
         return GroupWord(tuple((names[c >> 1], -1 if c & 1 else 1) for c in codes), reduced=True)
 
+    def entry(self, name) -> tuple[tuple[GroupWord, ...], Perm]:
+        """A state's row, decoded into section words and a root permutation."""
+        c = self._codes.get(name)
+        if c is None:
+            raise ValueError(f"undeclared state: {name!r}")
+        row = self._row(c)
+        return tuple(self.decode(sec) for sec, _ in row), Perm(y for _, y in row)
+
+    def _compile(self, c: int) -> tuple:
+        """The row of the state of even code ``c``; here no state has one."""
+        raise ValueError(f"undeclared state: {self._names[c >> 1]!r}")
+
     def _row(self, c: int) -> tuple:
-        """Compile the row of ``c``.  A state's row comes from its ``entry``
-        (an engine compiles it first, from its element); where the state sends
-        x to y with section w, its inverse sends y to x with section w^-1."""
+        """The row of ``c``.  A state's row is written when its machine is
+        built or by ``_compile`` on first read; where the state sends x to y
+        with section w, its inverse sends y to x with section w^-1."""
         row = self._rows[c & ~1]
         if row is None:
-            sections, perm = self.entry(self._names[c >> 1])
-            row = self._rows[c & ~1] = tuple(zip(map(self.encode, sections), perm.images))
+            row = self._rows[c & ~1] = self._compile(c & ~1)
         if c & 1:
             inverse = [None] * len(row)
             for x, (sec, y) in enumerate(row):
@@ -143,27 +151,22 @@ class SelfSimilarMachine:
 
 
 class TableMachine(SelfSimilarMachine):
-    """A machine given by an explicit finite recursion table."""
+    """A machine given by an explicit finite recursion table, encoded when built."""
 
     def __init__(self, alphabet_size: int, table: dict[str, tuple[Sequence[GroupWord], Perm]]):
         super().__init__(alphabet_size)
-        self._table = {name: (tuple(secs), perm) for name, (secs, perm) in table.items()}
-        self.generators = tuple(self._table)
-        for name, (sections, perm) in self._table.items():
-            if len(sections) != alphabet_size:
+        self.generators = tuple(table)
+        self.encode((name, 1) for name in table)  # the declared states take codes 0, 2, ..
+        for name, (sections, perm) in table.items():
+            secs = tuple(map(self.encode, sections))
+            if len(secs) != alphabet_size:
                 raise ValueError(f"state {name}: expected {alphabet_size} sections")
             if perm.degree != alphabet_size:
                 raise ValueError(f"state {name}: root permutation degree mismatch")
-            for w in sections:
-                for sym, _ in w:
-                    if sym not in self._table:
-                        raise ValueError(f"state {name}: undeclared state {sym!r} in section")
-
-    def entry(self, name: str) -> tuple[tuple[GroupWord, ...], Perm]:
-        got = self._table.get(name)
-        if got is None:
-            raise ValueError(f"undeclared state: {name!r}")
-        return got
+            undeclared = self._names[len(table) :]  # in the order the sections name them
+            if undeclared:
+                raise ValueError(f"state {name}: undeclared state {undeclared[0]!r} in section")
+            self._rows[self._codes[name]] = tuple(zip(secs, perm.images))
 
 
 class _UnionMachine(SelfSimilarMachine):
@@ -174,10 +177,12 @@ class _UnionMachine(SelfSimilarMachine):
         super().__init__(sides[0].alphabet_size)
         self.sides = tuple(sides)
 
-    def entry(self, name):
-        i, q = name
-        sections, perm = self.sides[i].entry(q)
-        return tuple(_lift(i, w) for w in sections), perm
+    def _compile(self, c: int) -> tuple:
+        """The row of state ``(i, q)``: the row of ``q`` on side i, lifted."""
+        i, q = self._names[c >> 1]
+        side = self.sides[i]
+        row = side._row(side.encode(((q, 1),))[0])
+        return tuple((self.encode(_lift(i, side.decode(sec))), y) for sec, y in row)
 
 
 def _lift(i: int, word: GroupWord) -> GroupWord:
@@ -500,13 +505,16 @@ def states(a: Automorphism, max_states: int, sep_depth: int) -> StateSet:
         key = cache(machine.cache_key)  # one element per distinct code tuple
     else:
         level = min(sep_depth, machine._leaf)  # words alike to sep_depth are alike at level
-        kept: dict[bytes, list[Codes]] = {}
+        kept: dict[object, list[Codes]] = {}
 
         def key(codes: Codes) -> Codes:  # the first kept word acting like codes to sep_depth
-            same = kept.setdefault(_level(machine, codes, level) if level else b"", [])
+            # at leaf 0 the bucket is the image of letter 0, alike for words alike to depth 1
+            bucket = _level(machine, codes, level) if level else _pass(machine, codes, 0)[1]
+            same = kept.setdefault(bucket, [])
             for r in same:
-                n = 0  # r^-1 codes, a conjugate of codes r^-1, cancels their common prefix
-                while n < min(len(codes), len(r)) and codes[n] == r[n]:
+                # r^-1 codes, a conjugate of codes r^-1, cancels their common prefix
+                n, common = 0, min(len(codes), len(r))
+                while n < common and codes[n] == r[n]:
                     n += 1
                 quotient = tuple(c ^ 1 for c in reversed(r[n:])) + codes[n:]
                 if level == sep_depth or _trivial(machine, quotient, sep_depth):

@@ -16,8 +16,11 @@ from selfsim.gdata_engine import (
 )
 from selfsim.perm_word import GroupWord, Perm, commutator
 from selfsim.tree_core import (
+    TableMachine,
     equal_to_depth,
+    find_moving_string,
     orbit_type,
+    portrait,
     section_word,
     states,
     trivial_to_depth,
@@ -254,6 +257,16 @@ _SWAPS = [Perm.identity(4), Perm((1, 0, 2, 3)), Perm((0, 1, 3, 2)), Perm((1, 0, 
         # the identity is no state of an engine
         (lambda: build_representation(z_data()).entry("e"), "undeclared state: 'e'"),
         (lambda: GroupWord([("a", 2)]), "symbol sign must be +1 or -1, got 2"),
+        (lambda: trivial_to_depth(mealy.adding_machine(), GroupWord.gen("a"), -1),
+         "depth must be nonnegative"),
+        (lambda: portrait(mealy.adding_machine().automorphism("a"), -1), "depth must be nonnegative"),
+        (lambda: states(mealy.adding_machine().automorphism("a"), 0, 1), "max_states must be at least 1"),
+        (lambda: find_moving_string(mealy.adding_machine().automorphism("a"), 0),
+         "max_depth must be at least 1"),
+        (lambda: orbit_type(TableMachine(2, {})), "orbit_type needs at least one generator"),
+        (lambda: mealy.adding_machine().automorphism("a") * mealy.adding_machine().automorphism("a"),
+         "cannot multiply automorphisms of different machines"),
+        (lambda: TableMachine(0, {}), "alphabet size must be at least 1"),
     ],
 )
 def test_input_check_texts(call, text):

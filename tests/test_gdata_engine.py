@@ -24,7 +24,6 @@ from selfsim.gdata_engine import (
 from selfsim.perm_word import GroupWord, Perm, parse_word
 from selfsim.tree_core import (
     Automorphism,
-    SelfSimilarMachine,
     apply_word,
     equal_to_depth,
     find_moving_string,
@@ -144,8 +143,9 @@ class EntryEngine(EngineMachine):
     compile from ``entry``, which computes a state's recursion line from its
     element with ``schreier``, ``GroupWord.gen`` and ``Perm`` on every call."""
 
-    def _row(self, c):
-        return SelfSimilarMachine._row(self, c)
+    def _compile(self, c):
+        sections, perm = self.entry(self._names[c >> 1])
+        return tuple(zip(map(self.encode, sections), perm.images))
 
     def entry(self, name):
         g = self._elements.get(self._codes.get(name))

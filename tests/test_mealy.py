@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfsim import mealy
-from selfsim.perm_word import GroupWord, Perm
+from selfsim.perm_word import GroupWord, Perm, parse_word
 from selfsim.tree_core import TableMachine, states
 
 DIAGRAM1_FILE = """\
@@ -108,6 +108,29 @@ def test_table_machine_shape_errors():
     with pytest.raises(ValueError) as err:
         TableMachine(2, {"a": ([e, e], Perm((1, 0, 2)))})
     assert str(err.value) == "state a: root permutation degree mismatch"
+
+
+_E, _SWAP = GroupWord.identity(), Perm((1, 0))
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        # a wrong section count in the first state before an undeclared one in the second
+        ({"a": ([_E], _SWAP), "b": ([parse_word("zz"), _E], _SWAP)}, "state a: expected 2 sections"),
+        ({"a": ([parse_word("zz")], _SWAP)}, "state a: expected 2 sections"),
+        ({"a": ([parse_word("zz"), _E], Perm((1, 0, 2)))}, "state a: root permutation degree mismatch"),
+        # a forward reference is declared; the first undeclared name in section order is named
+        ({"a": ([parse_word("b yy^-1"), parse_word("zz")], _SWAP), "b": ((_E, _E), _SWAP)},
+         "state a: undeclared state 'yy' in section"),
+        ({"a": ([parse_word("b"), _E], _SWAP), "b": ((parse_word("a zz xx"), parse_word("xx")), _SWAP)},
+         "state b: undeclared state 'zz' in section"),
+    ],
+)
+def test_table_machine_error_order(table, message):
+    with pytest.raises(ValueError) as err:
+        TableMachine(2, table)
+    assert str(err.value) == message
 
 
 # an alphabet line, mostly well formed, then lines of the format's tokens in

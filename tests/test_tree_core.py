@@ -12,6 +12,7 @@ from selfsim.gdata_engine import build_representation
 from selfsim.perm_word import GroupWord, Perm, commutator
 from selfsim.tree_core import (
     _class_key,
+    _lift,
     _pass,
     _trivial,
     _UnionMachine,
@@ -532,6 +533,69 @@ def test_engine_memo_keys_never_equal_code_tuples():
     assert not trivial_to_depth(machine, a1**6, 3)
 
 
+# Rows compiled at construction (tables) and lifted from the sides' rows
+# (unions), each against the formula that compiled them from ``entry``.
+
+ROW_SOURCES = [
+    "adding", "diagram1", "diagram2(3)", "diagram3", "brunner_sidki", "thmD(2)", "thmD(300)",
+    "prop31(2,2)", "inflate", "mealy-file",
+]
+
+
+def test_row_sources_cover_every_builtin_table():
+    builtins = {name.partition("(")[0] for name in ROW_SOURCES[:-2]}
+    assert builtins == set(mealy._BUILTINS) - {"thmD-engine"}
+
+
+@pytest.mark.parametrize("name", ROW_SOURCES)
+def test_table_rows_are_the_given_table(name, monkeypatch):
+    given = []
+    init = TableMachine.__init__
+
+    def spy(self, alphabet_size, table):
+        given.append({q: (tuple(secs), perm) for q, (secs, perm) in table.items()})
+        init(self, alphabet_size, table)
+
+    monkeypatch.setattr(TableMachine, "__init__", spy)
+    if name == "inflate":
+        machine = inflate(mealy.builtin_machine("brunner_sidki"), 2)
+    elif name == "mealy-file":
+        machine = mealy.parse(_MEALY_TEXT)
+    else:
+        machine = mealy.builtin_machine(name)
+    table = given[-1]  # the last table built is the machine's own
+    assert machine.generators == tuple(table)
+    assert [machine._codes[q] for q in table] == list(range(0, 2 * len(table), 2))
+    for q, (secs, perm) in table.items():
+        assert machine.entry(q) == (secs, perm), q
+        c = machine._codes[q]
+        assert machine._row(c) == tuple(zip(map(machine.encode, secs), perm.images)), q
+        back = perm.inverse()
+        inverse = tuple((machine.encode(secs[back(y)].inverse()), back(y)) for y in range(len(secs)))
+        assert machine._row(c | 1) == inverse, q
+    assert len(machine._names) == len(table)  # no section named a state past the declared ones
+
+
+@pytest.mark.parametrize("sides", [("thmD(2)", "diagram1"), ("thmD(3)", "cp-wr-z2:p=3")])
+def test_union_rows_lift_the_sides_rows(sides):
+    made = [build_representation(data_by_selector(s)) if ":" in s else mealy.builtin_machine(s) for s in sides]
+    union = _UnionMachine(made)
+    names = [(i, q) for i, side in enumerate(made) for q in side.generators]
+    rng = random.Random(f"union-rows/{sides}")
+    for word in [GroupWord([(n, 1)]) for n in names] + [_random_word(rng, names, 6) for _ in range(6)]:
+        states(Automorphism(union, word), 40, 3)
+        trivial_to_depth(union, word, 6)
+    # the walks read every generator, and an engine side's states past them
+    assert set(names) <= set(union._names)
+    assert (len(union._names) > len(names)) == (":" in sides[1])
+    for i, q in list(union._names):
+        c = union._codes[(i, q)]
+        sections, perm = made[i].entry(q)
+        want = tuple(zip((union.encode(_lift(i, w)) for w in sections), perm.images))
+        assert union._row(c) == want, (i, q)
+        assert union.entry((i, q)) == (tuple(_lift(i, w) for w in sections), perm)
+
+
 def _cyclic_words(codes):
     """Every rotation of the cyclic core of a code word and of its inverse, by
     stripping one end pair at a time and rotating one letter at a time."""
@@ -750,6 +814,23 @@ def test_states_by_level_match_the_pairwise_scan(name, caps, monkeypatch):
     # and the counter sees the record-depth comparisons past the leaf
     assert {(sep <= leaf, True) for sep in seps} <= outcomes
     assert deep_calls > 0
+
+
+@pytest.mark.parametrize("name", ["thmD(256)", "thmD(257)", "thmD(300)"])
+def test_leaf_zero_states_match_the_single_bucket_scan(name):
+    # past 256 letters kept words are bucketed by the image of letter 0; one
+    # machine per side, as memo records change no answer
+    machine, reference = mealy.builtin_machine(name), mealy.builtin_machine(name)
+    assert machine._leaf == 0
+    rng = random.Random(f"leaf-zero-states/{name}")
+    words = [GroupWord.gen("b")] + [_random_word(rng, machine.generators, 4) for _ in range(4)]
+    truncated = set()
+    for word, sep, cap in product(words, (1, 2, 3), (1, 4, 16, 48)):
+        want = _scan_states(reference.automorphism(word), cap, sep)
+        got = states(machine.automorphism(word), cap, sep)
+        assert ([a.word for a in got.states], got.truncated) == want, (str(word), sep, cap)
+        truncated.add(got.truncated)
+    assert truncated == {False, True}
 
 
 @pytest.mark.parametrize("name", sorted(set(CROSS_CHECK_MACHINES) | set(ENGINE_DATA)))
