@@ -148,9 +148,13 @@ class EngineMachine(SelfSimilarMachine):
     Every model element reachable by sections becomes a named state, stored
     once as the element of its code; exact model equality keeps word-level
     aliases of one element from spawning new states.  New states are named
-    q1, q2, .. in the order that compiled rows first reach them.  ``_compile``
-    compiles a state's row straight from its element on first read, so its
-    model arithmetic runs once per machine, and ``entry`` decodes that row.
+    q1, q2, .. in the order that compiled rows first reach them.  A state's
+    row is split in two: ``_perm`` reads the root permutation from the cocycle
+    values (``schreier``, which checks each one) and keeps them, and
+    ``_compile`` turns them into sections, naming their states, only when a
+    section is first read, so each state's model arithmetic runs once per
+    machine and a depth-1 answer names no state.  ``entry`` decodes the row.
+    ``cache_key`` keeps the element of each code tuple it is asked for.
     """
 
     def __init__(self, data: GData):
@@ -172,6 +176,8 @@ class EngineMachine(SelfSimilarMachine):
         self.model = data.model
         ident = self.model.identity()
         self._elements: dict[int, object] = {}  # code -> element of the letter
+        self._keys: dict[tuple, object] = {}  # code tuple -> its element (``cache_key``)
+        self._kept: dict[int, list] = {}  # even code -> its cells until ``_compile``
         # element -> its code tuple as a section: (c,) for the state of code c,
         # and () for the identity, which is no state
         self._words: dict[object, tuple] = {ident: ()}
@@ -204,20 +210,42 @@ class EngineMachine(SelfSimilarMachine):
         word = self._word_of(elem)
         return self._names[word[0] >> 1] if word else "e"
 
-    def _compile(self, c: int) -> tuple:
-        """The row of a state, from its element g: the section at letter (i, j)
-        is f_i(t_ij g t_ij'^-1) as a code tuple (``_word_of``) and the image of
-        (i, j) is (i, j')."""
+    def _cells(self, c: int) -> list:
+        """The cells of a state, from its element g: ``(f_i, h, (i, j'))`` at
+        letter (i, j), where h = t_ij g t_ij'^-1 is the cocycle value, checked
+        against H_i (``schreier``), and (i, j') the image of (i, j)."""
         g = self._elements.get(c)
         if g is None:
             return super()._compile(c)
-        row = []
+        cells = []
         for endo in self.data.endos:
-            offset = len(row)  # the orbit's letters follow those of the orbits before it
+            offset = len(cells)  # the orbit's letters follow those of the orbits before it
             for t in endo.transversal:
                 h, j = schreier(endo, g, t)
-                row.append((self._word_of(endo.image(h)), offset + j))
-        return tuple(row)
+                cells.append((endo.image, h, offset + j))
+        return cells
+
+    def _perm(self, c: int) -> tuple[int, ...]:
+        """The root permutation of a code.  A state with no row yet reads it
+        from its cells, kept for ``_compile``, and names no section state; an
+        inverse code inverts its state's permutation."""
+        if self._rows[c & ~1] is not None:
+            return super()._perm(c)
+        cells = self._kept.get(c & ~1)
+        if cells is None:
+            cells = self._kept[c & ~1] = self._cells(c & ~1)
+        if not c & 1:
+            return tuple(target for _, _, target in cells)
+        perm = [0] * len(cells)
+        for x, (_, _, target) in enumerate(cells):
+            perm[target] = x
+        return tuple(perm)
+
+    def _compile(self, c: int) -> tuple:
+        """The row of a state from its cells (kept by ``_perm`` or new): the
+        section at letter (i, j) is f_i(h) as a code tuple (``_word_of``)."""
+        cells = self._kept.pop(c, None) or self._cells(c)
+        return tuple((self._word_of(image(h)), target) for image, h, target in cells)
 
     def element_of(self, word: GroupWord):
         """Exact model element of a word over this machine's states."""
@@ -225,11 +253,13 @@ class EngineMachine(SelfSimilarMachine):
 
     def cache_key(self, codes: tuple) -> object:
         """Exact model element of a code tuple: the memo key of ``_trivial`` and
-        ``states``.  The product starts from the first code's element; the
-        empty tuple is the identity."""
+        ``states``, kept for the machine's life.  The product starts from the
+        first code's element; the empty tuple is the identity."""
+        elem = self._keys.get(codes)
+        if elem is not None:
+            return elem
         model = self.model
         elements = self._elements
-        elem = None
         for c in codes:
             g = elements.get(c)
             if g is None:  # an inverse code reads its state's element once
@@ -238,7 +268,8 @@ class EngineMachine(SelfSimilarMachine):
                     raise ValueError(f"undeclared state: {self._names[c >> 1]!r}")
                 g = elements[c] = model.invert(g)
             elem = g if elem is None else model.multiply(elem, g)
-        return model.identity() if elem is None else elem
+        elem = self._keys[codes] = model.identity() if elem is None else elem
+        return elem
 
     def short_word(self, elem) -> Optional[GroupWord]:
         """The lex-least shortest word of at most SEARCH_LEN letters in the

@@ -16,9 +16,11 @@ It is the one compiled form of a state, and ``entry`` is the row decoded: each
 machine compiles rows through ``_compile``, a table at construction, a union
 from its sides' rows, an engine from its model element (``gdata_engine``).  One
 cursor pass along a code word from letter y yields the section of the word at y
-and, where the cursor ends, the image of y; the m passes together give every
-section and the root permutation.  ``GroupWord`` stays the public type: the
-module functions encode and decode at the boundary.
+and, where the cursor ends, the image of y.  A code's root permutation alone is
+``_perm``: read from the row here, while an engine reads it without compiling
+the row, so sections are made only where they are read; ``root_perm`` composes
+the codes' permutations.  ``GroupWord`` stays the public type: the module
+functions encode and decode at the boundary.
 
 ``closure`` is the one bounded breadth-first walk: state enumeration, orbit
 types, inflation, Mealy export and recursion listings all use it, and each
@@ -32,9 +34,10 @@ Near the leaves it needs no memo: a word acts on the m^k strings of length k as
 a permutation, which fits a byte table while m^k <= 256.  The machine's leaf is
 the deepest such k, at most 8 (5 for m = 3, 4 for m = 4, 8 for m = 2, 0 past 256
 letters).  Every depth up to it is decided by composing per-code level tables
-with ``bytes.translate`` (``_level``); each table is derived once from the
-code's row.  Records are made at depth ``leaf + 1`` and deeper only.  An
-engine of degree 7 or more keeps leaf 1 (see ``gdata_engine.EngineMachine``).
+with ``bytes.translate`` (``_level``), each derived once: at level 1 from the
+code's root permutation (``_perm``), deeper from its row.  Records are made at
+depth ``leaf + 1`` and deeper only.  An engine of degree 7 or more keeps leaf 1
+(see ``gdata_engine.EngineMachine``).
 """
 
 from __future__ import annotations
@@ -65,7 +68,9 @@ class SelfSimilarMachine:
     A subclass gives each state its row, the one compiled form of the state:
     ``_compile(c)`` returns the row of even code c (a table writes its rows at
     construction instead), and ``_row`` keeps it from the first read and
-    derives the inverse row.  ``encode`` turns a word into a code tuple,
+    derives the inverse row; ``_perm(c)`` is the root permutation of code c,
+    read from the row here (an engine reads it without the row, see
+    ``gdata_engine``).  ``encode`` turns a word into a code tuple,
     numbering states on first sight, and ``decode`` turns it back; ``entry``
     decodes a state's row into ``(sections, perm)``, ``sections`` a tuple of
     ``alphabet_size`` words over this machine's state names.  The triviality
@@ -74,8 +79,9 @@ class SelfSimilarMachine:
     machine with an exact group ``model`` (see ``gdata_engine``) returns the
     model element, which also deduplicates its ``states``.  Depths up to
     ``_leaf`` (log_m 256, at most 8; 1 for an engine of degree > 6) are
-    decided by level tables derived from the rows, without the memo, which
-    holds records from depth ``_leaf + 1`` down.
+    decided by level tables derived from the root permutations at level 1 and
+    from the rows deeper, without the memo, which holds records from depth
+    ``_leaf + 1`` down.
     """
 
     model = None
@@ -125,6 +131,10 @@ class SelfSimilarMachine:
     def _compile(self, c: int) -> tuple:
         """The row of the state of even code ``c``; here no state has one."""
         raise ValueError(f"undeclared state: {self._names[c >> 1]!r}")
+
+    def _perm(self, c: int) -> tuple[int, ...]:
+        """The root permutation of ``c``, image of each letter, read from its row."""
+        return tuple(y for _, y in self._rows[c] or self._row(c))
 
     def _row(self, c: int) -> tuple:
         """The row of ``c``.  A state's row is written when its machine is
@@ -287,30 +297,42 @@ def _pass(machine: SelfSimilarMachine, codes: Codes, y: int) -> tuple[Codes, int
 def _level(machine: SelfSimilarMachine, codes: Codes, k: int) -> bytes:
     """The action of a code word on the m^k strings of length k <= ``_leaf``:
     byte s is the big-endian number of the image of string s.  A code's table
-    is derived once from its row and the level-(k-1) actions of its sections;
-    ``translate`` wants 256 bytes, so the table fixes the bytes past m^k.  The
-    word composes its codes' tables, one ``translate`` each."""
+    is derived once: at level 1 from its root permutation (``_perm``), which
+    reads no section, and deeper from its row and the level-(k-1) actions of
+    its sections; ``translate`` wants 256 bytes, so the table fixes the bytes
+    past m^k.  The word composes its codes' tables, one ``translate`` each."""
     n = machine.alphabet_size ** (k - 1)
     action = _IDENTITY[: n * machine.alphabet_size]
     tables = machine._levels[k]
     for c in codes:
         table = tables.get(c)
         if table is None:
-            table = bytearray()
-            # string x r, in the order of x's entries in the row, goes to the
-            # image of x followed by the image of r under the section at x: the
-            # identity rotated by image m^(k-1) adds that to each byte of below
-            for sec, image in machine._rows[c] or machine._row(c):
-                below = _level(machine, sec, k - 1) if sec and k > 1 else _IDENTITY[:n]
-                table += below.translate(_IDENTITY[image * n :] + _IDENTITY[: image * n])
+            if k == 1:
+                table = bytes(machine._perm(c))
+            else:
+                table = bytearray()
+                # string x r, in the order of x's entries in the row, goes to the
+                # image of x followed by the image of r under the section at x: the
+                # identity rotated by image m^(k-1) adds that to each byte of below
+                for sec, image in machine._rows[c] or machine._row(c):
+                    below = _level(machine, sec, k - 1)
+                    table += below.translate(_IDENTITY[image * n :] + _IDENTITY[: image * n])
             table = tables[c] = bytes(table) + _IDENTITY[len(table) :]
         action = action.translate(table)
     return action
 
 
 def root_perm(machine: SelfSimilarMachine, word: GroupWord) -> Perm:
+    """The composed root permutations of the word's codes (``_perm``): by their
+    level-1 tables where there is a leaf, else one by one.  No section is read."""
     codes = machine.encode(word)
-    return Perm(_pass(machine, codes, y)[1] for y in range(machine.alphabet_size))
+    if machine._leaf:
+        return Perm(_level(machine, codes, 1))
+    images: Sequence[int] = range(machine.alphabet_size)
+    for c in codes:
+        perm = machine._perm(c)
+        images = [perm[x] for x in images]
+    return Perm(images)
 
 
 def section_word(machine: SelfSimilarMachine, word: GroupWord, y: int) -> GroupWord:
@@ -490,7 +512,9 @@ def states(a: Automorphism, max_states: int, sep_depth: int) -> StateSet:
     """BFS closure of ``a`` under sections, deduplicated exactly (model) or to depth.
 
     On a machine with a model a section is kept by its element, ``cache_key``,
-    computed once per distinct code tuple within the call.  Stops with
+    which the machine computes once per distinct code tuple; on a table, by
+    the first kept word acting like it to ``sep_depth``, found once per
+    distinct code tuple within the call.  Stops with
     ``truncated=True`` at the first state past ``max_states``; a truncated
     result is expected for non-finite-state automorphisms.  The result keeps
     the found code tuples: each read of an item of ``states`` decodes a fresh
@@ -502,11 +526,12 @@ def states(a: Automorphism, max_states: int, sep_depth: int) -> StateSet:
         raise ValueError("sep_depth must be at least 1")
     machine = a.machine
     if machine.model is not None:
-        key = cache(machine.cache_key)  # one element per distinct code tuple
+        key = machine.cache_key
     else:
         level = min(sep_depth, machine._leaf)  # words alike to sep_depth are alike at level
         kept: dict[object, list[Codes]] = {}
 
+        @cache  # a repeated code tuple gets the same kept word
         def key(codes: Codes) -> Codes:  # the first kept word acting like codes to sep_depth
             # at leaf 0 the bucket is the image of letter 0, alike for words alike to depth 1
             bucket = _level(machine, codes, level) if level else _pass(machine, codes, 0)[1]
@@ -583,7 +608,8 @@ def inflate(machine: SelfSimilarMachine, k: int) -> TableMachine:
 def find_moving_string(a: Automorphism, max_depth: int) -> Optional[String]:
     """The lex-least string of the shortest length moved by ``a``, or None if
     ``a`` is trivial to ``max_depth``: deepening finds that length, then one walk
-    takes at each level the first letter that moves or whose section moves a string."""
+    takes at each level the first letter that moves or whose section moves a
+    string, and the last letter from the level-1 action where there is a leaf."""
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
     machine = a.machine
@@ -591,6 +617,9 @@ def find_moving_string(a: Automorphism, max_depth: int) -> Optional[String]:
     k = next((d for d in range(1, max_depth + 1) if not _trivial(machine, codes, d)), 0)
     string: String = ()
     while k:  # codes moves a string of length k and fixes all shorter ones; a letter moves by k = 1
+        if k == 1 and machine._leaf:
+            action = _level(machine, codes, 1)
+            return string + (next(y for y, image in enumerate(action) if image != y),)
         for y in range(machine.alphabet_size):
             sec, image = _pass(machine, codes, y)
             if image != y:

@@ -91,6 +91,25 @@ def test_portrait_depth_is_bounded(tmp_path):
         assert err == f"error: a depth-{depth} portrait exceeds the limit of 65536 vertices\n"
 
 
+@pytest.mark.parametrize(
+    "machine, word, cap, sep, digest",
+    [
+        ("thmD(300)", "b", 320, 2, "b6ca7842f9622968c22a1ce637d18b440185b36a2b3643a8c5eb4f1ab6a887a5"),
+        ("thmD(2)", "a", 512, 8, "eef64113ca62a404adfa8852c4d5ec0b79d601cbea1d08284271cf3e3fb55ee8"),
+        ("thmD(2)", "a", 512, 12, "e0c6293c637b6bc6f753d28747979442b2abe289c7110f6bae55c26869699aad"),
+        ("diagram2(4)", "a4", 64, 8, "11ac804a0472395775279739e069f2cf572e19037514a5ac730dc41f7c4730f4"),
+    ],
+    ids=["thmD(300)-b", "thmD(2)-a-sep8", "thmD(2)-a-sep12", "diagram2(4)-a4"],
+)
+def test_table_states_keep_their_listing(machine, word, cap, sep, digest):
+    # table closures key each distinct code tuple once; the sha256 of each
+    # listing was recorded when repeated successors were keyed again
+    argv = ["states", "--machine", f"builtin:{machine}", "--word", word, "--max", str(cap), "--sep-depth", str(sep)]
+    code, out, err = run_cli(argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_states_adding():
     code, out, _ = run_cli(
         ["states", "--machine", "builtin:adding", "--word", "a", "--max", "8", "--sep-depth", "6"]

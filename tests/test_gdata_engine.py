@@ -24,6 +24,7 @@ from selfsim.gdata_engine import (
 from selfsim.perm_word import GroupWord, Perm, parse_word
 from selfsim.tree_core import (
     Automorphism,
+    SelfSimilarMachine,
     apply_word,
     equal_to_depth,
     find_moving_string,
@@ -202,6 +203,18 @@ def test_compiled_rows_match_the_entry_formula(name):
     assert machine._names == reference._names
 
 
+def _seeded_words(machine, rng, count):
+    """Random generator words of 1-12 letters, every other one a power of one
+    letter, which fixes the most levels."""
+    letters = [(g, s) for g in machine.generators for s in (1, -1)]
+    for i in range(count):
+        n = rng.randint(1, 12)
+        if i % 2:
+            yield GroupWord([rng.choice(letters)]) ** n
+        else:
+            yield GroupWord(rng.choice(letters) for _ in range(n))
+
+
 @pytest.mark.parametrize("name", sorted(ENGINE_DATA))
 def test_level_tables_match_the_record_path(name):
     # an engine decides depths up to its leaf from level tables; the same data
@@ -210,26 +223,73 @@ def test_level_tables_match_the_record_path(name):
     records = build_representation(ENGINE_DATA[name]())
     records._leaf = 1
     leaf = machine._leaf
-    letters = [(g, s) for g in machine.generators for s in (1, -1)]
-    rng = random.Random(zlib.crc32(name.encode()))
     moved = set()
-    for i in range(30):
-        n = rng.randint(1, 12)
-        if i % 2:  # powers of one letter fix the most levels
-            word = GroupWord([rng.choice(letters)]) ** n
-        else:
-            word = GroupWord(rng.choice(letters) for _ in range(n))
+    for word in _seeded_words(machine, random.Random(zlib.crc32(name.encode())), 30):
         for d in range(1, leaf + 3):
             assert trivial_to_depth(machine, word, d) is trivial_to_depth(records, word, d), (str(word), d)
         witness = find_moving_string(Automorphism(machine, word), leaf + 2)
         assert witness == find_moving_string(Automorphism(records, word), leaf + 2), str(word)
         moved.add(len(witness) if witness else None)
     # these words reach the same states on both paths; a word whose element is
-    # the identity would not, as tables compile every state within leaf - 1
+    # the identity would not, as tables name every state within leaf - 1
     # levels.  cache_key also files the elements of inverse codes: count states
     counts = [sum(not c & 1 for c in side._elements) for side in (machine, records)]
     assert counts[0] == counts[1]
     assert 1 in moved and max(d for d in moved if d) > 1
+
+
+class RowPermEngine(EngineMachine):
+    """The reference for root permutations: an engine whose ``_perm`` reads
+    the compiled row, so reading a permutation compiles its state's row and
+    names its section states."""
+
+    def _perm(self, c):
+        return SelfSimilarMachine._perm(self, c)
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_DATA))
+def test_root_permutations_match_the_compiled_rows(name):
+    machine = build_representation(ENGINE_DATA[name]())
+    reference = RowPermEngine(ENGINE_DATA[name]())
+    model = machine.model
+    rng = random.Random(zlib.crc32(name.encode()))
+    for _ in range(40):
+        g = model.random_element(rng)
+        words = [side._word_of(g) for side in (machine, reference)]
+        if not words[0]:
+            continue
+        for compiled in (False, True):  # from the kept cells, then from the row
+            if compiled:
+                machine._row(words[0][0])
+            for flip in (0, 1):  # the state's code and its inverse code
+                want = reference._perm(words[1][0] | flip)
+                assert machine._perm(words[0][0] | flip) == want, (g, compiled, flip)
+    leaf = machine._leaf
+    for word in _seeded_words(machine, random.Random(zlib.crc32(name.encode())), 30):
+        for d in range(1, leaf + 3):
+            assert trivial_to_depth(machine, word, d) is trivial_to_depth(reference, word, d), (str(word), d)
+        want = find_moving_string(Automorphism(reference, word), leaf + 2)
+        assert find_moving_string(Automorphism(machine, word), leaf + 2) == want, str(word)
+
+
+@pytest.mark.parametrize("selector", ["z", "cp-wr-z2:p=2", "cp-wr-z2:p=3", "lamplighter:B=2,3"])
+def test_depth_one_answers_compile_no_row(selector):
+    # a root permutation comes from the cocycle values alone: no row is
+    # compiled and no section is named a state
+    machine = build_representation(data_by_selector(selector))
+    names = list(machine._names)
+    letters = [(g, s) for g in machine.generators for s in (1, -1)]
+    rng = random.Random(selector)
+    moved = 0
+    for _ in range(20):
+        word = GroupWord(rng.choice(letters) for _ in range(rng.randint(1, 6)))
+        witness = find_moving_string(Automorphism(machine, word), 1)
+        assert (witness is None) is trivial_to_depth(machine, word, 1)
+        assert root_perm(machine, word).is_identity() is (witness is None)
+        moved += witness is not None
+    assert moved
+    assert machine._names == names
+    assert all(row is None for row in machine._rows)
 
 
 LEAVES = {
@@ -390,6 +450,25 @@ def test_oracle_inconsistency_is_an_error():
         find_moving_string(build_representation(data).automorphism("a"), 3)
     with pytest.raises(ValueError):
         states(build_representation(data).automorphism("a"), 10, 1)
+    # a root permutation alone runs schreier on every letter: an oracle wrong
+    # only on the element 2, which the second letter of a meets (t_1 a = 2),
+    # is caught at depth 1 too, where no row is compiled
+    wrong_at_two = VirtualEndo(
+        model,
+        contains=lambda n: n % 2 == 0,
+        image=lambda n: n // 2,
+        transversal=(0, 1),
+        coset_index=lambda n: 1 if n == 2 else n % 2,
+    )
+    for endo in (broken, wrong_at_two):
+        data = GData(model, [endo])
+        a = GroupWord.gen("a")
+        with pytest.raises(ValueError, match="^coset oracle inconsistency"):
+            root_perm(build_representation(data), a)
+        with pytest.raises(ValueError, match="^coset oracle inconsistency"):
+            trivial_to_depth(build_representation(data), a, 1)
+        with pytest.raises(ValueError, match="^coset oracle inconsistency"):
+            find_moving_string(Automorphism(build_representation(data), a), 1)
 
 
 # -- wreath product by a regular group --------------------------------------
