@@ -194,6 +194,13 @@ class _UnionMachine(SelfSimilarMachine):
         row = side._row(side.encode(((q, 1),))[0])
         return tuple((self.encode(_lift(i, side.decode(sec))), y) for sec, y in row)
 
+    def _perm(self, c: int) -> tuple[int, ...]:
+        """The root permutation of ``(i, q)`` or its inverse, read from side i,
+        so neither the union nor an engine side compiles a row for it."""
+        i, q = self._names[c >> 1]
+        side = self.sides[i]
+        return side._perm(side.encode(((q, 1),))[0] | (c & 1))
+
 
 def _lift(i: int, word: GroupWord) -> GroupWord:
     return GroupWord(tuple(((i, name), sign) for name, sign in word), reduced=True)
@@ -418,7 +425,9 @@ def _trivial(machine: SelfSimilarMachine, codes: Codes, d: int) -> bool:
     ``machine.cache_key`` of its class representative (for a machine with a
     model, the element), shared by every core of the class, and expands the
     core, a shortest word of the class, up to the first cursor pass that ends
-    away from its start.
+    away from its start.  A new record is proven at every depth (``inf``) where
+    that is exact: the core fixes the root and leaves no section, or its class
+    key is the identity element of the machine's model.
     """
     if d <= 0 or not codes:
         return True
@@ -440,7 +449,10 @@ def _trivial(machine: SelfSimilarMachine, codes: Codes, d: int) -> bool:
                     secs = None
                     break
                 secs.append(sec)
-            record = memo[key] = [0, secs]
+            model = machine.model
+            exact = secs is not None and not any(secs)
+            exact = exact or model is not None and model.is_identity(key[0])
+            record = memo[key] = [float("inf") if exact else 0, secs]
         memo[core] = record
     if record[0] >= d:
         return True
@@ -516,7 +528,9 @@ def states(a: Automorphism, max_states: int, sep_depth: int) -> StateSet:
     the first kept word acting like it to ``sep_depth``, found once per
     distinct code tuple within the call.  Stops with
     ``truncated=True`` at the first state past ``max_states``; a truncated
-    result is expected for non-finite-state automorphisms.  The result keeps
+    result is expected for non-finite-state automorphisms.  A word of one
+    state expands from its row, as its m cursor passes would; a longer word
+    takes m cursor passes (``_pass``).  The result keeps
     the found code tuples: each read of an item of ``states`` decodes a fresh
     ``Automorphism``, and ``len`` and ``truncated`` decode nothing.
     """
@@ -547,8 +561,12 @@ def states(a: Automorphism, max_states: int, sep_depth: int) -> StateSet:
             same.append(codes)
             return codes
 
+    rows, letters = machine._rows, range(machine.alphabet_size)
+
     def sections(codes: Codes) -> list[Codes]:
-        return [_pass(machine, codes, y)[0] for y in range(machine.alphabet_size)]
+        if len(codes) == 1:  # one state: its sections are its row's
+            return [sec for sec, _ in rows[codes[0]] or machine._row(codes[0])]
+        return [_pass(machine, codes, y)[0] for y in letters]
 
     found, more = closure([machine.encode(a.word)], sections, max_states, key)
     return StateSet(_Decoded(machine, found), more)
@@ -609,12 +627,25 @@ def find_moving_string(a: Automorphism, max_depth: int) -> Optional[String]:
     """The lex-least string of the shortest length moved by ``a``, or None if
     ``a`` is trivial to ``max_depth``: deepening finds that length, then one walk
     takes at each level the first letter that moves or whose section moves a
-    string, and the last letter from the level-1 action where there is a leaf."""
+    string, and the last letter from the level-1 action where there is a leaf.
+    The identity returns at once, and the deepening stops past the leaf where
+    the memo record of the word's cyclic core is proven to ``max_depth``
+    (``_trivial``), so an exactly trivial word costs the same at any depth."""
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
     machine = a.machine
     codes = machine.encode(a.word)
-    k = next((d for d in range(1, max_depth + 1) if not _trivial(machine, codes, d)), 0)
+    if not codes:
+        return None
+    k = 0
+    for d in range(1, max_depth + 1):
+        if not _trivial(machine, codes, d):
+            k = d
+            break
+        # that call made or read the record of the core, which later calls
+        # prove only as deep as they ask; it may already be proven deep enough
+        if d == machine._leaf + 1 and machine._triv[_cyclic_core(codes)][0] >= max_depth:
+            break
     string: String = ()
     while k:  # codes moves a string of length k and fixes all shorter ones; a letter moves by k = 1
         if k == 1 and machine._leaf:

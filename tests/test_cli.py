@@ -152,6 +152,17 @@ def test_witness_uses_commas_beyond_ten_letters():
     assert code == 0 and out == "trivial-to-depth 7\n"
 
 
+@pytest.mark.parametrize("word", ["g1 g1^-1", "g1^-1 a1 g1^-1 a1^-1 g1 a1 g1 a1^-1"])
+def test_witness_ends_at_once_on_an_exactly_trivial_word(word):
+    # the first word cancels freely, the second is the identity element of
+    # Z wr Z (two conjugate lamps commute): both are trivial at every depth, so
+    # the search must end without deepening level by level to 10^12
+    start = time.perf_counter()
+    code, out, _ = run_cli(["witness", "--model", "zwrz", "--word", word, "--max-depth", str(10**12)])
+    assert (code, out) == (0, f"trivial-to-depth {10**12}\n")
+    assert time.perf_counter() - start < 1
+
+
 def test_build_recursions_matches_display():
     code, out, _ = run_cli(["build", "--data", "cp-wr-z2:p=2", "--emit", "recursions"])
     assert code == 0

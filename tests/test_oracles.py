@@ -6,7 +6,9 @@ short strings.  Both routes must agree everywhere.
 """
 
 import random
+import time
 import zlib
+from functools import cache
 from itertools import product
 
 import pytest
@@ -15,6 +17,7 @@ from selfsim import mealy
 from selfsim.perm_word import GroupWord
 from selfsim.tree_core import (
     Automorphism,
+    _cyclic_core,
     apply_word,
     find_moving_string,
     inflate,
@@ -131,3 +134,83 @@ def test_inflation_acts_blockwise(name):
         assert moved_blocks == tuple(
             moved_flat[i] * m + moved_flat[i + 1] for i in range(0, 6, 2)
         )
+
+
+def _random_mealy(rng, m, n):
+    """A Mealy file of n random states over m letters.  The first state and
+    any other with probability 1/3 have no section but the identity, so some
+    words leave none; each section of the others is the identity with
+    probability 1/2."""
+    names = [f"q{i}" for i in range(n)]
+    lines = [f"alphabet {m}"]
+    for q in names:
+        images = rng.sample(range(m), m)
+        p = 1 if q == "q0" or rng.random() < 1 / 3 else 0.5
+        cells = (f"{y}->{images[y]} {'e' if rng.random() < p else rng.choice(names)}" for y in range(m))
+        lines.append(f"state {q}: {', '.join(cells)}")
+    return mealy.parse("\n".join(lines) + "\n")
+
+
+class _Entries:
+    """A machine's entries, each decoded once, for the transducer."""
+
+    def __init__(self, machine):
+        self.alphabet_size = machine.alphabet_size
+        self.entry = cache(machine.entry)
+
+
+def _fixes_to(machine, word, depth):
+    """The depth-bounded path with no memo: the word fixes the root and each
+    of its sections fixes ``depth - 1`` levels."""
+    if depth == 0 or not word:
+        return True
+    a = Automorphism(machine, word)
+    return a.root_perm().is_identity() and all(
+        _fixes_to(machine, a.section(y).word, depth - 1) for y in range(machine.alphabet_size)
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_exact_records_match_the_depth_bounded_path_and_the_transducer(seed):
+    # a record is proven at every depth where its class fixes the root and
+    # leaves no section; one machine answers every question, so records are
+    # read by later words, and a word whose record is exact ends a witness
+    # search at once, at any depth
+    rng = random.Random(f"exact-records/{seed}")
+    m = (3, 5, 7)[seed % 3]  # leaf 5, 3, 2: records from one level deeper
+    machine = _random_mealy(rng, m, rng.randint(2, 4))
+    entries = _Entries(machine)
+    names = list(machine.generators)
+    depth = machine._leaf + 1
+    # a tree automorphism fixes a string's prefixes with it, so the strings of
+    # length ``depth`` decide every shorter one
+    strings = list(product(range(m), repeat=depth))
+    words = [GroupWord.gen(q) ** k for q in names for k in range(2, 2 * m + 1)]
+    words += [_random_word(rng, names, 6) for _ in range(10)]
+    words += [GroupWord.gen(q) * w * GroupWord.gen(q, -1) for q, w in zip(names, words[:: 2 * m - 1])]
+    exact = 0
+    for word in words:
+        moved = []
+        for s in strings:
+            image = transducer_apply(entries, word, s)
+            if image != s:
+                i = next(i for i in range(depth) if image[i] != s[i])
+                moved.append(s[: i + 1])
+        witness = min(moved, key=lambda s: (len(s), s)) if moved else None
+        deepest = depth if witness is None else len(witness) - 1
+        depths = list(range(1, depth + 2))
+        rng.shuffle(depths)
+        for d in depths:
+            assert trivial_to_depth(machine, word, d) is _fixes_to(machine, word, d), (str(word), d)
+            if d <= depth:
+                assert trivial_to_depth(machine, word, d) is (d <= deepest), (str(word), d)
+        assert find_moving_string(Automorphism(machine, word), depth) == witness, str(word)
+        codes = machine.encode(word)
+        record = machine._triv.get(_cyclic_core(codes)) if codes else None
+        if record is not None and record[0] == float("inf"):
+            exact += 1
+            assert witness is None and _fixes_to(machine, word, depth + 2), str(word)
+            start = time.perf_counter()
+            assert find_moving_string(Automorphism(machine, word), 10**12) is None, str(word)
+            assert time.perf_counter() - start < 1
+    assert exact > 0

@@ -330,16 +330,28 @@ CROSS_CHECK_MACHINES = [
 ]
 
 
+# the sides of each union: two tables, a table and an engine, two engines
+UNIONS = {
+    "union": ("thmD(2)", "diagram1"),
+    "engine union": ("thmD(3)", "cp-wr-z2:p=3"),
+    "engine pair": ("cp-wr-z2:p=3", "cp-wr-z2:p=3"),
+}
+
+
 def _cross_check_machine(name):
-    """A machine and the state names its random words are drawn from."""
-    if name == "mealy-file":
-        machine = mealy.parse(_MEALY_TEXT)
-    elif name == "union":
-        sides = (mealy.builtin_machine("thmD(2)"), mealy.builtin_machine("diagram1"))
+    """A machine and the state names its random words are drawn from: a
+    union, the Mealy file, an ``ENGINE_DATA`` set, an engine by selector or a
+    builtin."""
+    if name in UNIONS:
+        sides = [_cross_check_machine(side)[0] for side in UNIONS[name]]
         machine = _UnionMachine(sides)
         return machine, [(i, n) for i, side in enumerate(sides) for n in side.generators]
+    if name == "mealy-file":
+        machine = mealy.parse(_MEALY_TEXT)
     elif name in ENGINE_DATA:
         machine = build_representation(ENGINE_DATA[name]())
+    elif ":" in name:
+        machine = build_representation(data_by_selector(name))
     else:
         machine = mealy.builtin_machine(name)
     return machine, list(machine.generators)
@@ -370,10 +382,10 @@ def test_compiled_passes_match_per_letter_reference(name):
     assert {(True, True), (True, False)} <= verdicts
 
 
-# tables (thmD(300) past 256 letters), unions with a table and an engine side,
-# every engine data set, and an engine past 256 letters (leaf 0)
+# tables (thmD(300) past 256 letters), the unions, every engine data set, and
+# an engine past 256 letters (leaf 0)
 ROOT_PERM_MACHINES = [
-    "adding", "diagram3", "thmD(2)", "thmD(300)", "mealy-file", "union", "engine union",
+    "adding", "diagram3", "thmD(2)", "thmD(300)", "mealy-file", *UNIONS,
     *sorted(ENGINE_DATA), "cp-wr-z2:p=257",
 ]
 
@@ -382,26 +394,35 @@ ROOT_PERM_MACHINES = [
 def test_root_perm_matches_the_cursor_passes(name):
     # root_perm composes each code's root permutation (``_perm``); the m cursor
     # passes over the rows end at the same images.  On an engine each word also
-    # reads states the passes before it named, whose rows are not yet compiled
-    if name == "engine union":
-        sides = (mealy.builtin_machine("thmD(3)"), build_representation(data_by_selector("cp-wr-z2:p=3")))
-        machine = _UnionMachine(sides)
-        names = [(i, n) for i, side in enumerate(sides) for n in side.generators]
-    elif name == "cp-wr-z2:p=257":
-        machine = build_representation(data_by_selector(name))
-        names = list(machine.generators)
-    else:
-        machine, names = _cross_check_machine(name)
+    # reads states the passes before it named, whose rows are not yet compiled.
+    # A union reads each permutation from its side, so the first word compiles
+    # no union row, and on engine sides no side row either
+    machine, names = _cross_check_machine(name)
     assert (machine._leaf == 0) is (name in ("thmD(300)", "cp-wr-z2:p=257"))
     rng = random.Random(f"root-perm/{name}")
-    for _ in range(30):
+    for i in range(30):
         if machine.model is not None:
             names = [q for q in machine._names if machine._codes[q] in machine._elements]
         word = _random_word(rng, names, 12)
         got = root_perm(machine, word)
+        if name in UNIONS and i == 0:
+            assert not any(machine._rows), str(word)
+            assert not any(row for side in machine.sides if side.model for row in side._rows)
         codes = machine.encode(word)
         assert got == Perm(_pass(machine, codes, y)[1] for y in range(machine.alphabet_size)), str(word)
         assert root_perm(machine, word.inverse()) == got.inverse(), str(word)
+
+
+def test_depth_one_across_engines_compiles_no_row():
+    # equal_to_depth across two machines asks their union, whose root
+    # permutations are the sides': at depth 1 no row is compiled and no state
+    # is named, as on either engine alone
+    sides = [build_representation(data_by_selector("cp-wr-z2:p=3")) for _ in range(2)]
+    states_before = [list(side._names) for side in sides]
+    assert equal_to_depth(sides[0].automorphism("a s"), sides[1].automorphism("s a"), 1)
+    assert not equal_to_depth(sides[0].automorphism("a s"), sides[1].automorphism("s b s"), 1)
+    assert [side._names for side in sides] == states_before
+    assert not any(row for side in sides for row in side._rows)
 
 
 @pytest.mark.parametrize("name", CROSS_CHECK_MACHINES)
@@ -917,3 +938,84 @@ def test_states_decode_only_the_items_read():
     assert len(decoded) == 1
     assert len([a.word for a in got.states]) == 240
     assert len(decoded) == 241
+
+
+def _pass_states(a, max_states, sep_depth, monkeypatch):
+    """``states`` with every item expanded by its m cursor passes (``_pass``),
+    one-state items included: the reference for their expansion by rows."""
+    machine = a.machine
+    walk = tree_core.closure
+
+    def passes(codes):
+        return [_pass(machine, codes, y)[0] for y in range(machine.alphabet_size)]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tree_core, "closure", lambda starts, _, limit, key: walk(starts, passes, limit, key))
+        return states(a, max_states, sep_depth)
+
+
+# every builtin table and engine data set, a table+engine union, and thmD(300)
+# at leaf 0
+ROW_STATES_MACHINES = [
+    "adding", "diagram1", "diagram2(4)", "diagram3", "brunner_sidki", "prop31(2,2)", "thmD(2)",
+    "thmD(3)", "thmD(300)", "thmD-engine(2)", "engine union", *sorted(ENGINE_DATA),
+]
+
+
+def test_row_states_machines_cover_every_builtin():
+    assert set(mealy._BUILTINS) <= {name.partition("(")[0] for name in ROW_STATES_MACHINES}
+
+
+@pytest.mark.parametrize("name", ROW_STATES_MACHINES)
+def test_states_from_rows_match_the_cursor_passes(name, monkeypatch):
+    # a one-state item reads its sections from its row, which its first cursor
+    # pass compiles too: the same closure and flag, and the same states named
+    # and rows compiled, each side on machines of its own.  The starts are one
+    # state, one inverse state, the identity and words of two to four letters.
+    # thmD(300) stops at 48 states, as in the leaf-zero test above: past about
+    # 100, the closure of a^3 makes memo records of 300 sections of some 300
+    # codes each, and exhausts memory on either expansion
+    machine, names = _cross_check_machine(name)
+    leaf, model = machine._leaf, machine.model
+    top = 48 if leaf == 0 else 120
+    rng = random.Random(f"row-states/{name}")
+    starts = [GroupWord([(names[0], 1)]), GroupWord([(names[-1], -1)]), GroupWord.identity()]
+    while len(starts) < 6:
+        word = GroupWord([(rng.choice(names), rng.choice((1, -1))) for _ in range(rng.randint(2, 4))])
+        if len(word.letters) > 1:
+            starts.append(word)
+    seps = (1,) if model is not None else sorted({1, 2, leaf, leaf + 1, leaf + 3} - {0})
+    outcomes = set()
+    for word, sep in product(starts, seps):
+        for cap in (1, rng.randint(2, top - 1), top):
+            machine, reference = _cross_check_machine(name)[0], _cross_check_machine(name)[0]
+            got = states(Automorphism(machine, word), cap, sep)
+            want = _pass_states(Automorphism(reference, word), cap, sep, monkeypatch)
+            assert (got.states.codes, got.truncated) == (want.states.codes, want.truncated), (str(word), sep, cap)
+            assert machine._names == reference._names, (str(word), sep, cap)
+            assert machine._rows == reference._rows, (str(word), sep, cap)
+            outcomes.add(got.truncated)
+    assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_DATA))
+def test_identity_elements_end_a_witness_search_at_once(name):
+    # u times the inverse of a shortest word for u's element is the model's
+    # identity, often without cancelling freely (always in Z): its memo record
+    # is proven at every depth, so a search to 10^12 levels ends at once.
+    # Random strings of 40 letters, walked by cursor passes, stay fixed
+    machine, names = _cross_check_machine(name)
+    rng = random.Random(f"identity-elements/{name}")
+    words = 0
+    for _ in range(16):
+        u = _random_word(rng, names, 8) * _random_word(rng, names, 8).inverse()
+        v = machine.short_word(machine.element_of(u))
+        if v is None or not (u * v.inverse()).letters:
+            continue
+        word = u * v.inverse()
+        words += 1
+        assert find_moving_string(Automorphism(machine, word), 10**12) is None, str(word)
+        for _ in range(5):
+            string = tuple(rng.randrange(machine.alphabet_size) for _ in range(40))
+            assert apply_word(machine, word, string) == string, str(word)
+    assert (words > 0) is (name != "z")
