@@ -45,7 +45,7 @@ from __future__ import annotations
 import operator
 from functools import cache
 from itertools import chain, product
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .perm_word import GroupWord, Perm, parse_word
 
@@ -249,7 +249,9 @@ class Portrait(NamedTuple):
 class _Decoded(Sequence):
     """Read-only states over a closure's code tuples: each read, iteration
     included (``Sequence`` iterates through ``__getitem__``), decodes a fresh
-    ``Automorphism``, so a caller that reads only the length decodes nothing."""
+    ``Automorphism``, so a caller that reads only the length decodes nothing.
+    Membership, ``index`` and ``count`` take an item for a state when it is an
+    ``Automorphism`` of the same machine with the same word."""
 
     __slots__ = ("machine", "codes")
 
@@ -262,6 +264,27 @@ class _Decoded(Sequence):
 
     def __getitem__(self, i: int) -> Automorphism:
         return Automorphism(self.machine, self.machine.decode(self.codes[operator.index(i)]))
+
+    def _positions(self, item, start: int = 0, stop: Optional[int] = None) -> Iterator[int]:
+        """The positions in ``[start:stop]`` whose state is ``item``: an
+        ``Automorphism`` of this machine whose word the codes there decode to
+        (decoded, as encoding would name new states)."""
+        if isinstance(item, Automorphism) and item.machine is self.machine:
+            decode, codes = self.machine.decode, self.codes
+            for i in range(*slice(start, stop).indices(len(codes))):
+                if decode(codes[i]) == item.word:
+                    yield i
+
+    def __contains__(self, item) -> bool:
+        return next(self._positions(item), None) is not None
+
+    def index(self, item, start: int = 0, stop: Optional[int] = None) -> int:
+        for i in self._positions(item, start, stop):
+            return i
+        raise ValueError(f"{item!r} is not in the states")
+
+    def count(self, item) -> int:
+        return sum(1 for _ in self._positions(item))
 
     def __repr__(self) -> str:
         return repr(list(self))
@@ -625,39 +648,53 @@ def inflate(machine: SelfSimilarMachine, k: int) -> TableMachine:
 
 def find_moving_string(a: Automorphism, max_depth: int) -> Optional[String]:
     """The lex-least string of the shortest length moved by ``a``, or None if
-    ``a`` is trivial to ``max_depth``: deepening finds that length, then one walk
-    takes at each level the first letter that moves or whose section moves a
-    string, and the last letter from the level-1 action where there is a leaf.
-    The identity returns at once, and the deepening stops past the leaf where
-    the memo record of the word's cyclic core is proven to ``max_depth``
-    (``_trivial``), so an exactly trivial word costs the same at any depth."""
+    ``a`` is trivial to ``max_depth``: deepening finds that length k, by the
+    word's level tables (``_level``) up to the leaf.  Where k <= leaf the
+    string is read off the level-k table: the big-endian digits of its first
+    moved byte.  Past the leaf one walk takes at each level the first letter
+    that moves or whose section moves a string, down to the leaf, where it
+    reads the chosen section's table.  The identity returns at once, and the
+    deepening stops past the leaf where the memo record of the word's cyclic
+    core is proven to ``max_depth`` (``_trivial``), so an exactly trivial
+    word costs the same at any depth."""
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
     machine = a.machine
     codes = machine.encode(a.word)
     if not codes:
         return None
-    k = 0
+    m, leaf = machine.alphabet_size, machine._leaf
+    k, action = 0, b""
     for d in range(1, max_depth + 1):
-        if not _trivial(machine, codes, d):
+        if d <= leaf:
+            action = _level(machine, codes, d)
+            if action != _IDENTITY[: len(action)]:
+                k = d
+                break
+        elif not _trivial(machine, codes, d):
             k = d
             break
         # that call made or read the record of the core, which later calls
         # prove only as deep as they ask; it may already be proven deep enough
-        if d == machine._leaf + 1 and machine._triv[_cyclic_core(codes)][0] >= max_depth:
+        elif d == leaf + 1 and machine._triv[_cyclic_core(codes)][0] >= max_depth:
             break
     string: String = ()
-    while k:  # codes moves a string of length k and fixes all shorter ones; a letter moves by k = 1
-        if k == 1 and machine._leaf:
-            action = _level(machine, codes, 1)
-            return string + (next(y for y, image in enumerate(action) if image != y),)
-        for y in range(machine.alphabet_size):
+    while k > leaf:  # codes moves a string of length k and fixes all shorter ones
+        for y in range(m):
             sec, image = _pass(machine, codes, y)
             if image != y:
                 return string + (y,)
-            if not _trivial(machine, sec, k - 1):
-                break
+            if k - 1 > leaf:
+                if not _trivial(machine, sec, k - 1):
+                    break
+            elif k > 1:  # action is the section's level table, read below once it moves
+                action = _level(machine, sec, k - 1)
+                if action != _IDENTITY[: len(action)]:
+                    break
         else:
             raise AssertionError("the witness walk reached a trivial subtree")
         string, codes, k = string + (y,), sec, k - 1
-    return None
+    if not k:
+        return None
+    s = next(i for i, image in enumerate(action) if image != i)
+    return string + tuple(s // m ** (k - 1 - i) % m for i in range(k))

@@ -5,6 +5,7 @@ simulation (no sections, no memoisation) and against brute enumeration of all
 short strings.  Both routes must agree everywhere.
 """
 
+import math
 import random
 import time
 import zlib
@@ -12,6 +13,8 @@ from functools import cache
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfsim import mealy
 from selfsim.perm_word import GroupWord
@@ -170,6 +173,20 @@ def _fixes_to(machine, word, depth):
     )
 
 
+def _first_moved(entries, word, depth):
+    """The lex-least string of the shortest length that the transducer moves,
+    among those of length <= depth, or None: a tree automorphism fixes the
+    prefixes of a fixed string, so the strings of length ``depth`` decide
+    every shorter one, by the prefix that ends at their first moved letter."""
+    moved = []
+    for s in product(range(entries.alphabet_size), repeat=depth):
+        image = transducer_apply(entries, word, s)
+        if image != s:
+            i = next(i for i in range(depth) if image[i] != s[i])
+            moved.append(s[: i + 1])
+    return min(moved, key=lambda s: (len(s), s)) if moved else None
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_exact_records_match_the_depth_bounded_path_and_the_transducer(seed):
     # a record is proven at every depth where its class fixes the root and
@@ -182,21 +199,12 @@ def test_exact_records_match_the_depth_bounded_path_and_the_transducer(seed):
     entries = _Entries(machine)
     names = list(machine.generators)
     depth = machine._leaf + 1
-    # a tree automorphism fixes a string's prefixes with it, so the strings of
-    # length ``depth`` decide every shorter one
-    strings = list(product(range(m), repeat=depth))
     words = [GroupWord.gen(q) ** k for q in names for k in range(2, 2 * m + 1)]
     words += [_random_word(rng, names, 6) for _ in range(10)]
     words += [GroupWord.gen(q) * w * GroupWord.gen(q, -1) for q, w in zip(names, words[:: 2 * m - 1])]
     exact = 0
     for word in words:
-        moved = []
-        for s in strings:
-            image = transducer_apply(entries, word, s)
-            if image != s:
-                i = next(i for i in range(depth) if image[i] != s[i])
-                moved.append(s[: i + 1])
-        witness = min(moved, key=lambda s: (len(s), s)) if moved else None
+        witness = _first_moved(entries, word, depth)
         deepest = depth if witness is None else len(witness) - 1
         depths = list(range(1, depth + 2))
         rng.shuffle(depths)
@@ -214,3 +222,48 @@ def test_exact_records_match_the_depth_bounded_path_and_the_transducer(seed):
             assert find_moving_string(Automorphism(machine, word), 10**12) is None, str(word)
             assert time.perf_counter() - start < 1
     assert exact > 0
+
+
+def _order_on_level(entries, word, k):
+    """The order of the permutation that the transducer runs on the strings
+    of length k."""
+    strings = list(product(range(entries.alphabet_size), repeat=k))
+    image = {s: transducer_apply(entries, word, s) for s in strings}
+    order = 1
+    for s in strings:
+        n, t = 1, image[s]
+        while t != s:
+            n, t = n + 1, image[t]
+        order = math.lcm(order, n)
+    return order
+
+
+@st.composite
+def _mealy_words(draw):
+    """A random Mealy file of 2 to 7 letters (leaf 8 down to 2) and 1 to 4
+    states, and a word of 1 to 4 letters over its states raised to the order
+    of its action on one of the three levels up to the leaf (to the first
+    power where that passes 256 letters): such a power fixes the level and
+    often moves a string of the next length."""
+    m, n = draw(st.integers(2, 7)), draw(st.integers(1, 4))
+    machine = _random_mealy(random.Random(draw(st.integers(0, 2**32 - 1))), m, n)
+    letters = st.tuples(st.sampled_from(machine.generators), st.sampled_from((1, -1)))
+    base = GroupWord(draw(st.lists(letters, min_size=1, max_size=4)))
+    level = draw(st.integers(max(0, machine._leaf - 2), machine._leaf))
+    order = _order_on_level(_Entries(machine), base, level)
+    return machine, base ** (order if order * len(base.letters) <= 256 else 1)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(_mealy_words())
+def test_witness_search_matches_the_transducer_on_random_mealy_files(machine_word):
+    # every depth up to leaf + 1 while m^depth <= 20,000 (so always here), so
+    # the search reads a witness of the leaf's length off a level table, and
+    # one a level longer by a walk into a section's table; one machine answers
+    # every depth, so the deeper searches read the records of the shallower
+    machine, word = machine_word
+    depth = max(d for d in range(1, machine._leaf + 2) if machine.alphabet_size**d <= 20_000)
+    witness = _first_moved(_Entries(machine), word, depth)
+    for d in range(1, depth + 1):
+        want = witness if witness is not None and len(witness) <= d else None
+        assert find_moving_string(Automorphism(machine, word), d) == want, (str(word), d)

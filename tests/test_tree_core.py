@@ -9,9 +9,11 @@ import pytest
 
 from selfsim import mealy, tree_core
 from selfsim.gdata_engine import build_representation
-from selfsim.perm_word import GroupWord, Perm, commutator
+from selfsim.perm_word import GroupWord, Perm, commutator, parse_word
 from selfsim.tree_core import (
     _class_key,
+    _cyclic_core,
+    _level,
     _lift,
     _pass,
     _trivial,
@@ -561,6 +563,146 @@ def test_witness_is_the_first_moved_string_of_brute_force(name):
     assert None in depths and 1 in depths and max(d for d in depths if d) > machine._leaf
 
 
+def _reference_moving_string(a, max_depth):
+    """The witness search that composed no table it could keep: deepening by
+    ``_trivial``, then one walk taking at each level the first letter that
+    moves or whose section moves a string, and the last letter from the
+    level-1 action where there is a leaf."""
+    machine = a.machine
+    codes = machine.encode(a.word)
+    if not codes:
+        return None
+    k = 0
+    for d in range(1, max_depth + 1):
+        if not _trivial(machine, codes, d):
+            k = d
+            break
+        if d == machine._leaf + 1 and machine._triv[_cyclic_core(codes)][0] >= max_depth:
+            break
+    string = ()
+    while k:
+        if k == 1 and machine._leaf:
+            action = _level(machine, codes, 1)
+            return string + (next(y for y, image in enumerate(action) if image != y),)
+        for y in range(machine.alphabet_size):
+            sec, image = _pass(machine, codes, y)
+            if image != y:
+                return string + (y,)
+            if not _trivial(machine, sec, k - 1):
+                break
+        else:
+            raise AssertionError("the witness walk reached a trivial subtree")
+        string, codes, k = string + (y,), sec, k - 1
+    return None
+
+
+# every builtin table and the engine builtin, thmD(300) and the 512-letter
+# inflation of the odometer at leaf 0, every engine data set (degree > 6 at
+# leaf 1) and the three unions
+WITNESS_MACHINES = [
+    "adding", "diagram1", "diagram2(4)", "diagram3", "brunner_sidki", "prop31(2,2)", "thmD(2)",
+    "thmD(3)", "thmD(300)", "thmD-engine(2)", "inflate", "mealy-file", *sorted(ENGINE_DATA), *UNIONS,
+]
+# a base whose power by its level-6 order, 4, moves a string first at depth
+# leaf + 2 = 7 on the p = 2 machines, where the random bases miss it; no word
+# of ``_witness_words`` does so at depth 6 on the p = 3 machines
+_DEEP_BASE = dict.fromkeys(["thmD(2)", "thmD-engine(2)", "cp-wr-z2:p=2", "cp-wr-z2:p=2 inverse"], "a a s^-1")
+_NO_LEAF_PLUS_TWO = {"thmD(3)", "cp-wr-z2:p=3", "cp-wr-z2:p=3 inverse", "engine union", "engine pair"}
+
+
+def _witness_machine(name):
+    """A machine of ``WITNESS_MACHINES`` and the state names of its words."""
+    if name == "inflate":  # 512 letters: leaf 0
+        machine = inflate(mealy.builtin_machine("adding"), 9)
+        return machine, list(machine.generators)
+    return _cross_check_machine(name)
+
+
+def _witness_words(name):
+    """Words whose searches end at every depth to two levels past the leaf or
+    find nothing: the identity, random words and commutators, powers g^(n/2),
+    g^n and g^(2n) of the generators and of random words for the order n of
+    their action on each level up to leaf + 1 (while m^level <= 4,096 and the
+    power has at most 1,024 letters), and on a machine with a model, words
+    for its identity element that do not cancel freely.  They are found on a
+    machine of their own, so the searches start on fresh ones."""
+    machine, names = _witness_machine(name)
+    m, leaf = machine.alphabet_size, machine._leaf
+    rng = random.Random(f"witness-walk/{name}")
+    words = [GroupWord.identity()] + [_random_word(rng, names, 8) for _ in range(8)]
+    words += [commutator(_random_word(rng, names, 3), _random_word(rng, names, 3)) for _ in range(4)]
+    bases = [GroupWord([(g, 1)]) for g in names[:4]]
+    bases += [w for w in (_random_word(rng, names, 4) for _ in range(6)) if w.letters]
+    if name in _DEEP_BASE:
+        bases.append(parse_word(_DEEP_BASE[name]))
+    for base in bases:
+        for j in range(1, leaf + 2):
+            if m**j > 4096:
+                break
+            n = _level_order(machine, base, j)
+            words += [base**k for k in sorted({n // 2, n, 2 * n}) if 0 < k * len(base.letters) <= 1024]
+    if machine.model is not None:
+        for _ in range(4):
+            u = _random_word(rng, names, 6)
+            v = machine.short_word(machine.element_of(u))
+            if v is not None and (u * v.inverse()).letters:
+                words.append(u * v.inverse())
+    return words
+
+
+def test_witness_machines_cover_every_builtin():
+    assert set(mealy._BUILTINS) <= {name.partition("(")[0] for name in WITNESS_MACHINES}
+
+
+@pytest.mark.parametrize("name", WITNESS_MACHINES)
+def test_witness_search_matches_the_walk_it_replaces(name):
+    # the search reads a witness no longer than the leaf off the level table
+    # it deepened with; the walk it replaced gives the same string, and both
+    # leave the same state names, rows, level tables and memo keys, each side
+    # on a machine of its own that answers every search in turn, first to two
+    # levels past the leaf, then to a random depth
+    words = _witness_words(name)
+    machine, reference = _witness_machine(name)[0], _witness_machine(name)[0]
+    leaf = machine._leaf
+    rng = random.Random(f"witness-depths/{name}")
+    lengths = set()
+    for word in words:
+        for depth in (leaf + 2, rng.randint(1, leaf + 2)):
+            got = find_moving_string(Automorphism(machine, word), depth)
+            assert got == _reference_moving_string(Automorphism(reference, word), depth), (str(word), depth)
+            assert machine._names == reference._names, (str(word), depth)
+            assert machine._rows == reference._rows, (str(word), depth)
+            assert machine._levels == reference._levels, (str(word), depth)
+            assert list(machine._triv) == list(reference._triv), (str(word), depth)
+            lengths.add(len(got) if got else None)
+    want = set(range(1, leaf + 2 if name in _NO_LEAF_PLUS_TWO else leaf + 3))
+    assert want | {None} <= lengths
+
+
+@pytest.mark.parametrize("name", ["adding", "thmD(2)", "diagram3", "cp-wr-z2:p=3", "lamplighter:B=2,3"])
+def test_witness_within_the_leaf_composes_each_table_once(name, monkeypatch):
+    # once its tables are built, a search whose witness has length k <= leaf
+    # composes the word's tables at depths 1..k, once each, and walks no cursor
+    words = _witness_words(name)
+    machine = _witness_machine(name)[0]
+    leaf = machine._leaf
+    found = {}
+    for word in words:
+        witness = find_moving_string(Automorphism(machine, word), leaf)
+        if witness is not None:
+            found.setdefault(len(witness), word)
+    assert set(found) == set(range(1, leaf + 1))
+    calls = []
+    for target in ("_pass", "_level"):
+        real = getattr(tree_core, target)
+        monkeypatch.setattr(tree_core, target, lambda *args, real=real, target=target: calls.append(target) or real(*args))
+    for k, word in sorted(found.items()):
+        calls.clear()
+        witness = find_moving_string(Automorphism(machine, word), leaf + 2)
+        assert len(witness) == k, str(word)
+        assert calls == ["_level"] * k, (str(word), k)
+
+
 def test_alphabet_past_256_letters_decides_every_depth_by_records():
     # 512 letters fit no byte table: depth 1 makes a record like any deeper one
     machine = inflate(mealy.builtin_machine("adding"), 9)
@@ -897,6 +1039,7 @@ def test_leaf_zero_states_match_the_single_bucket_scan(name):
 @pytest.mark.parametrize("name", sorted(set(CROSS_CHECK_MACHINES) | set(ENGINE_DATA)))
 def test_lazy_states_decode_like_the_eager_list(name):
     machine, names = _cross_check_machine(name)
+    other = _cross_check_machine(name)[0]
     rng = random.Random(f"lazy-states/{name}")
     truncated = complete = 0
     # the identity closes in one state on every machine
@@ -919,6 +1062,24 @@ def test_lazy_states_decode_like_the_eager_list(name):
                 r.states[len(eager)]
             with pytest.raises(TypeError):  # items only, no slices
                 r.states[:1]
+            # an item read is a member, found where its word first is, as many
+            # times as the list holds that word; membership decodes and names
+            # no state, and an equal word of another machine is no member
+            named = list(machine._names)
+            for i in range(len(eager)):
+                item = r.states[i]
+                assert item in r.states, (str(word), i)
+                assert r.states.index(item) == eager.index(eager[i]), (str(word), i)
+                assert r.states.index(item, i) == i and r.states.index(item, i - len(eager)) == i
+                assert r.states.count(item) == eager.count(eager[i]), (str(word), i)
+            assert machine._names == named
+            stranger = Automorphism(other, eager[0])
+            assert stranger not in r.states and eager[0] not in r.states
+            assert r.states.count(stranger) == 0
+            with pytest.raises(ValueError):
+                r.states.index(stranger)
+            with pytest.raises(ValueError):  # past the last position of the word
+                r.states.index(r.states[-1], len(eager))
             flipped = StateSet(r.states, not r.truncated)  # as benchmarks/run.py's ``wrong``
             assert [a.word for a in flipped.states] == eager
             assert flipped.truncated is not r.truncated
