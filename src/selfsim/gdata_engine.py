@@ -18,7 +18,7 @@ moved strings instead.
 from __future__ import annotations
 
 import itertools
-from operator import add, neg
+from operator import add
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .perm_word import GroupWord, Perm
@@ -540,7 +540,7 @@ def enumerate_abelian(orders: Sequence[int]) -> list[tuple[int, ...]]:
 def reduce_coeff(values, mods) -> tuple[int, ...]:
     """A coefficient vector in canonical form: slot i reduced mod ``mods[i]``,
     or left as it is where ``mods[i]`` is 0 (a free integer slot)."""
-    return tuple(v % k if k else v for v, k in zip(values, mods))
+    return tuple([v % k if k else v for v, k in zip(values, mods)])
 
 
 def norm_support(entries, mods) -> tuple:
@@ -574,8 +574,9 @@ class SupportModel(GroupModel):
 
     Subclasses set ``mods`` and ``top_identity`` and give the top group law
     (``top_multiply``, ``top_invert``) and its action (``shift``), which must
-    return a sorted tuple: ``multiply`` then adds two supports by one merge,
-    and ``invert`` negates a shifted support, neither renormalising.
+    return a sorted tuple: ``multiply`` then joins two supports whose point
+    ranges are apart and adds others by one merge, and ``invert`` negates a
+    shifted support, neither renormalising.
     """
 
     def identity(self):
@@ -595,6 +596,10 @@ class SupportModel(GroupModel):
         moved = phi2 if t1 == self.top_identity else self.shift(phi2, self.top_invert(t1))
         if not phi1:
             return (moved, tops)
+        if phi1[-1][0] < moved[0][0]:
+            return (phi1 + moved, tops)
+        if moved[-1][0] < phi1[0][0]:
+            return (moved + phi1, tops)
         out, i, j = [], 0, 0
         while i < len(phi1) and j < len(moved):
             (p, c), (q, d) = phi1[i], moved[j]
@@ -614,7 +619,9 @@ class SupportModel(GroupModel):
 
     def invert(self, a):
         phi, tops = a
-        negated = [(point, reduce_coeff(map(neg, coeff), self.mods)) for point, coeff in phi]
+        negated = [(p, tuple([-v % k if k else -v for v, k in zip(c, self.mods)])) for p, c in phi]
+        if tops == self.top_identity:
+            return (tuple(negated), tops)
         return (self.shift(negated, tops), self.top_invert(tops))
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 
-from .perm_word import GroupWord, Perm, _validate_name
+from .perm_word import _NAME_RE, GroupWord, Perm, _validate_name
 from .tree_core import MAX_STATES, SelfSimilarMachine, TableMachine, closure
 from .wreath_models import MAX_NAMED_COPIES, thmD, thmD_engine_machine
 
@@ -57,6 +57,8 @@ def parse(text: str) -> TableMachine:
         name = head.strip()
         if not colon:
             raise ValueError(f"line {lineno}: missing ':' after state name")
+        if name != "e" and not _NAME_RE.match(name):
+            raise ValueError(f"line {lineno}: invalid state name {name!r}")
         rows: dict[int, tuple[int, str]] = {}
         for item in body.split(","):
             match = _ITEM_RE.match(item.strip())
@@ -76,6 +78,8 @@ def parse(text: str) -> TableMachine:
             continue
         if name in states:
             raise ValueError(f"line {lineno}: duplicate state {name}")
+        if len({out for out, _ in rows.values()}) != alphabet:
+            raise ValueError(f"line {lineno}: outputs of state {name} are not a permutation")
         states[name] = [rows[y] for y in range(alphabet)]
     if alphabet is None:
         raise ValueError("empty automaton file")

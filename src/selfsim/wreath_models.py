@@ -131,7 +131,13 @@ class WreathModel(SupportModel):
         return tuple(map(neg, top))
 
     def shift(self, support, top: TopVector) -> tuple:
-        # a translation keeps the lexicographic order of the points
+        # a translation keeps the order of the points; tuple displays move short ones
+        if self.top_dim == 2:
+            x, y = top
+            return tuple([((u + x, v + y), coeff) for (u, v), coeff in support])
+        if self.top_dim == 1:
+            (x,) = top
+            return tuple([((u + x,), coeff) for (u,), coeff in support])
         return tuple([(tuple(map(add, point, top)), coeff) for point, coeff in support])
 
     def base_generator(self, slot: int):
@@ -373,7 +379,7 @@ def cp_wr_z2_data(p: int, inverse_transversal: bool = False) -> GData:
         for n, following in zip(ys, ys[1:]):
             q = (q - columns[n]) % p
             if q:
-                entries.extend(((0, k), (q,)) for k in range(n, following))
+                entries.extend([((0, k), (q,)) for k in range(n, following)])
         if ys and (q - columns[ys[-1]]) % p:
             raise ValueError("polynomial is not in the augmentation ideal")
         return (tuple(entries), (0, top[1]))
@@ -387,10 +393,10 @@ def cp_wr_z2_data(p: int, inverse_transversal: bool = False) -> GData:
 
     f1 = VirtualEndo(
         model,
-        contains=lambda g: sum(c for _, (c,) in g[0]) % p == 0,
+        contains=lambda g: sum([c for _, (c,) in g[0]]) % p == 0,
         image=f1_image,
         transversal=transversal,
-        coset_index=lambda g: (sign * sum(c for _, (c,) in g[0])) % p,
+        coset_index=lambda g: (sign * sum([c for _, (c,) in g[0]])) % p,
     )
 
     def f2_image(g):
@@ -510,11 +516,14 @@ def _int_params(name: str, argstr: str, **defaults) -> dict[str, int]:
             raise ValueError(f"expected key=value, got {part!r}")
         if key not in defaults or key in kv:
             raise ValueError(f"unknown or repeated key {key!r} in the {name} selector")
-        kv[key] = value
+        try:
+            kv[key] = int(value)
+        except ValueError:
+            raise ValueError(f"the {name} selector needs an integer {key}, got {value!r}") from None
     for key, default in defaults.items():
         if default is None and key not in kv:
             raise ValueError(f"the {name} selector needs {key}=<int>")
-    return {key: int(kv.get(key, default)) for key, default in defaults.items()}
+    return {key: kv.get(key, default) for key, default in defaults.items()}
 
 
 def data_by_selector(selector: str) -> GData:
@@ -548,8 +557,8 @@ def data_by_selector(selector: str) -> GData:
     if name == "cp-wr-z2":
         return cp_wr_z2_data(**_int_params(name, argstr, p=None))
     if name == "lamplighter":
-        key, eq, value = argstr.partition("=")
-        if key.strip() != "B" or not eq:
+        key, _, value = argstr.partition("=")
+        if key.strip() != "B" or not value.replace(",", "").strip():
             raise ValueError("lamplighter selector needs B=<k1,..,kr>")
         orders, size = [], 1
         for v in filter(str.strip, value.split(",")):  # |B| is bounded factor by factor

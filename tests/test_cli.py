@@ -489,6 +489,20 @@ def test_over_bound_parameters_exit_2_before_building(argv, message):
     assert time.perf_counter() - start < 0.1
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["build", "--data", "lamplighter:B="], "lamplighter selector needs B=<k1,..,kr>"),
+        (["build", "--data", "lamplighter:B= , "], "lamplighter selector needs B=<k1,..,kr>"),
+        (["build", "--data", "zomega:n=x"], "the zomega selector needs an integer n, got 'x'"),
+        (["witness", "--model", "zl-wr-zd:l=1,d=", "--word", "g1", "--max-depth", "1"],
+         "the zl-wr-zd selector needs an integer d, got ''"),
+    ],
+)
+def test_selector_errors_name_the_selector(argv, message):
+    assert run_cli(argv) == (2, "", f"error: {message}\n")
+
+
 def test_bounds_admit_their_largest_values():
     for argv in (
         ["orbit-type", "--machine", "builtin:thmD-engine(1000)"],

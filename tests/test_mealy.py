@@ -86,6 +86,8 @@ def test_parse_rejects_non_invertible_rows():
         ("alphabet 2\nstate a: 0->1 e, 1=>0 a\n", "line 2: bad item '1=>0 a'"),
         ("alphabet 2\nstate a: 0->2 e, 1->0 a\n", "line 2: letter out of range in '0->2 e'"),
         ("alphabet 2\nstate a: 0->1 e, 0->0 a\n", "line 2: duplicate input letter 0"),
+        ("alphabet 2\nstate a: 0->1 a, 1->1 a\n", "line 2: outputs of state a are not a permutation"),
+        ("alphabet 2\nstate 1a: 0->1 e, 1->0 e\n", "line 2: invalid state name '1a'"),
         (
             "alphabet 2\nstate a: 0->1 e, 1->0 a\nstate a: 0->0 e, 1->1 e\n",
             "line 3: duplicate state a",

@@ -137,11 +137,14 @@ def _parent_extension_law(model):
 
 
 @pytest.mark.parametrize(
-    "name", ["lamplighter", "lamp-ext", "mixed-base", "c3-wr-z2", "z2-wr-z2", "lamp-ext-s2"]
+    "name",
+    ["lamplighter", "lamp-ext", "mixed-base", "c3-wr-z2", "z2-wr-z2", "lamp-ext-s2", "zl-wr-zd:l=1,d=3"],
 )
 def test_shared_law_matches_parent_laws(name):
     if name == "lamp-ext-s2":  # the carrier of test_two_coordinate_lamp_extension
         model = ExtensionModel(z_data().model, (2,), [z_coset_space(), z_coset_space()])
+    elif name not in ALL_DATA:
+        model = data_by_selector(name).model
     else:
         model = ALL_DATA[name]().model
     law = _parent_extension_law if isinstance(model, ExtensionModel) else _parent_wreath_law
@@ -193,7 +196,10 @@ def _support_model_operands(draw):
 def test_merge_law_matches_renormalising_law(operands):
     """``SupportModel``'s merge against the law that renormalises every
     product, also with an empty support on either side or an identity top on
-    the left."""
+    the left.  A ``WreathModel`` is checked against ``_parent_wreath_law``,
+    which translates and negates with its own arithmetic; a lamp carrier,
+    whose coset labels only the model translates, against its own ``shift``
+    with every product renormalised."""
     model, a, b = operands
     mods = model.mods
 
@@ -207,10 +213,8 @@ def test_merge_law_matches_renormalising_law(operands):
         negated = [(point, reduce_coeff(map(neg, coeff), mods)) for point, coeff in phi]
         return (norm_support(model.shift(negated, tops), mods), model.top_invert(tops))
 
-    def assert_canonical(g):
-        points = [point for point, _ in g[0]]
-        assert all(p < q for p, q in zip(points, points[1:]))
-        assert all(any(coeff) for _, coeff in g[0])
+    if isinstance(model, WreathModel):
+        multiply, invert = _parent_wreath_law(model)
 
     for x in (a, ((), a[1]), (a[0], model.top_identity)):
         for y in (b, ((), b[1])):
@@ -218,6 +222,59 @@ def test_merge_law_matches_renormalising_law(operands):
             assert_canonical(model.multiply(x, y))
         assert model.invert(x) == invert(x)
         assert_canonical(model.invert(x))
+
+
+def assert_canonical(g):
+    points = [point for point, _ in g[0]]
+    assert all(p < q for p, q in zip(points, points[1:]))
+    assert all(any(coeff) for _, coeff in g[0])
+
+
+# (Z + C_3) wr Z^2 supports of (point, (free, mod 3)) entries, for operands
+# that sit apart on either side, are adjacent, touch at one shared point whose
+# coefficients sum to zero or not, or interleave
+_FIXED = {
+    "left": (((-2, 0), (1, 0)), ((-1, 5), (0, 2))),
+    "low": (((0, 0), (1, 1)), ((0, 1), (2, 1))),
+    "high": (((0, 2), (-1, 0)), ((1, 0), (0, 1))),
+    "touch": (((0, 1), (3, 2)), ((1, 0), (1, 1))),
+    "cancel": (((0, 1), (-2, 2)), ((1, 0), (1, 1))),
+    "odd": (((0, 0), (1, 0)), ((1, 0), (0, 2))),
+    "even": (((0, 1), (0, 1)), ((1, 1), (1, 0))),
+    "right": (((4, 4), (2, 2)),),
+}
+
+
+@pytest.mark.parametrize(
+    "left, right",
+    [
+        ("low", "high"),  # adjacent
+        ("high", "low"),
+        ("low", "touch"),  # (0, 1) shared: (2, 1) + (3, 2) = (5, 0)
+        ("touch", "low"),
+        ("low", "cancel"),  # (0, 1) shared: (2, 1) + (-2, 2) = 0
+        ("cancel", "low"),
+        ("odd", "even"),  # interleaved
+        ("even", "odd"),
+        ("left", "right"),  # apart
+        ("right", "left"),
+    ],
+)
+def test_merge_law_on_fixed_supports(left, right):
+    """Operands of each kind the merge tells apart, under the identity and
+    other tops on the left, against ``_parent_wreath_law``."""
+    model = WreathModel(1, (3,), 2)
+    multiply, invert = _parent_wreath_law(model)
+    for name in (left, right):
+        assert model.norm_base(_FIXED[name]) == _FIXED[name]
+    for dx, dy in ((0, 0), (1, 0), (0, -1), (2, 3)):
+        # the left top moves the right support by its inverse: place the
+        # right support so that it lands on the fixed points
+        y = (tuple(((u + dx, v + dy), c) for (u, v), c in _FIXED[right]), (1, -1))
+        x = (_FIXED[left], (dx, dy))
+        assert model.multiply(x, y) == multiply(x, y)
+        assert_canonical(model.multiply(x, y))
+        assert model.invert(x) == invert(x)
 
 
 def _subgroup_samples(model, endo, rng, want):
