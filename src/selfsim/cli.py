@@ -150,10 +150,8 @@ def _cmd_orbit_type(args) -> int:
 def _cmd_portrait(args) -> int:
     machine = _load_machine(args.machine)
     a = Automorphism(machine, _parse_word(machine, args.word))
-    result = portrait(a, args.depth)
-    for path in sorted(result.labels, key=lambda p: (len(p), p)):
-        indent = "  " * len(path)
-        print(f"{indent}{_format_string(path, machine.alphabet_size)} {result.labels[path]}")
+    for path, perm in portrait(a, args.depth).labels.items():  # breadth first, lex within a level
+        print(f"{'  ' * len(path)}{_format_string(path, machine.alphabet_size)} {perm}")
     return 0
 
 

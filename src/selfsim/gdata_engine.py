@@ -207,8 +207,7 @@ class EngineMachine(SelfSimilarMachine):
         return word
 
     def state_of(self, elem) -> str:
-        word = self._word_of(elem)
-        return self._names[word[0] >> 1] if word else "e"
+        return str(self.decode(self._word_of(elem)))
 
     def _cells(self, c: int) -> list:
         """The cells of a state, from its element g: ``(f_i, h, (i, j'))`` at
@@ -312,9 +311,7 @@ class EngineMachine(SelfSimilarMachine):
         return True
 
     def automorphism_of(self, elem) -> Automorphism:
-        if self.model.is_identity(elem):
-            return Automorphism(self, GroupWord.identity())
-        return Automorphism(self, GroupWord.gen(self.state_of(elem)))
+        return Automorphism(self, self.decode(self._word_of(elem)))
 
 
 def build_representation(data: GData) -> EngineMachine:
@@ -638,19 +635,6 @@ class ExtensionModel(SupportModel):
         self.s = len(cosets)
         self.name = f"B{self.mods} lamps over {inner.name}^{self.s}"
         self.top_identity = (inner.identity(),) * self.s
-        ident_labels = tuple(c.identity_label for c in self.cosets)
-        for j in range(len(self.mods)):
-            unit = tuple(1 if i == j else 0 for i in range(len(self.mods)))
-            name = "b" if len(self.mods) == 1 else f"b{j + 1}"
-            self.generators[name] = (((ident_labels, unit),), self.top_identity)
-        single = len(inner.generators) == 1 and self.s == 1
-        for i in range(self.s):
-            for gname, g in inner.generators.items():
-                name = "z" if single else f"z{i + 1}{gname}"
-                tops = tuple(
-                    g if r == i else inner.identity() for r in range(self.s)
-                )
-                self.generators[name] = ((), tops)
 
     def top_multiply(self, t1, t2) -> tuple:
         return tuple(self.inner.multiply(x, y) for x, y in zip(t1, t2))
@@ -710,8 +694,18 @@ def lamp_data(model: SupportModel, data: GData, cosets: Sequence[CosetSpace]) ->
     induced coset map and applies each ``f_i`` on top; its letters count the
     lamp total slowest, then the cosets of the tops (``coset_product``).  The
     second cyclically rotates the s coordinates (the identity when s = 1).
+    Its generators ``b`` (``b1``, ``b2``, ..), unit lamps at the identity labels,
+    and ``z`` (``z<i><g>``), g of ``data.model`` in top slot i, go on the carrier.
     """
-    s = len(cosets)
+    s, inner, width = len(cosets), data.model, len(model.mods)
+    ident_labels = tuple(c.identity_label for c in cosets)
+    for j in range(width):
+        unit = tuple(int(i == j) for i in range(width))
+        name = "b" if width == 1 else f"b{j + 1}"
+        model.generators[name] = (((ident_labels, unit),), model.top_identity)
+    for i, (gname, g) in itertools.product(range(s), inner.generators.items()):
+        name = "z" if s == 1 and len(inner.generators) == 1 else f"z{i + 1}{gname}"
+        model.generators[name] = ((), tuple(g if r == i else inner.identity() for r in range(s)))
 
     def contains(a) -> bool:
         _, tops = a
@@ -730,7 +724,6 @@ def lamp_data(model: SupportModel, data: GData, cosets: Sequence[CosetSpace]) ->
         return (model.norm_base(entries), newtops)
 
     cells, letter = coset_product(enumerate_abelian(model.mods), data.endos)
-    ident_labels = tuple(c.identity_label for c in cosets)
 
     def coset_index(a) -> int:
         return letter(model.coeff_total(a), a[1])

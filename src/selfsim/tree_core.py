@@ -45,7 +45,7 @@ from __future__ import annotations
 import operator
 from functools import cache
 from itertools import chain, product
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .perm_word import GroupWord, Perm, parse_word
 
@@ -207,7 +207,8 @@ def _lift(i: int, word: GroupWord) -> GroupWord:
 
 
 class Automorphism:
-    """A tree automorphism: a reduced word over the states of one machine."""
+    """A tree automorphism: a reduced word over the states of one machine,
+    equal to the same word over the same machine (``equal_to_depth`` compares actions)."""
 
     __slots__ = ("machine", "word")
 
@@ -235,12 +236,20 @@ class Automorphism:
     def __pow__(self, n: int) -> "Automorphism":
         return Automorphism(self.machine, self.word**n)
 
+    def __eq__(self, other: object) -> bool:
+        same_machine = isinstance(other, Automorphism) and self.machine is other.machine
+        return same_machine and self.word == other.word
+
+    def __hash__(self) -> int:
+        return hash(self.word)
+
     def __repr__(self) -> str:
         return f"Automorphism({self.word!s})"
 
 
 class Portrait(NamedTuple):
-    """Root permutations of all sections down to (but excluding) a depth."""
+    """Root permutations of all sections down to (but excluding) a depth,
+    keyed by vertex breadth first, lex within a level."""
 
     depth: int
     labels: dict[String, Perm]
@@ -250,8 +259,8 @@ class _Decoded(Sequence):
     """Read-only states over a closure's code tuples: each read, iteration
     included (``Sequence`` iterates through ``__getitem__``), decodes a fresh
     ``Automorphism``, so a caller that reads only the length decodes nothing.
-    Membership, ``index`` and ``count`` take an item for a state when it is an
-    ``Automorphism`` of the same machine with the same word."""
+    Membership, ``index`` and ``count`` are ``Sequence``'s, through
+    ``Automorphism`` equality: the same word over the same machine."""
 
     __slots__ = ("machine", "codes")
 
@@ -264,27 +273,6 @@ class _Decoded(Sequence):
 
     def __getitem__(self, i: int) -> Automorphism:
         return Automorphism(self.machine, self.machine.decode(self.codes[operator.index(i)]))
-
-    def _positions(self, item, start: int = 0, stop: Optional[int] = None) -> Iterator[int]:
-        """The positions in ``[start:stop]`` whose state is ``item``: an
-        ``Automorphism`` of this machine whose word the codes there decode to
-        (decoded, as encoding would name new states)."""
-        if isinstance(item, Automorphism) and item.machine is self.machine:
-            decode, codes = self.machine.decode, self.codes
-            for i in range(*slice(start, stop).indices(len(codes))):
-                if decode(codes[i]) == item.word:
-                    yield i
-
-    def __contains__(self, item) -> bool:
-        return next(self._positions(item), None) is not None
-
-    def index(self, item, start: int = 0, stop: Optional[int] = None) -> int:
-        for i in self._positions(item, start, stop):
-            return i
-        raise ValueError(f"{item!r} is not in the states")
-
-    def count(self, item) -> int:
-        return sum(1 for _ in self._positions(item))
 
     def __repr__(self) -> str:
         return repr(list(self))

@@ -486,13 +486,7 @@ def lamplighter_data(orders: Sequence[int]) -> GData:
     points and tops are 1-tuples of integers, the labels of ``z_coset_space``,
     so ``lamp_data`` builds the same endomorphisms as for the generic carrier.
     """
-    orders = tuple(orders)
-    model = WreathModel(0, orders, 1)
-    for j in range(len(orders)):
-        name = "b" if len(orders) == 1 else f"b{j + 1}"
-        model.generators[name] = model.base_generator(j)
-    model.generators["z"] = model.top_generator(0)
-    return lamp_data(model, z_data(), [z_coset_space()])
+    return lamp_data(WreathModel(0, orders, 1), z_data(), [z_coset_space()])
 
 
 def mixed_base_data(orders: Sequence[int], l: int) -> GData:
@@ -506,6 +500,13 @@ def mixed_base_data(orders: Sequence[int], l: int) -> GData:
 # ---------------------------------------------------------------------------
 
 
+def _int(name: str, key: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"the {name} selector needs an integer {key}, got {value!r}") from None
+
+
 def _int_params(name: str, argstr: str, **defaults) -> dict[str, int]:
     """The integer ``key=value`` parameters of a selector.  Only the keys of
     ``defaults`` are accepted, each once; a default of None marks a required key."""
@@ -516,10 +517,7 @@ def _int_params(name: str, argstr: str, **defaults) -> dict[str, int]:
             raise ValueError(f"expected key=value, got {part!r}")
         if key not in defaults or key in kv:
             raise ValueError(f"unknown or repeated key {key!r} in the {name} selector")
-        try:
-            kv[key] = int(value)
-        except ValueError:
-            raise ValueError(f"the {name} selector needs an integer {key}, got {value!r}") from None
+        kv[key] = _int(name, key, value)
     for key, default in defaults.items():
         if default is None and key not in kv:
             raise ValueError(f"the {name} selector needs {key}=<int>")
@@ -561,9 +559,12 @@ def data_by_selector(selector: str) -> GData:
         if key.strip() != "B" or not value.replace(",", "").strip():
             raise ValueError("lamplighter selector needs B=<k1,..,kr>")
         orders, size = [], 1
-        for v in filter(str.strip, value.split(",")):  # |B| is bounded factor by factor
-            orders.append(int(v))
-            size *= max(orders[-1], 1)  # WreathModel rejects orders below 2
+        for v in filter(None, map(str.strip, value.split(","))):  # |B| is bounded factor by factor
+            k = _int(name, "B", v)
+            if k < 2:
+                raise ValueError(f"the {name} selector needs factors of at least 2, got {k}")
+            orders.append(k)
+            size *= k
             if size > MAX_LAMPS:
                 raise ValueError(f"lamplighter needs |B| <= {MAX_LAMPS}")
         return lamplighter_data(orders)

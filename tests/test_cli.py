@@ -497,6 +497,13 @@ def test_over_bound_parameters_exit_2_before_building(argv, message):
         (["build", "--data", "zomega:n=x"], "the zomega selector needs an integer n, got 'x'"),
         (["witness", "--model", "zl-wr-zd:l=1,d=", "--word", "g1", "--max-depth", "1"],
          "the zl-wr-zd selector needs an integer d, got ''"),
+        (["build", "--data", "lamplighter:B=2,x"], "the lamplighter selector needs an integer B, got 'x'"),
+        (["build", "--data", "lamplighter:B=1"], "the lamplighter selector needs factors of at least 2, got 1"),
+        (["build", "--data", "lamplighter:B=0"], "the lamplighter selector needs factors of at least 2, got 0"),
+        (["build", "--data", "lamplighter:B=-3"], "the lamplighter selector needs factors of at least 2, got -3"),
+        (["build", "--data", "lamplighter:B=2,1"], "the lamplighter selector needs factors of at least 2, got 1"),
+        # factor by factor: the bound on |B| is met before the factor that is no integer
+        (["build", "--data", "lamplighter:B=300,x"], "lamplighter needs |B| <= 256"),
     ],
 )
 def test_selector_errors_name_the_selector(argv, message):

@@ -125,6 +125,41 @@ def _two_orbit_z() -> GData:
     return GData(base.model, [base.endos[0], base.endos[0]])
 
 
+# the generators of each lamp data set, by name, element and order:
+# ``lamp_data`` names them on either carrier, also ahead of a concatenation
+_B = ((((0,), (1,)),), (0,))
+LAMP_GENERATORS = [
+    (lambda: lamplighter_data((2,)), [("b", _B), ("z", ((), (1,)))]),
+    (lambda: lamplighter_data((3,)), [("b", _B), ("z", ((), (1,)))]),
+    (lambda: lamplighter_data((2, 3)), [
+        ("b1", ((((0,), (1, 0)),), (0,))), ("b2", ((((0,), (0, 1)),), (0,))), ("z", ((), (1,))),
+    ]),
+    (lambda: lamplighter_data((2, 2, 2)), [
+        ("b1", ((((0,), (1, 0, 0)),), (0,))), ("b2", ((((0,), (0, 1, 0)),), (0,))),
+        ("b3", ((((0,), (0, 0, 1)),), (0,))), ("z", ((), (1,))),
+    ]),
+    (lambda: lamplighter_extension_data((2,)), [("b", _B), ("z", ((), (1,)))]),
+    (lambda: lamplighter_extension_data((3,)), [("b", _B), ("z", ((), (1,)))]),
+    (lambda: lamp_extension_data((2,), _two_orbit_z(), [z_coset_space(), z_coset_space()]), [
+        ("b", ((((0, 0), (1,)),), (0, 0))), ("z1a", ((), (1, 0))), ("z2a", ((), (0, 1))),
+    ]),
+    (lambda: lamp_extension_data((2, 3), z_data(), [z_coset_space()]), [
+        ("b1", ((((0,), (1, 0)),), (0,))), ("b2", ((((0,), (0, 1)),), (0,))), ("z", ((), (1,))),
+    ]),
+    (lambda: mixed_base_data((2,), 1), [
+        ("b", ((((0,), (0, 1)),), (0,))), ("z", ((), (1,))), ("g1", ((((0,), (1, 0)),), (0,))),
+    ]),
+    (lambda: data_by_selector("concat:lamplighter:B=2+zwrz"), [
+        ("b", ((((0,), (0, 1)),), (0,))), ("z", ((), (1,))), ("g1", ((((0,), (1, 0)),), (0,))),
+    ]),
+]
+
+
+@pytest.mark.parametrize("build, generators", LAMP_GENERATORS)
+def test_lamp_generators_by_name_element_and_order(build, generators):
+    assert list(build().model.generators.items()) == generators
+
+
 @pytest.mark.parametrize(
     "build, sizes",
     [

@@ -351,6 +351,43 @@ def test_new_states_skip_the_names_of_generators():
     assert machine.state_of(1) == "q1"
 
 
+def _q1_data() -> GData:
+    data = z_data()
+    data.model.generators = {"a": 1, "q1": 3}
+    return data
+
+
+# the state named for the identity, each generator and six seeded elements, then
+# every other one of these again; new states skip the generator q1
+STATE_NAMES = {
+    "lamplighter:B=2,3": ["e", "b1", "b2", "z", "q1", "e", "q2", "q3", "q4", "q5", "e", "b2", "q1", "q2", "q4"],
+    "zwrz": ["e", "g1", "a1", "q1", "q2", "e", "q3", "q2", "q4", "e", "a1", "q2", "q3", "q4"],
+    "cp-wr-z2:p=3": ["e", "s", "a", "b", "q1", "q2", "q3", "q4", "q5", "q6", "e", "a", "q1", "q3", "q5"],
+    "zwrz-wr-c2": ["e", "g1", "a1", "s", "q1", "q2", "q3", "q4", "q5", "q6", "e", "a1", "q1", "q3", "q5"],
+    "q1": ["e", "a", "q1", "q2", "q3", "q4", "q5", "q6", "q7", "e", "q1", "q3", "q5", "q7"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATE_NAMES))
+def test_state_of_and_automorphism_of_name_one_state(name):
+    data = _q1_data() if name == "q1" else data_by_selector(name)
+    machine, model = build_representation(data), data.model
+    rng = random.Random(5)
+    elems = [model.identity(), *model.generators.values(), *(model.random_element(rng) for _ in range(6))]
+    elems += elems[::2]
+    got = []
+    for i, g in enumerate(elems):
+        # either of the two may be the first to meet an element
+        auts = [machine.automorphism_of(g)] if i % 2 else []
+        state = machine.state_of(g)
+        auts.append(machine.automorphism_of(g))
+        for a in auts:
+            assert a.machine is machine
+            assert a.word == (GroupWord.identity() if state == "e" else GroupWord.gen(state))
+        got.append(state)
+    assert got == STATE_NAMES[name]
+
+
 def test_words_over_undeclared_names_are_errors():
     # a row (root_perm) and an element (cache_key) are read only for states
     machine = build_representation(z_data())

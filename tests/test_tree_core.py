@@ -145,6 +145,34 @@ def test_portrait_examples(adding, diagram1):
     assert root_only.labels[()].is_identity()
 
 
+@pytest.mark.parametrize("name", ["adding", "diagram1", "diagram3", "thmD(2)", "brunner_sidki"])
+def test_portrait_labels_are_breadth_first_and_lex_within_a_level(name):
+    # the ``portrait`` command prints the labels in the order they are built
+    machine = mealy.builtin_machine(name)
+    rng = random.Random(f"portrait-order/{name}")
+    for _ in range(10):
+        a = Automorphism(machine, _random_word(rng, list(machine.generators), 6))
+        for depth in range(5):
+            paths = list(portrait(a, depth).labels)
+            assert paths == sorted(paths, key=lambda p: (len(p), p)), (name, depth)
+            assert len(paths) == sum(machine.alphabet_size**k for k in range(depth))
+
+
+def test_automorphisms_are_equal_as_words_over_one_machine(adding):
+    a, b = adding.automorphism("a"), Automorphism(adding, GroupWord.gen("a"))
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert len({a, b, adding.automorphism("a a^-1 a")}) == 1
+    assert a != adding.automorphism("a^-1") and a != adding.automorphism("a a")
+    assert a != a.word and a.word != a  # a word is no automorphism
+    assert a != Automorphism(mealy.builtin_machine("adding"), a.word)  # another build
+    assert a != Automorphism(mealy.builtin_machine("diagram1"), a.word)
+    assert adding.automorphism("a a^-1") == Automorphism(adding)  # the words reduce
+    # equal actions of different words are different automorphisms
+    diagram3 = mealy.builtin_machine("diagram3")
+    s2 = Automorphism(diagram3, GroupWord.gen("s") ** 2)
+    assert equal_to_depth(s2, Automorphism(diagram3), 8) and s2 != Automorphism(diagram3)
+
+
 def test_states_examples(adding):
     ident = states(adding.automorphism("e"), 10, 6)
     assert len(ident) == 1 and not ident.truncated
@@ -1073,6 +1101,11 @@ def test_lazy_states_decode_like_the_eager_list(name):
                 assert r.states.index(item, i) == i and r.states.index(item, i - len(eager)) == i
                 assert r.states.count(item) == eager.count(eager[i]), (str(word), i)
             assert machine._names == named
+            for i in range(len(eager)):  # a fresh item, not read from the states
+                fresh = Automorphism(machine, eager[i])
+                assert fresh in r.states and r.states.index(fresh) == eager.index(eager[i])
+                assert r.states.count(fresh) == eager.count(eager[i])
+            assert len(set(r.states)) == len(set(eager))
             stranger = Automorphism(other, eager[0])
             assert stranger not in r.states and eager[0] not in r.states
             assert r.states.count(stranger) == 0
