@@ -33,7 +33,7 @@ from .tree_core import (
 def _load_machine(spec: str) -> SelfSimilarMachine:
     if spec.startswith("builtin:"):
         return mealy.builtin_machine(spec[len("builtin:") :])
-    return mealy.parse(Path(spec).read_text(encoding="utf-8"))
+    return mealy.parse(Path(spec).read_text(encoding="utf-8-sig"))
 
 
 def _parse_word(machine: SelfSimilarMachine, text: str) -> GroupWord:
@@ -47,20 +47,21 @@ def _parse_word(machine: SelfSimilarMachine, text: str) -> GroupWord:
 
 
 def _parse_string(text: str, m: int) -> tuple[int, ...]:
+    """A string as ``_format_string`` prints it (one letter past 10 letters as
+    its bare numeral); ``apply_word`` checks that each letter is in range."""
     text = text.strip()
     if not text or text == "-":
         return ()
     if "," not in text and m > 10:
-        raise ValueError("alphabets beyond 10 letters need comma-separated strings")
+        if not (text.isdecimal() and str(int(text)) == text and int(text) < m):
+            raise ValueError("alphabets beyond 10 letters need comma-separated strings")
+        return (int(text),)
     letters = []
     for tok in text.split(",") if "," in text else text:
         try:
             letters.append(int(tok))
         except ValueError:
             raise ValueError(f"bad letter {tok!r} in string {text!r}") from None
-    for y in letters:
-        if not 0 <= y < m:
-            raise ValueError(f"letter {y} out of range for alphabet of {m}")
     return tuple(letters)
 
 
@@ -117,10 +118,8 @@ def _emit_machine(machine: SelfSimilarMachine, mode: str, out_path) -> None:
         text = "\n".join(recursion_lines(machine)) + "\n"
     elif mode == "file":
         text = mealy.emit(mealy.machine_to_mealy(machine))
-    elif mode == "dot":
+    else:  # "dot", the last of the parser's choices
         text = mealy.to_dot(mealy.machine_to_mealy(machine))
-    else:
-        raise ValueError(f"unknown emit mode {mode!r}")
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
     else:
@@ -172,7 +171,7 @@ def _cmd_check(args) -> int:
         raise ValueError("depth must be nonnegative")
     machine = _load_machine(args.machine)
     failed = 0
-    for raw in Path(args.relations).read_text(encoding="utf-8").splitlines():
+    for raw in Path(args.relations).read_text(encoding="utf-8-sig").splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -227,18 +227,14 @@ class EngineMachine(SelfSimilarMachine):
     def _perm(self, c: int) -> tuple[int, ...]:
         """The root permutation of a code.  A state with no row yet reads it
         from its cells, kept for ``_compile``, and names no section state; an
-        inverse code inverts its state's permutation."""
+        inverse code inverts its state's permutation (``Perm.inverse``)."""
         if self._rows[c & ~1] is not None:
             return super()._perm(c)
         cells = self._kept.get(c & ~1)
         if cells is None:
             cells = self._kept[c & ~1] = self._cells(c & ~1)
-        if not c & 1:
-            return tuple(target for _, _, target in cells)
-        perm = [0] * len(cells)
-        for x, (_, _, target) in enumerate(cells):
-            perm[target] = x
-        return tuple(perm)
+        perm = tuple(target for _, _, target in cells)
+        return Perm(perm).inverse().images if c & 1 else perm
 
     def _compile(self, c: int) -> tuple:
         """The row of a state from its cells (kept by ``_perm`` or new): the
@@ -327,7 +323,7 @@ def build_representation(data: GData) -> EngineMachine:
 class SequenceModel(GroupModel):
     """Finitely supported sequences over an inner model (trailing identities trimmed)."""
 
-    def __init__(self, inner: GroupModel, named_copies: int = 5):
+    def __init__(self, inner: GroupModel, named_copies: int):
         super().__init__()
         self.inner = inner
         self.name = f"{inner.name}^(omega)"
@@ -368,7 +364,7 @@ class SequenceModel(GroupModel):
         return self.trim(self.inner.random_element(rng) for _ in range(rng.randint(0, 4)))
 
 
-def direct_power_data(data: GData, named_copies: int = 5) -> GData:
+def direct_power_data(data: GData, named_copies: int) -> GData:
     """Data for the restricted direct power: lifted endomorphisms acting on the
     first coordinate plus the left shift, of orbit type (m_1,...,m_s,1)."""
     model = SequenceModel(data.model, named_copies)

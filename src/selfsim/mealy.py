@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 
-from .perm_word import _NAME_RE, GroupWord, Perm, _validate_name
+from .perm_word import _NAME_RE, GroupWord, Perm
 from .tree_core import MAX_STATES, SelfSimilarMachine, TableMachine, closure
 from .wreath_models import MAX_NAMED_COPIES, thmD, thmD_engine_machine
 
@@ -30,7 +30,6 @@ def _table(m: int, rows: dict[str, Row]) -> TableMachine:
     """The machine whose state q writes ``rows[q][y][0]`` and moves to ``rows[q][y][1]``."""
     table = {}
     for q, row in rows.items():
-        _validate_name(q)
         sections = [GroupWord.identity() if nxt == "e" else GroupWord.gen(nxt) for _, nxt in row]
         table[q] = (sections, Perm(out for out, _ in row))
     return TableMachine(m, table)

@@ -369,9 +369,10 @@ def _walk(machine: SelfSimilarMachine, codes: Codes, string: String) -> tuple[Co
 
 
 def apply_word(machine: SelfSimilarMachine, word: GroupWord, string: String) -> String:
+    """The image of a string, each letter checked against the alphabet."""
     for y in string:
         if not 0 <= y < machine.alphabet_size:
-            raise ValueError(f"letter {y} out of range")
+            raise ValueError(f"letter {y} out of range for alphabet of {machine.alphabet_size}")
     return _walk(machine, machine.encode(word), string)[1]
 
 
@@ -387,7 +388,7 @@ def trivial_to_depth(machine: SelfSimilarMachine, word, depth: int) -> bool:
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    return _trivial(machine, machine.encode(word), depth)
+    return _trivial(machine, machine.encode(word), depth) is not None
 
 
 def _cyclic_core(codes: Codes) -> Codes:
@@ -426,25 +427,27 @@ def _class_key(codes: Codes) -> Codes:
     return min(_least_rotation(core), _least_rotation(tuple(c ^ 1 for c in reversed(core))))
 
 
-def _trivial(machine: SelfSimilarMachine, codes: Codes, d: int) -> bool:
-    """Whether a code word fixes every string of length <= d: up to the leaf by
-    level tables (``_level``), which write nothing, and deeper by the memo record
-    ``[deepest depth proven trivial, section code tuples or None when the root
-    moves]`` of its class.  A tree automorphism preserves levels, so a word, its
-    conjugates and its inverse fix the same strings to every depth.  A word is
-    looked up by its cyclic core; a new core keys its record by
-    ``machine.cache_key`` of its class representative (for a machine with a
-    model, the element), shared by every core of the class, and expands the
-    core, a shortest word of the class, up to the first cursor pass that ends
-    away from its start.  A new record is proven at every depth (``inf``) where
-    that is exact: the core fixes the root and leaves no section, or its class
-    key is the identity element of the machine's model.
-    """
-    if d <= 0 or not codes:
-        return True
+def _trivial(machine: SelfSimilarMachine, codes: Codes, d: int) -> Optional[float]:
+    """The depth to which a code word is proven to fix every string, at least
+    d, or None where it moves a string of length <= d (0 is an answer: test
+    ``is None``): d for d <= 0, ``inf`` for the empty word, d up to the leaf
+    by level tables (``_level``), which write nothing, and deeper the depth of
+    the memo record ``[deepest depth proven trivial, section code tuples or
+    None when the root moves]`` of its class, which a word, its conjugates and
+    its inverse share, as tree automorphisms preserve levels.  A word is
+    looked up by its cyclic core; a new core keys its record by ``cache_key``
+    of its class representative (for a machine with a model, the element),
+    and expands the core, a shortest word of the class, up to the first cursor
+    pass that ends away from its start.  A new record is proven at every
+    depth (``inf``) where exact: the core fixes the root and leaves no
+    section, or its class key is the identity of the machine's model."""
+    if d <= 0:
+        return d
+    if not codes:
+        return float("inf")
     if d <= machine._leaf:
         action = _level(machine, codes, d)
-        return action == _IDENTITY[: len(action)]
+        return d if action == _IDENTITY[: len(action)] else None
     memo = machine._triv
     core = _cyclic_core(codes)
     record = memo.get(core)
@@ -466,14 +469,14 @@ def _trivial(machine: SelfSimilarMachine, codes: Codes, d: int) -> bool:
             record = memo[key] = [float("inf") if exact else 0, secs]
         memo[core] = record
     if record[0] >= d:
-        return True
+        return record[0]
     if record[1] is None:
-        return False
+        return None
     for sec in record[1]:
-        if not _trivial(machine, sec, d - 1):
-            return False
+        if _trivial(machine, sec, d - 1) is None:
+            return None
     record[0] = d
-    return True
+    return d
 
 
 def equal_to_depth(a: Automorphism, b: Automorphism, depth: int) -> bool:
@@ -567,7 +570,7 @@ def states(a: Automorphism, max_states: int, sep_depth: int) -> StateSet:
                 while n < common and codes[n] == r[n]:
                     n += 1
                 quotient = tuple(c ^ 1 for c in reversed(r[n:])) + codes[n:]
-                if level == sep_depth or _trivial(machine, quotient, sep_depth):
+                if level == sep_depth or _trivial(machine, quotient, sep_depth) is not None:
                     return r
             same.append(codes)
             return codes
@@ -636,35 +639,29 @@ def inflate(machine: SelfSimilarMachine, k: int) -> TableMachine:
 
 def find_moving_string(a: Automorphism, max_depth: int) -> Optional[String]:
     """The lex-least string of the shortest length moved by ``a``, or None if
-    ``a`` is trivial to ``max_depth``: deepening finds that length k, by the
-    word's level tables (``_level``) up to the leaf.  Where k <= leaf the
-    string is read off the level-k table: the big-endian digits of its first
-    moved byte.  Past the leaf one walk takes at each level the first letter
-    that moves or whose section moves a string, down to the leaf, where it
-    reads the chosen section's table.  The identity returns at once, and the
-    deepening stops past the leaf where the memo record of the word's cyclic
-    core is proven to ``max_depth`` (``_trivial``), so an exactly trivial
-    word costs the same at any depth."""
+    ``a`` is trivial to ``max_depth``: deepening finds that length k, by level
+    tables (``_level``) up to the leaf and ``_trivial`` deeper, and stops once
+    the depth proven reaches ``max_depth``, so an exactly trivial word
+    (``inf``) costs the same at any depth.  A string of length k <= leaf is
+    the big-endian digits of the first moved byte of the level-k table; a
+    longer one walks down to the leaf, taking the first letter that moves or
+    whose section moves a string, and reads the chosen section's table."""
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
     machine = a.machine
     codes = machine.encode(a.word)
-    if not codes:
-        return None
     m, leaf = machine.alphabet_size, machine._leaf
     k, action = 0, b""
     for d in range(1, max_depth + 1):
         if d <= leaf:
             action = _level(machine, codes, d)
-            if action != _IDENTITY[: len(action)]:
-                k = d
-                break
-        elif not _trivial(machine, codes, d):
+            proven = d if action == _IDENTITY[: len(action)] else None
+        else:
+            proven = _trivial(machine, codes, d)
+        if proven is None:
             k = d
             break
-        # that call made or read the record of the core, which later calls
-        # prove only as deep as they ask; it may already be proven deep enough
-        elif d == leaf + 1 and machine._triv[_cyclic_core(codes)][0] >= max_depth:
+        if proven >= max_depth:
             break
     string: String = ()
     while k > leaf:  # codes moves a string of length k and fixes all shorter ones
@@ -673,7 +670,7 @@ def find_moving_string(a: Automorphism, max_depth: int) -> Optional[String]:
             if image != y:
                 return string + (y,)
             if k - 1 > leaf:
-                if not _trivial(machine, sec, k - 1):
+                if _trivial(machine, sec, k - 1) is None:
                     break
             elif k > 1:  # action is the section's level table, read below once it moves
                 action = _level(machine, sec, k - 1)

@@ -95,7 +95,7 @@ MAX_LAMPS = 256
 MAX_CONCAT_PARTS = 4
 
 
-def zomega_data(named_copies: int = 5) -> GData:
+def zomega_data(named_copies: int) -> GData:
     if not 1 <= named_copies <= MAX_NAMED_COPIES:
         raise ValueError(f"zomega needs 1 <= n <= {MAX_NAMED_COPIES} named copies")
     return direct_power_data(z_data(), named_copies)
@@ -426,8 +426,8 @@ def thmD(p: int) -> TableMachine:
     return TableMachine(m, table)
 
 
-def thmD_engine_machine(p: int, inverse_transversal: bool = False) -> EngineMachine:
-    return build_representation(cp_wr_z2_data(p, inverse_transversal))
+def thmD_engine_machine(p: int) -> EngineMachine:
+    return build_representation(cp_wr_z2_data(p))
 
 
 def thmD_transversal_comparison(p: int, depth: int = 12) -> dict[str, bool]:
@@ -442,7 +442,7 @@ def thmD_transversal_comparison(p: int, depth: int = 12) -> dict[str, bool]:
     table = thmD(p)
     out = {}
     for key, flag in (("standard", False), ("inverse", True)):
-        engine = thmD_engine_machine(p, inverse_transversal=flag)
+        engine = build_representation(cp_wr_z2_data(p, inverse_transversal=flag))
         out[key] = all(
             equal_to_depth(engine.automorphism(name), Automorphism(table, GroupWord.gen(name)), depth)
             for name in ("s", "a", "b")

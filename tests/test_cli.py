@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -60,6 +61,21 @@ def test_act_on_machine_file(tmp_path):
             (2, "", "error: alphabets beyond 10 letters need comma-separated strings\n"),
         ),
         ("builtin:adding", "a", "5", (2, "", "error: letter 5 out of range for alphabet of 2\n")),
+        # past 10 letters a one-letter string is its bare numeral, as printed
+        ("builtin:thmD(10)", "s", "5", (0, "6\n", "")),
+        ("builtin:thmD(10)", "s", "10", (0, "10\n", "")),
+        (
+            "builtin:thmD(10)",
+            "s",
+            "012",
+            (2, "", "error: alphabets beyond 10 letters need comma-separated strings\n"),
+        ),
+        (
+            "builtin:thmD(10)",
+            "s",
+            "+5",
+            (2, "", "error: alphabets beyond 10 letters need comma-separated strings\n"),
+        ),
         ("builtin:adding", "a", "1,,0", (2, "", "error: bad letter '' in string '1,,0'\n")),
         ("builtin:adding", "a", "1 0", (2, "", "error: bad letter ' ' in string '1 0'\n")),
         ("builtin:adding", "a", "x", (2, "", "error: bad letter 'x' in string 'x'\n")),
@@ -67,6 +83,32 @@ def test_act_on_machine_file(tmp_path):
 )
 def test_act_string_parsing(machine, word, string, expected):
     assert run_cli(["act", "--machine", machine, "--word", word, "--string", string]) == expected
+
+
+@pytest.mark.parametrize("m", [2, 10, 11, 13, 301])
+def test_printed_strings_parse_back(m):
+    rng = random.Random(f"strings/{m}")
+    strings = [(y,) for y in range(m)]
+    strings += [tuple(rng.randrange(m) for _ in range(rng.randint(0, 6))) for _ in range(200)]
+    for string in strings:
+        assert cli._parse_string(cli._format_string(string, m), m) == string
+
+
+def test_input_files_may_start_with_a_byte_order_mark(tmp_path):
+    # a BOM before the first line changes no output of act or check
+    files = {"machine.txt": mealy.emit(mealy.diagram1()), "rel.txt": "a^-1 g^-1 a g^-1 a^-1 g a g\na a\n"}
+    runs = []
+    for bom in ("", "\ufeff"):
+        for name, text in files.items():
+            (tmp_path / name).write_text(bom + text, encoding="utf-8")
+        machine = str(tmp_path / "machine.txt")
+        runs.append([
+            run_cli(["act", "--machine", machine, "--word", "g", "--string", "200"]),
+            run_cli(["check", "--machine", machine, "--relations", str(tmp_path / "rel.txt"), "--depth", "8"]),
+        ])
+    assert runs[0] == runs[1]
+    assert runs[0][0] == (0, "210\n", "")
+    assert runs[0][1] == (1, "PASS a^-1 g^-1 a g^-1 a^-1 g a g\nFAIL a a\n", "")
 
 
 def test_orbit_type_diagram1():

@@ -29,3 +29,32 @@ def test_imports_are_at_the_top_and_go_down(path):
         if isinstance(node, ast.ImportFrom) and node.level:
             for target in [node.module] if node.module else [alias.name for alias in node.names]:
                 assert target in below, f"{path.name}:{node.lineno}: imports {target}"
+
+
+def _scopes_naming(tree: ast.AST, attr: str) -> set[str]:
+    """The dotted names of the functions and classes whose own bodies name
+    ``attr`` as an attribute; the module's own body is ``""``."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr == attr:
+                found.add(scope)
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_trivial_reads_the_triviality_memo():
+    # a machine makes the memo, and ``_trivial`` alone reads and writes its
+    # records; a caller learns the proven depth from ``_trivial``'s answer
+    readers = {
+        f"{path.stem}.{scope}"
+        for path in MODULES
+        for scope in _scopes_naming(ast.parse(path.read_text(encoding="utf-8")), "_triv")
+    }
+    assert readers == {"tree_core.SelfSimilarMachine.__init__", "tree_core._trivial"}

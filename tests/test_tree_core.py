@@ -79,7 +79,7 @@ def test_apply_examples(adding, diagram1):
 
 
 def test_apply_rejects_out_of_range(adding):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^letter 2 out of range for alphabet of 2$"):
         adding.automorphism("a").apply((2,))
 
 
@@ -512,6 +512,54 @@ def test_shared_memo_answers_like_a_fresh_machine_past_the_leaf(name):
         assert find_moving_string(Automorphism(machine, word), d) == witness, (str(word), d)
         verdicts.add((d > leaf, verdict))
     assert verdicts == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize("name", sorted(set(CROSS_CHECK_MACHINES) | set(ENGINE_DATA)))
+def test_trivial_reports_the_depth_it_proved(name):
+    # one machine answers every question in shuffled order, so answers are
+    # read off records that other questions proved: None exactly where a
+    # fresh machine finds the word moving a string of length <= d, else a
+    # depth of at least d to which a fresh machine finds it trivial too
+    machine, names = _cross_check_machine(name)
+    leaf = machine._leaf
+    rng = random.Random(f"trivial-depth/{name}")
+    words = [_random_word(rng, names, 8) for _ in range(4)]
+    words += [commutator(_random_word(rng, names, 3), _random_word(rng, names, 3)) for _ in range(4)]
+    for g in names[:3]:
+        n = _level_order(machine, GroupWord([(g, 1)]), leaf)
+        if n <= 64:
+            words.append(GroupWord([(g, 1)]) ** n)  # fixes every string of length leaf
+    questions = [(word, d) for word in words for d in range(1, leaf + 4)]
+    rng.shuffle(questions)
+    answers = set()
+    for word, d in questions:
+        proven = _trivial(machine, machine.encode(word), d)
+        assert (proven is None) is not trivial_to_depth(_cross_check_machine(name)[0], word, d), (str(word), d)
+        if proven is not None:
+            assert proven >= d, (str(word), d, proven)
+            if proven < math.inf:
+                assert trivial_to_depth(_cross_check_machine(name)[0], word, proven), (str(word), proven)
+        answers.add("moved" if proven is None else "exact" if proven == math.inf else d > leaf)
+    assert {"moved", False} <= answers and answers & {True, "exact"}
+    # a word that cancels freely is the empty code tuple, proven at every depth
+    for _ in range(4):
+        word = _random_word(rng, names, 6)
+        for d in range(1, leaf + 4):
+            assert _trivial(machine, machine.encode(word * word.inverse()), d) == math.inf
+    # on an engine, a word for the identity element is proven at every depth
+    # from its first record, one level past the leaf
+    if machine.model is not None:
+        identities = []
+        for _ in range(40):
+            u = _random_word(rng, names, 6)
+            v = machine.short_word(machine.element_of(u))
+            if v is not None and (u * v.inverse()).letters:
+                identities.append(u * v.inverse())
+        # every word for the identity of Z cancels freely
+        assert identities or name == "z"
+        for word in identities:
+            for d in range(leaf + 1, leaf + 4):
+                assert _trivial(machine, machine.encode(word), d) == math.inf, (str(word), d)
 
 
 def _level_order(machine, word, k):
