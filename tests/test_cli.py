@@ -61,6 +61,9 @@ def test_act_on_machine_file(tmp_path):
             (2, "", "error: alphabets beyond 10 letters need comma-separated strings\n"),
         ),
         ("builtin:adding", "a", "5", (2, "", "error: letter 5 out of range for alphabet of 2\n")),
+        ("builtin:adding", "a", "1,,0", (2, "", "error: bad letter '' in string '1,,0'\n")),
+        ("builtin:adding", "a", "1 0", (2, "", "error: bad letter ' ' in string '1 0'\n")),
+        ("builtin:adding", "a", "x", (2, "", "error: bad letter 'x' in string 'x'\n")),
         # past 10 letters a one-letter string is its bare numeral, as printed
         ("builtin:thmD(10)", "s", "5", (0, "6\n", "")),
         ("builtin:thmD(10)", "s", "10", (0, "10\n", "")),
@@ -76,9 +79,6 @@ def test_act_on_machine_file(tmp_path):
             "+5",
             (2, "", "error: alphabets beyond 10 letters need comma-separated strings\n"),
         ),
-        ("builtin:adding", "a", "1,,0", (2, "", "error: bad letter '' in string '1,,0'\n")),
-        ("builtin:adding", "a", "1 0", (2, "", "error: bad letter ' ' in string '1 0'\n")),
-        ("builtin:adding", "a", "x", (2, "", "error: bad letter 'x' in string 'x'\n")),
     ],
 )
 def test_act_string_parsing(machine, word, string, expected):
