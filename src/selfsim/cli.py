@@ -3,12 +3,15 @@
 Exit codes: 0 success, 1 a requested check failed, 2 usage or input error,
 a search too deep for the interpreter's recursion limit, or any other
 exception, each reported as one ``error:`` line on stderr.
-Identical inputs always produce byte-identical output.
+Identical inputs always produce byte-identical output: help and usage wrap at
+78 columns whatever the terminal's width.  A run builds only the parser of the
+command it names, from one table of commands.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -213,76 +216,76 @@ def _cmd_concat(args) -> int:
     return _cmd_build(args)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _flag(*names, **kwargs):
+    """A flag as (names, ``add_argument`` keywords), required unless said otherwise."""
+    return names, {"required": True, **kwargs}
+
+
+_MACHINE = _flag("--machine", help="automaton file or builtin:NAME")
+_WORD = _flag("--word")
+_DEPTH = _flag("--depth", type=int)
+_EMIT = (
+    _flag("--emit", choices=("recursions", "file", "dot"), default="recursions", required=False),
+    _flag("-o", "--output", required=False),
+)
+
+# name -> (help, handler, *flags); the handler is looked up by its name when a
+# parser is built, so that a replaced module-level handler takes effect
+_COMMANDS = {
+    "act": ("apply a word to a string", "_cmd_act", _MACHINE, _WORD, _flag("--string")),
+    "orbit-type": ("orbit sizes on the first level", "_cmd_orbit_type", _MACHINE),
+    "portrait": ("root permutations down to a depth", "_cmd_portrait", _MACHINE, _WORD, _DEPTH),
+    "states": (
+        "closure of a word under sections", "_cmd_states",
+        _MACHINE, _WORD, _flag("--max", type=int), _flag("--sep-depth", type=int),
+    ),
+    "check": (
+        "verify one expected-trivial word per line", "_cmd_check",
+        _MACHINE, _flag("--relations", help="file with one word per line"), _DEPTH,
+    ),
+    "witness": (
+        "find a string moved by a model word", "_cmd_witness",
+        _flag("--model", help="data selector, e.g. zwrz"), _WORD, _flag("--max-depth", type=int),
+    ),
+    "build": ("build the machine of a data selector", "_cmd_build", _flag("--data"), *_EMIT),
+    "inflate": (
+        "re-read a machine on length-k blocks", "_cmd_inflate",
+        _MACHINE, _flag("-k", type=int), *_EMIT,
+    ),
+    "concat": (
+        "concatenate two data selectors over one top group", "_cmd_concat",
+        _flag("--data", help="<selector>+<selector>"), *_EMIT,
+    ),
+}
+
+# help and usage wrap at 78 columns, as on an 80-column terminal, whatever
+# the terminal's width
+_FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``selfsim``, with the subparser of ``command`` alone where
+    it names a command and of every command otherwise; its usage line and
+    errors name every command either way, so both print the same text."""
     parser = argparse.ArgumentParser(
         prog="selfsim",
         description="Build and probe self-similar group actions on rooted m-trees.",
+        formatter_class=_FORMATTER,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def machine_flag(p):
-        p.add_argument("--machine", required=True, help="automaton file or builtin:NAME")
-
-    def emit_flags(p):
-        p.add_argument("--emit", choices=("recursions", "file", "dot"), default="recursions")
-        p.add_argument("-o", "--output")
-
-    p = sub.add_parser("act", help="apply a word to a string")
-    machine_flag(p)
-    p.add_argument("--word", required=True)
-    p.add_argument("--string", required=True)
-    p.set_defaults(func=_cmd_act)
-
-    p = sub.add_parser("orbit-type", help="orbit sizes on the first level")
-    machine_flag(p)
-    p.set_defaults(func=_cmd_orbit_type)
-
-    p = sub.add_parser("portrait", help="root permutations down to a depth")
-    machine_flag(p)
-    p.add_argument("--word", required=True)
-    p.add_argument("--depth", type=int, required=True)
-    p.set_defaults(func=_cmd_portrait)
-
-    p = sub.add_parser("states", help="closure of a word under sections")
-    machine_flag(p)
-    p.add_argument("--word", required=True)
-    p.add_argument("--max", type=int, required=True)
-    p.add_argument("--sep-depth", type=int, required=True)
-    p.set_defaults(func=_cmd_states)
-
-    p = sub.add_parser("check", help="verify one expected-trivial word per line")
-    machine_flag(p)
-    p.add_argument("--relations", required=True, help="file with one word per line")
-    p.add_argument("--depth", type=int, required=True)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("witness", help="find a string moved by a model word")
-    p.add_argument("--model", required=True, help="data selector, e.g. zwrz")
-    p.add_argument("--word", required=True)
-    p.add_argument("--max-depth", type=int, required=True)
-    p.set_defaults(func=_cmd_witness)
-
-    p = sub.add_parser("build", help="build the machine of a data selector")
-    p.add_argument("--data", required=True)
-    emit_flags(p)
-    p.set_defaults(func=_cmd_build)
-
-    p = sub.add_parser("inflate", help="re-read a machine on length-k blocks")
-    machine_flag(p)
-    p.add_argument("-k", type=int, required=True)
-    emit_flags(p)
-    p.set_defaults(func=_cmd_inflate)
-
-    p = sub.add_parser("concat", help="concatenate two data selectors over one top group")
-    p.add_argument("--data", required=True, help="<selector>+<selector>")
-    emit_flags(p)
-    p.set_defaults(func=_cmd_concat)
-
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        help_text, handler, *flags = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text, formatter_class=_FORMATTER)
+        for names, kwargs in flags:
+            p.add_argument(*names, **kwargs)
+        p.set_defaults(func=globals()[handler])
+    sub.choices = _COMMANDS  # usage and errors name every command
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, RecursionError) as exc:

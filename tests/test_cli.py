@@ -1,9 +1,11 @@
+import argparse
 import contextlib
 import hashlib
 import io
 import json
 import os
 import random
+import shlex
 import subprocess
 import sys
 import time
@@ -561,6 +563,112 @@ def test_bounds_admit_their_largest_values():
     ):
         code, out, err = run_cli(argv)
         assert code in (0, 2) and "needs" not in err and "at most" not in err, (argv, err)
+
+
+# argparse's surface: help, usage and errors around every command, each argv
+# (as ``shlex.join``) with the sha256 of its (exit, stdout, stderr) at 80
+# columns (``_digest``), recorded on Python 3.10-3.12 while every run still
+# built the parsers of all nine commands
+ARGPARSE_DIGESTS = {
+    "-h": "99d0e89dbc67ed7e3457208c3015be5f5a0c795eb299197b4762cdadbdc1229a",
+    "--help": "99d0e89dbc67ed7e3457208c3015be5f5a0c795eb299197b4762cdadbdc1229a",
+    "": "91bf1655f8a055606f6e4bada40274c4a99bc715859952cee0fdc6cb5df5ae33",
+    "bogus": "ca777beb23e138ea3b4184bbaec57c20ed549d747e27a3fedf8a6c09c7194c21",
+    "act": "fe5c3d6d9103d5abdd7ff27c9ac9c892b8c6dfb5063d7fec9b06d38c860d74ea",
+    "act -h": "225de799de329692fde6bbb2155c55a00f0438fe2f1fb25673881c238e3058f4",
+    "states --help": "6b4552d132d2b6439ee070a682de3a8ef912ac7357b460d86f60268255330a40",
+    "concat -h": "908dd44fefe3efd82984a36240d6c71dc3276ed47df6c256ac436f47f7c38ef2",
+    "build -h": "e7b4bdda700b4532fb7235be5e739a1df8f611f43b774ac095b145ccf20a462d",
+    "act --machine builtin:adding --word a --string 111": "79bcaa36eb52fb9a901e4858531d4b9668d0a5166f75055e140031bc5e6e0f6c",
+    "act --machine builtin:adding --word a --string 111 extra": "1bb1402721026aa3dcc4dfbfef928e5ee2a1f0e18910195a622b7c64a087619b",
+    "act --machine builtin:adding --word a --string 111 --bogus": "60fc3090cc73bbfdd1538718ae19a8b3ddda4d633e4ecaa0bb6aad9e449dcf6a",
+    "act --machine builtin:adding --word a": "17831823f137dc180e5ae7c67f39f4f702c91b64d8e2700f23fbdcf97458b0ef",
+    "portrait --machine builtin:adding --word a --depth x": "dcfabdb64b411b7d3366c0d7894ff4bb6296bc27b5eab673449ab119b37f9a23",
+    "build --data zwrz --emit bogus": "66b846b3672b023e0252fcc44d09dac1383ce4e119ef5c942930f04e6064cc80",
+    "--bogus act": "fe5c3d6d9103d5abdd7ff27c9ac9c892b8c6dfb5063d7fec9b06d38c860d74ea",
+    "-h act": "99d0e89dbc67ed7e3457208c3015be5f5a0c795eb299197b4762cdadbdc1229a",
+    "-- act": "a550569b9b72a242ba1b42407fb4aa22fd35855be4f2c2b320ba8d24652d6b51",
+    "ac": "c2ecfed76bc1ada786199e244676ac8af9ec58cd40ba86944cfdd87de70a9284",
+    "act --mach builtin:adding --word a --string 111": "79bcaa36eb52fb9a901e4858531d4b9668d0a5166f75055e140031bc5e6e0f6c",
+    "witness --model zwrz --word 'g1 a1' --max-depth 10": "c20c606b7cf2283c7babbadd203a9105202b7934867a946ea1cd86b1f22fabba",
+    "orbit-type --machine builtin:diagram1": "dd82266cb0b57466e89328b1d9fb3dd1713687ad40df6aa5667b7f66d388235a",
+    "check": "c18463dc1c7b645e207943e9f18a8f3a8384616c49c0f844ac95d8212b818e90",
+    "inflate --machine builtin:adding -k 2 --emit file": "af728e01f487db55ce0525b161367906c4450cf62c9ffb0b8253307764287e27",
+    "states --machine 'builtin:diagram2(4)' --word a4 --max 16 --sep-depth 8": "bf88fecc7aa2d12d45268ae71fd3d8731101b7e366381a473fbb50255db768b8",
+    "orbit-type -h": "bec6e9a8bd70619e6e3b619d43767f70f62a36875212a945482f88fd2950d554",
+    "portrait -h": "ed447331c13d26147d21c9117920fffb61e21c5bd500cd5a674abc3b0ddd5981",
+    "states -h": "6b4552d132d2b6439ee070a682de3a8ef912ac7357b460d86f60268255330a40",
+    "check -h": "86a77e52a3072322893bb402bc410da4c85190afe1917e74e9ff74465612433f",
+    "witness -h": "735a71a5236fb14b461aaf8a26899a720f3d5c393cefb839191978049cdaa494",
+    "inflate -h": "3e35d2b8feedae311f1283958d343069848b1f67ad32342082786d8f00757882",
+}
+# Python 3.13 wraps usage lines, quotes choices and lists short options
+# differently; these entries replace the ones above there
+ARGPARSE_DIGESTS_313 = {
+    "-h": "86416ac8dd755b8e4f2032ce7047f23ab54f41a4de6f3f001c1490930299c379",
+    "--help": "86416ac8dd755b8e4f2032ce7047f23ab54f41a4de6f3f001c1490930299c379",
+    "": "bcd8c132dbd62a202a40466401a4d7c2cd37f3dd27a9263c6d7fb1752affd69f",
+    "bogus": "46332a98516452be849989881dd9062cc9b58654abbffb68706f5dfcc7c9a94a",
+    "states --help": "09cf353acf406fd791d66286435e8663b8173e663a14c0416986ec2ac74253af",
+    "concat -h": "819fd701675deaf101bc1f9aec66942acff6459484697fa22322873c907bef3d",
+    "build -h": "6bc2b1ce08601b5dcdbb4e85c0dfb655f03a50c65f4880d20d4c1304622f0ab6",
+    "act --machine builtin:adding --word a --string 111 extra": "6f494872ed4f901e7de188235460f0e58c57f8c23fff4121532efdd4c3dedf0a",
+    "act --machine builtin:adding --word a --string 111 --bogus": "43cb1289ef1f6848324aa89137e74197db1fbbf3275f7b94997d073bf90124bb",
+    "build --data zwrz --emit bogus": "85438e40653b9314336b669523c8bff030485033e4c232ae65662450f72651d5",
+    "-h act": "86416ac8dd755b8e4f2032ce7047f23ab54f41a4de6f3f001c1490930299c379",
+    "-- act": "fe5c3d6d9103d5abdd7ff27c9ac9c892b8c6dfb5063d7fec9b06d38c860d74ea",
+    "ac": "6ceab32421d7c496080593f15e8db87769eb5ce6499976e37b8c1f529503439b",
+    "check": "b7b6bbe96aef4bc566a540e6d8b2df46c25fa14ead23654e994015eb11afd28c",
+    "states -h": "09cf353acf406fd791d66286435e8663b8173e663a14c0416986ec2ac74253af",
+    "check -h": "961d324171593006dd0c4c598cb51f15ea40735caed83c4cea892d636e3f1982",
+    "inflate -h": "82efe8a5c4262313029db602e6876bb5f1d41b4a8383d490788fbcb7bc3ecdd2",
+}
+
+
+@pytest.mark.parametrize("columns", ["80", "40", "200", None])
+def test_argparse_surface_is_pinned_at_every_width(columns, monkeypatch):
+    if sys.version_info >= (3, 14):
+        pytest.skip("argparse's text is pinned for Python 3.10-3.13")
+    digests = {**ARGPARSE_DIGESTS, **(ARGPARSE_DIGESTS_313 if sys.version_info >= (3, 13) else {})}
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    changed = [text for text, digest in digests.items() if _digest(run_cli(shlex.split(text))) != digest]
+    assert not changed, changed
+
+
+def test_a_run_builds_only_the_parser_of_its_command(monkeypatch, tmp_path):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    (tmp_path / "rel.txt").write_text("a a^-1\n", encoding="utf-8")
+    runs = [
+        ["act", "--machine", "builtin:adding", "--word", "a", "--string", "111"],
+        ["orbit-type", "--machine", "builtin:diagram1"],
+        ["portrait", "--machine", "builtin:adding", "--word", "a", "--depth", "2"],
+        ["states", "--machine", "builtin:adding", "--word", "a", "--max", "4", "--sep-depth", "3"],
+        ["check", "--machine", "builtin:adding", "--relations", str(tmp_path / "rel.txt"), "--depth", "3"],
+        ["witness", "--model", "zwrz", "--word", "g1", "--max-depth", "4"],
+        ["build", "--data", "zwrz"],
+        ["inflate", "--machine", "builtin:adding", "-k", "1"],
+        ["concat", "--data", "zwrz+zwrz"],
+    ]
+    assert [argv[0] for argv in runs] == list(cli._COMMANDS)
+    for argv in runs:
+        built.clear()
+        assert run_cli(argv)[0] == 0, argv
+        assert len(built) == 2, argv
+    # help, a missing command and an unknown one list every command
+    for argv in (["-h"], [], ["bogus"], ["-h", "act"]):
+        built.clear()
+        run_cli(argv)
+        assert len(built) == 10, argv
 
 
 if __name__ == "__main__":
