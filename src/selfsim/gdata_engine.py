@@ -34,8 +34,6 @@ class GroupModel:
     of a canonical form certifies nontriviality.
     """
 
-    name = "group"
-
     def __init__(self):
         self.generators: dict[str, object] = {}
 
@@ -186,8 +184,10 @@ class EngineMachine(SelfSimilarMachine):
                 self._add_state(name, g)
         self.generators = tuple(self._names)
         self._fresh = itertools.count(1)
-        # short_word's generator ball, grown one BFS sphere at a time
-        self._ball: list[dict] = [{ident: GroupWord.identity()}]
+        # short_word's generator ball, element -> lex-least geodesic word, grown
+        # one BFS sphere at a time: its outermost sphere and that sphere's radius
+        self._ball: dict = {ident: GroupWord.identity()}
+        self._sphere, self._radius = dict(self._ball), 0
 
     def _add_state(self, name: str, elem) -> tuple:
         word = self._words[elem] = self.encode([(name, 1)])
@@ -270,25 +270,21 @@ class EngineMachine(SelfSimilarMachine):
         """The lex-least shortest word of at most SEARCH_LEN letters in the
         generators for ``elem`` (generator order, ``+`` before ``-``), or None.
 
-        The ball grows by one sphere only when a lookup has missed every
-        sphere built so far, and only while it stays within ``MAX_BALL``.
-        Spheres are built in BFS order, which is lex order on words, so the
-        first word to reach an element is its lex-least geodesic.
+        The ball grows by one sphere only while a lookup misses it, its radius
+        is below SEARCH_LEN and it stays within ``MAX_BALL`` (``_grow``).
         """
-        for radius in range(SEARCH_LEN + 1):
-            if radius == len(self._ball) and not self._grow():
-                return None
-            word = self._ball[radius].get(elem)
-            if word is not None:
-                return word
-        return None
+        while elem not in self._ball and self._radius < SEARCH_LEN and self._grow():
+            pass
+        return self._ball.get(elem)
 
     def _grow(self) -> bool:
-        """Append the next sphere to ``_ball``, the spheres of the generator
-        ball as element -> lex-least geodesic word dicts in BFS order, unless
-        it could take the ball past ``MAX_BALL`` elements."""
-        last = self._ball[-1]
-        if sum(map(len, self._ball)) + 2 * len(self.generators) * len(last) > MAX_BALL:
+        """Add the next sphere to ``_ball``, unless it could take the ball past
+        ``MAX_BALL`` elements.  Spheres are built in BFS order, which is lex
+        order on words, so the first word to reach an element is its lex-least
+        geodesic; a neighbour of sphere r lies in sphere r - 1, r or r + 1, so
+        an element not yet in the ball is new."""
+        ball, last = self._ball, self._sphere
+        if len(ball) + 2 * len(self.generators) * len(last) > MAX_BALL:
             return False
         model = self.model
         letters = []
@@ -296,14 +292,13 @@ class EngineMachine(SelfSimilarMachine):
             g = self._elements[self._codes[name]]
             letters.append((g, GroupWord.gen(name)))
             letters.append((model.invert(g), GroupWord.gen(name, -1)))
-        prev = self._ball[-2] if len(self._ball) > 1 else {}
         new: dict = {}
         for x, word in last.items():
             for g, letter in letters:
                 nxt = model.multiply(x, g)
-                if nxt not in new and nxt not in last and nxt not in prev:
-                    new[nxt] = word * letter
-        self._ball.append(new)
+                if nxt not in ball:
+                    ball[nxt] = new[nxt] = word * letter
+        self._sphere, self._radius = new, self._radius + 1
         return True
 
     def automorphism_of(self, elem) -> Automorphism:
@@ -326,7 +321,6 @@ class SequenceModel(GroupModel):
     def __init__(self, inner: GroupModel, named_copies: int):
         super().__init__()
         self.inner = inner
-        self.name = f"{inner.name}^(omega)"
         for pos in range(named_copies):
             for gname, g in inner.generators.items():
                 name = f"{gname}{pos + 1}"
@@ -400,7 +394,6 @@ class TupleKModel(GroupModel):
         self.inner = inner
         self.perms = tuple(perms)
         self.s = self.perms[0].degree
-        self.name = f"{inner.name} wr K{self.s}"
         index = {p: i for i, p in enumerate(self.perms)}
         # the top index of perms[i] * perms[j], and of perms[i]^-1
         self._product = tuple(tuple(index[p * q] for q in self.perms) for p in self.perms)
@@ -629,7 +622,6 @@ class ExtensionModel(SupportModel):
         self.mods = tuple(orders)
         self.cosets = tuple(cosets)
         self.s = len(cosets)
-        self.name = f"B{self.mods} lamps over {inner.name}^{self.s}"
         self.top_identity = (inner.identity(),) * self.s
 
     def top_multiply(self, t1, t2) -> tuple:

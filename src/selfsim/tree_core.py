@@ -639,47 +639,42 @@ def inflate(machine: SelfSimilarMachine, k: int) -> TableMachine:
 
 def find_moving_string(a: Automorphism, max_depth: int) -> Optional[String]:
     """The lex-least string of the shortest length moved by ``a``, or None if
-    ``a`` is trivial to ``max_depth``: deepening finds that length k, by level
-    tables (``_level``) up to the leaf and ``_trivial`` deeper, and stops once
-    the depth proven reaches ``max_depth``, so an exactly trivial word
-    (``inf``) costs the same at any depth.  A string of length k <= leaf is
-    the big-endian digits of the first moved byte of the level-k table; a
-    longer one walks down to the leaf, taking the first letter that moves or
-    whose section moves a string, and reads the chosen section's table."""
+    ``a`` is trivial to ``max_depth``: deepening finds that length k by
+    ``proven``, and stops once the depth proven reaches ``max_depth``, so an
+    exactly trivial word (``inf``) costs the same at any depth.  A string of
+    length k <= leaf is the big-endian digits of the first moved byte of the
+    level-k table that ``proven`` keeps; a longer one walks down to the leaf,
+    taking the first letter that moves or whose section moves a string."""
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
     machine = a.machine
     codes = machine.encode(a.word)
     m, leaf = machine.alphabet_size, machine._leaf
-    k, action = 0, b""
-    for d in range(1, max_depth + 1):
-        if d <= leaf:
-            action = _level(machine, codes, d)
-            proven = d if action == _IDENTITY[: len(action)] else None
-        else:
-            proven = _trivial(machine, codes, d)
-        if proven is None:
-            k = d
+    action = b""
+
+    def proven(codes: Codes, d: int) -> Optional[float]:  # _trivial, keeping the level table
+        nonlocal action
+        if not 1 <= d <= leaf:
+            return _trivial(machine, codes, d)
+        action = _level(machine, codes, d)
+        return d if action == _IDENTITY[: len(action)] else None
+
+    for k in range(1, max_depth + 1):
+        depth = proven(codes, k)
+        if depth is None:
             break
-        if proven >= max_depth:
-            break
+        if depth >= max_depth:
+            return None
     string: String = ()
     while k > leaf:  # codes moves a string of length k and fixes all shorter ones
         for y in range(m):
             sec, image = _pass(machine, codes, y)
             if image != y:
                 return string + (y,)
-            if k - 1 > leaf:
-                if _trivial(machine, sec, k - 1) is None:
-                    break
-            elif k > 1:  # action is the section's level table, read below once it moves
-                action = _level(machine, sec, k - 1)
-                if action != _IDENTITY[: len(action)]:
-                    break
+            if proven(sec, k - 1) is None:  # action is then the section's table, if k - 1 <= leaf
+                break
         else:
             raise AssertionError("the witness walk reached a trivial subtree")
         string, codes, k = string + (y,), sec, k - 1
-    if not k:
-        return None
     s = next(i for i, image in enumerate(action) if image != i)
     return string + tuple(s // m ** (k - 1 - i) % m for i in range(k))

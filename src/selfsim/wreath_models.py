@@ -23,7 +23,6 @@ from .gdata_engine import (
     EngineMachine,
     GData,
     GroupModel,
-    SequenceModel,
     SupportModel,
     VirtualEndo,
     build_representation,
@@ -39,8 +38,6 @@ from .tree_core import Automorphism, TableMachine, equal_to_depth
 
 class ZModel(GroupModel):
     """The additive integers with single generator ``a``."""
-
-    name = "Z"
 
     def __init__(self):
         super().__init__()
@@ -120,7 +117,6 @@ class WreathModel(SupportModel):
             raise ValueError("torsion orders must be at least 2")
         if top_dim < 1:
             raise ValueError("top dimension must be at least 1")
-        self.name = f"(Z^{free_rank}+{self.torsion}) wr Z^{top_dim}"
         self.mods = (0,) * free_rank + self.torsion
         self.top_identity = (0,) * top_dim
 
@@ -349,7 +345,8 @@ def decompose(s: Poly2, p: int) -> tuple[Poly2, Poly2, Poly2]:
 
 
 def cp_wr_z2_data(p: int, inverse_transversal: bool = False) -> GData:
-    """Data for the wreath product of a prime-order cyclic group by Z^2.
+    """Data for C_p wr Z^2 at any p from 2 to MAX_THMD_P; the paper's Theorem
+    D takes p prime, and nothing here checks faithfulness at a composite p.
 
     Membership in the index-p subgroup is a zero total base exponent mod p;
     the first map keeps only the q(y)-part of the ideal decomposition, the
@@ -569,30 +566,3 @@ def data_by_selector(selector: str) -> GData:
                 raise ValueError(f"lamplighter needs |B| <= {MAX_LAMPS}")
         return lamplighter_data(orders)
     raise ValueError(f"unknown data selector: {selector!r}")
-
-
-__all__ = [
-    "CosetSpace",
-    "GData",
-    "SequenceModel",
-    "VirtualEndo",
-    "WreathModel",
-    "ZModel",
-    "concatenate",
-    "data_by_selector",
-    "decompose",
-    "fibonacci_states",
-    "lamplighter_data",
-    "lamplighter_extension_data",
-    "prop31_endos",
-    "thmD",
-    "mixed_base_data",
-    "cp_wr_z2_data",
-    "thmD_engine_machine",
-    "thmD_transversal_comparison",
-    "z_coset_space",
-    "z_data",
-    "zomega_data",
-    "zwrz_data",
-    "zwrz_wr_c2_data",
-]

@@ -234,6 +234,46 @@ def test_prop31_engine_agrees_with_table(l, d):
         assert equal_to_depth(engine.automorphism(name), table.automorphism(name), 7)
 
 
+# built-in finite-state automaton -> the data selector whose exported file it is
+DATA_EXPORTS = (
+    [("adding", "z")]
+    + [(f"diagram2({n})", f"zomega:n={n}") for n in range(1, 9)]
+    + [(f"prop31({l},{d})", f"zl-wr-zd:l={l},d={d}") for l in range(1, 6) for d in range(1, 6)]
+)
+
+
+def _exported(selector: str) -> TableMachine:
+    return mealy.machine_to_mealy(build_representation(data_by_selector(selector)))
+
+
+@pytest.mark.parametrize("builtin, selector", DATA_EXPORTS)
+def test_builtin_automaton_is_its_data_export(builtin, selector):
+    # two finite automata with equal rows act alike at every depth, so this
+    # is exact where test_prop31_engine_agrees_with_table stops at depth 7
+    assert mealy.emit(mealy.builtin_machine(builtin)) == mealy.emit(_exported(selector))
+
+
+@pytest.mark.parametrize(
+    "builtin, selector, renaming",
+    [
+        ("diagram1", "zwrz", {"g1": "g", "a1": "a"}),
+        ("diagram3", "zwrz-wr-c2", {"g1": "g", "a1": "a", "q1": "as"}),
+    ],
+)
+def test_builtin_automaton_is_its_data_export_renamed(builtin, selector, renaming):
+    table, exported = mealy.builtin_machine(builtin), _exported(selector)
+
+    def rename(name: str) -> str:  # the identity "e" and the swap "s" keep their names
+        return renaming.get(name, name)
+
+    assert sorted(map(rename, exported.generators)) == sorted(table.generators)
+    for name in exported.generators:
+        sections, perm = exported.entry(name)
+        want_sections, want_perm = table.entry(rename(name))
+        assert [rename(str(w)) for w in sections] == [str(w) for w in want_sections]
+        assert perm == want_perm
+
+
 def test_equal_to_depth_rejects_alphabet_mismatch():
     adding = mealy.builtin_machine("adding")
     d1 = mealy.builtin_machine("diagram1")

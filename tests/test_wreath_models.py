@@ -565,6 +565,13 @@ def test_prime_wreath_engine_matches_table_for_p3_standard_only():
     assert report == {"standard": True, "inverse": False}
 
 
+@pytest.mark.parametrize("p", [4, 6])
+def test_composite_order_engine_matches_table_standard_only(p):
+    # the selector and thmD take any p in their bound; at a composite p the
+    # data and the table still agree to depth 8 with the standard transversal
+    assert thmD_transversal_comparison(p, 8) == {"standard": True, "inverse": False}
+
+
 def test_fibonacci_state_words():
     elems = fibonacci_states(2, 4)
     assert [str(e.word) for e in elems] == ["a", "a b", "a a b", "a a a b b"]
