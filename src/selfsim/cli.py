@@ -152,7 +152,7 @@ def _cmd_orbit_type(args) -> int:
 def _cmd_portrait(args) -> int:
     machine = _load_machine(args.machine)
     a = Automorphism(machine, _parse_word(machine, args.word))
-    for path, perm in portrait(a, args.depth).labels.items():  # breadth first, lex within a level
+    for path, perm in portrait(a, args.depth).items():  # breadth first, lex within a level
         print(f"{'  ' * len(path)}{_format_string(path, machine.alphabet_size)} {perm}")
     return 0
 

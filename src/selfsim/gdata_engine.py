@@ -339,11 +339,8 @@ class SequenceModel(GroupModel):
         return ()
 
     def multiply(self, a, b):
-        ident = self.inner.identity()
-        n = max(len(a), len(b))
-        a = a + (ident,) * (n - len(a))
-        b = b + (ident,) * (n - len(b))
-        return self.trim(self.inner.multiply(x, y) for x, y in zip(a, b))
+        pairs = itertools.zip_longest(a, b, fillvalue=self.inner.identity())
+        return self.trim(self.inner.multiply(x, y) for x, y in pairs)
 
     def invert(self, a):
         return tuple(self.inner.invert(x) for x in a)
@@ -529,29 +526,11 @@ def reduce_coeff(values, mods) -> tuple[int, ...]:
     return tuple([v % k if k else v for v, k in zip(values, mods)])
 
 
-def norm_support(entries, mods) -> tuple:
-    """The canonical support of ``(point, coeff)`` entries whose coefficients
-    are canonical under ``mods``: entries at one point add slot by slot, zero
-    coefficients are dropped, and the points are sorted."""
-    acc: dict = {}
-    for point, coeff in entries:
-        prev = acc.get(point)
-        acc[point] = coeff if prev is None else reduce_coeff(map(add, prev, coeff), mods)
-    return tuple((p, acc[p]) for p in sorted(acc) if any(acc[p]))
-
-
-def support_total(support, mods) -> tuple[int, ...]:
-    """The canonical sum of the coefficients of a support."""
-    if not support:
-        return (0,) * len(mods)
-    return reduce_coeff(map(sum, zip(*(c for _, c in support))), mods)
-
-
 class SupportModel(GroupModel):
     """The group law of finitely supported maps extended by a top group.
 
     An element is a ``(support, tops)`` pair: ``support`` holds canonical
-    ``(point, coeff)`` entries (``norm_support`` under ``mods``: points
+    ``(point, coeff)`` entries (``norm_base`` under ``mods``: points
     strictly increasing, no zero coefficient) and ``tops`` lies in the top
     group, which moves the points.  With ``shift(phi, t)`` the support ``phi``
     with every point moved by ``t``,
@@ -569,10 +548,20 @@ class SupportModel(GroupModel):
         return ((), self.top_identity)
 
     def norm_base(self, entries) -> tuple:
-        return norm_support(entries, self.mods)
+        """The canonical support of ``(point, coeff)`` entries with canonical
+        coefficients under ``mods``: entries at one point add slot by slot,
+        zero coefficients are dropped, and the points are sorted."""
+        acc: dict = {}
+        for point, coeff in entries:
+            prev = acc.get(point)
+            acc[point] = coeff if prev is None else reduce_coeff(map(add, prev, coeff), self.mods)
+        return tuple((p, acc[p]) for p in sorted(acc) if any(acc[p]))
 
     def coeff_total(self, a) -> tuple[int, ...]:
-        return support_total(a[0], self.mods)
+        """The canonical sum of the coefficients of an element's support."""
+        if not a[0]:
+            return (0,) * len(self.mods)
+        return reduce_coeff(map(sum, zip(*(c for _, c in a[0]))), self.mods)
 
     def multiply(self, a, b):
         (phi1, t1), (phi2, t2) = a, b
@@ -740,7 +729,6 @@ class WitnessReport(NamedTuple):
     """Moved strings for sampled nontrivial elements of a represented group."""
 
     entries: list  # (element, witness-or-None)
-    max_depth: int
 
     @property
     def all_witnessed(self) -> bool:
@@ -765,7 +753,7 @@ def fcore_witness_check(
     """
     if machine is None:
         machine = build_representation(data)
-    report = WitnessReport([], max_depth)
+    report = WitnessReport([])
     attempts = 0
     while len(report.entries) < samples and attempts < samples * 20:
         attempts += 1

@@ -247,14 +247,6 @@ class Automorphism:
         return f"Automorphism({self.word!s})"
 
 
-class Portrait(NamedTuple):
-    """Root permutations of all sections down to (but excluding) a depth,
-    keyed by vertex breadth first, lex within a level."""
-
-    depth: int
-    labels: dict[String, Perm]
-
-
 class _Decoded(Sequence):
     """Read-only states over a closure's code tuples: each read, iteration
     included (``Sequence`` iterates through ``__getitem__``), decodes a fresh
@@ -440,7 +432,7 @@ def _trivial(machine: SelfSimilarMachine, codes: Codes, d: int) -> Optional[floa
     and expands the core, a shortest word of the class, up to the first cursor
     pass that ends away from its start.  A new record is proven at every
     depth (``inf``) where exact: the core fixes the root and leaves no
-    section, or its class key is the identity of the machine's model."""
+    section, or its class key is the empty word's (a model's identity)."""
     if d <= 0:
         return d
     if not codes:
@@ -463,9 +455,8 @@ def _trivial(machine: SelfSimilarMachine, codes: Codes, d: int) -> Optional[floa
                     secs = None
                     break
                 secs.append(sec)
-            model = machine.model
             exact = secs is not None and not any(secs)
-            exact = exact or model is not None and model.is_identity(key[0])
+            exact = exact or key[0] == machine.cache_key(())
             record = memo[key] = [float("inf") if exact else 0, secs]
         memo[core] = record
     if record[0] >= d:
@@ -490,9 +481,10 @@ def equal_to_depth(a: Automorphism, b: Automorphism, depth: int) -> bool:
     return trivial_to_depth(union, _lift(0, a.word) * _lift(1, b.word).inverse(), depth)
 
 
-def portrait(a: Automorphism, depth: int) -> Portrait:
-    """The root permutation at every vertex above ``depth``; raises when these
-    m^0 + .. + m^(depth-1) vertices exceed ``MAX_LETTERS``."""
+def portrait(a: Automorphism, depth: int) -> dict[String, Perm]:
+    """The root permutation at every vertex above ``depth``, keyed by vertex
+    breadth first, lex within a level; raises when these m^0 + .. +
+    m^(depth-1) vertices exceed ``MAX_LETTERS``."""
     if depth < 0:
         raise ValueError("depth must be nonnegative")
     machine = a.machine
@@ -511,7 +503,7 @@ def portrait(a: Automorphism, depth: int) -> Portrait:
             labels[path] = Perm(image for _, image in passes)
             next_frontier.extend((path + (y,), sec) for y, (sec, _) in enumerate(passes))
         frontier = next_frontier
-    return Portrait(depth, labels)
+    return labels
 
 
 def closure(starts: Sequence, successors, limit: int, key=None) -> tuple[list, bool]:

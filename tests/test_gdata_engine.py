@@ -17,8 +17,6 @@ from selfsim.gdata_engine import (
     fcore_witness_check,
     schreier,
     lamp_extension_data,
-    norm_support,
-    support_total,
     wreath_by_regular_data,
 )
 from selfsim.perm_word import GroupWord, Perm, parse_word
@@ -36,6 +34,7 @@ from selfsim.tree_core import (
 )
 from selfsim.wreath_models import (
     CosetSpace,
+    WreathModel,
     cp_wr_z2_data,
     data_by_selector,
     lamplighter_data,
@@ -691,16 +690,17 @@ def test_fcore_witness_skips_identity_samples():
 
 
 def test_norm_support_and_total():
-    mods = (0, 3)  # a free integer slot, then a residue slot mod 3
+    model = WreathModel(1, (3,), 1)
+    assert model.mods == (0, 3)  # a free integer slot, then a residue slot mod 3
     # entries that cancel at a point are dropped, and so is a lone zero entry
-    assert norm_support([((0,), (2, 1)), ((0,), (-2, 2)), ((1,), (0, 0))], mods) == ()
+    assert model.norm_base([((0,), (2, 1)), ((0,), (-2, 2)), ((1,), (0, 0))]) == ()
     # a free-slot sum is not reduced, a residue sum is
-    assert norm_support([((0,), (2, 2)), ((0,), (5, 2))], mods) == (((0,), (7, 1)),)
-    assert support_total((((0,), (4, 2)), ((1,), (3, 2))), mods) == (7, 1)
-    assert support_total((), mods) == (0, 0)
+    assert model.norm_base([((0,), (2, 2)), ((0,), (5, 2))]) == (((0,), (7, 1)),)
+    assert model.coeff_total(((((0,), (4, 2)), ((1,), (3, 2))), (0,))) == (7, 1)
+    assert model.coeff_total(model.identity()) == (0, 0)
     # points are sorted in their natural order
     entries = [((10,), (1, 0)), ((9,), (1, 0)), ((2,), (0, 1))]
-    assert [p for p, _ in norm_support(entries, mods)] == [(2,), (9,), (10,)]
+    assert [p for p, _ in model.norm_base(entries)] == [(2,), (9,), (10,)]
 
 
 def _reference_ball(machine):

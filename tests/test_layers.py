@@ -1,7 +1,11 @@
 """The module layers of ``selfsim``: every module imports only modules of
-lower layers, and only at its top, never inside a function or class body."""
+lower layers, and only at its top, never inside a function or class body, so
+importing a module loads no module of a higher layer."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -31,6 +35,20 @@ def test_imports_are_at_the_top_and_go_down(path):
                 assert target in below, f"{path.name}:{node.lineno}: imports {target}"
 
 
+@pytest.mark.parametrize("layer", LAYERS)
+def test_importing_a_layer_loads_no_higher_layer(layer):
+    # a fresh interpreter, since this one has imported every module already
+    src = str(MODULES[0].parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", f"import sys, selfsim.{layer}; print(*sys.modules)"],
+        capture_output=True, text=True, check=True, env=dict(os.environ, PYTHONPATH=path),
+    )
+    loaded = {m.removeprefix("selfsim.") for m in result.stdout.split() if m.startswith("selfsim.")}
+    assert layer in loaded
+    assert not loaded & set(LAYERS[LAYERS.index(layer) + 1 :]), sorted(loaded)
+
+
 def _scopes_naming(tree: ast.AST, attr: str) -> set[str]:
     """The dotted names of the functions and classes whose own bodies name
     ``attr`` as an attribute; the module's own body is ``""``."""
@@ -58,3 +76,10 @@ def test_only_trivial_reads_the_triviality_memo():
         for scope in _scopes_naming(ast.parse(path.read_text(encoding="utf-8")), "_triv")
     }
     assert readers == {"tree_core.SelfSimilarMachine.__init__", "tree_core._trivial"}
+
+
+def test_only_states_reads_a_model_in_tree_core():
+    # the base class reads no subclass-only field: ``_trivial`` compares a
+    # class key with the empty word's, and ``states`` alone asks for a model
+    tree_core = next(path for path in MODULES if path.stem == "tree_core")
+    assert _scopes_naming(ast.parse(tree_core.read_text(encoding="utf-8")), "model") == {"states"}

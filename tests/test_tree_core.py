@@ -133,16 +133,16 @@ def test_cross_machine_equality_matches_single_machine(name):
 
 def test_portrait_examples(adding, diagram1):
     ident = portrait(adding.automorphism("e"), 2)
-    assert all(p.is_identity() for p in ident.labels.values())
-    assert set(ident.labels) == {(), (0,), (1,)}
+    assert all(p.is_identity() for p in ident.values())
+    assert set(ident) == {(), (0,), (1,)}
 
     por = portrait(adding.automorphism("a"), 2)
-    assert por.labels[()] == Perm((1, 0))
-    assert por.labels[(0,)].is_identity()
-    assert por.labels[(1,)] == Perm((1, 0))
+    assert por[()] == Perm((1, 0))
+    assert por[(0,)].is_identity()
+    assert por[(1,)] == Perm((1, 0))
 
     root_only = portrait(diagram1.automorphism("g"), 1)
-    assert root_only.labels[()].is_identity()
+    assert root_only[()].is_identity()
 
 
 @pytest.mark.parametrize("name", ["adding", "diagram1", "diagram3", "thmD(2)", "brunner_sidki"])
@@ -153,7 +153,7 @@ def test_portrait_labels_are_breadth_first_and_lex_within_a_level(name):
     for _ in range(10):
         a = Automorphism(machine, _random_word(rng, list(machine.generators), 6))
         for depth in range(5):
-            paths = list(portrait(a, depth).labels)
+            paths = list(portrait(a, depth))
             assert paths == sorted(paths, key=lambda p: (len(p), p)), (name, depth)
             assert len(paths) == sum(machine.alphabet_size**k for k in range(depth))
 

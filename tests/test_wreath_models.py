@@ -12,7 +12,6 @@ from selfsim.gdata_engine import (
     CosetSpace,
     ExtensionModel,
     build_representation,
-    norm_support,
     reduce_coeff,
 )
 from selfsim.tree_core import equal_to_depth
@@ -86,16 +85,13 @@ def _parent_wreath_law(model):
     """``WreathModel.multiply`` and ``invert`` as written before the shared
     ``SupportModel`` law: the reference the shared law must match."""
 
-    def norm_base(entries):
-        return norm_support(entries, model.mods)
-
     def shift_base(base, vec):
         return [(tuple(p + v for p, v in zip(point, vec)), coeff) for point, coeff in base]
 
     def multiply(a, b):
         (b1, t1), (b2, t2) = a, b
         neg_t1 = tuple(-v for v in t1)
-        base = norm_base(list(b1) + shift_base(b2, neg_t1))
+        base = model.norm_base(list(b1) + shift_base(b2, neg_t1))
         return (base, tuple(x + y for x, y in zip(t1, t2)))
 
     def invert(a):
@@ -103,16 +99,13 @@ def _parent_wreath_law(model):
         shifted = shift_base(
             [(vec, reduce_coeff(map(neg, coeff), model.mods)) for vec, coeff in base], top
         )
-        return (norm_base(shifted), tuple(-v for v in top))
+        return (model.norm_base(shifted), tuple(-v for v in top))
 
     return multiply, invert
 
 
 def _parent_extension_law(model):
     """``ExtensionModel.multiply`` and ``invert`` as written before the shared law."""
-
-    def norm_base(entries):
-        return norm_support(entries, model.mods)
 
     def translate_point(labs, tops):
         return tuple(c.translate(lab, g) for c, lab, g in zip(model.cosets, labs, tops))
@@ -121,7 +114,7 @@ def _parent_extension_law(model):
         (phi1, t1), (phi2, t2) = a, b
         t1inv = tuple(model.inner.invert(g) for g in t1)
         moved = [(translate_point(labs, t1inv), coeff) for labs, coeff in phi2]
-        phi = norm_base(list(phi1) + moved)
+        phi = model.norm_base(list(phi1) + moved)
         tops = tuple(model.inner.multiply(x, y) for x, y in zip(t1, t2))
         return (phi, tops)
 
@@ -131,7 +124,7 @@ def _parent_extension_law(model):
             (translate_point(labs, tops), reduce_coeff(map(neg, coeff), model.mods))
             for labs, coeff in phi
         ]
-        return (norm_base(moved), tuple(model.inner.invert(g) for g in tops))
+        return (model.norm_base(moved), tuple(model.inner.invert(g) for g in tops))
 
     return multiply, invert
 
@@ -206,12 +199,12 @@ def test_merge_law_matches_renormalising_law(operands):
     def multiply(x, y):
         (phi1, t1), (phi2, t2) = x, y
         moved = model.shift(phi2, model.top_invert(t1))
-        return (norm_support(list(phi1) + list(moved), mods), model.top_multiply(t1, t2))
+        return (model.norm_base(list(phi1) + list(moved)), model.top_multiply(t1, t2))
 
     def invert(x):
         phi, tops = x
         negated = [(point, reduce_coeff(map(neg, coeff), mods)) for point, coeff in phi]
-        return (norm_support(model.shift(negated, tops), mods), model.top_invert(tops))
+        return (model.norm_base(model.shift(negated, tops)), model.top_invert(tops))
 
     if isinstance(model, WreathModel):
         multiply, invert = _parent_wreath_law(model)
