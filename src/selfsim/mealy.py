@@ -246,19 +246,21 @@ def builtin_machine(name: str) -> SelfSimilarMachine:
 def machine_to_mealy(machine: SelfSimilarMachine) -> TableMachine:
     """Close a machine under sections into a table whose sections are single states.
 
-    Requires every section to be a single state or the identity; raises for
-    composite sections and when a state beyond the generators would take the
-    closure past ``MAX_STATES`` (expected for non-finite-state machines).
+    The closure runs over state codes and their rows; only the states of the
+    returned table are decoded (``entry``).  Requires every section to be a
+    single state or the identity; raises for composite sections and when a
+    state beyond the generators would take the closure past ``MAX_STATES``
+    (expected for non-finite-state machines).
     """
-    table = {}
+    rows, names = machine._rows, machine._names
 
-    def successors(name: str):  # one section at a time, so a composite one is reported in order
-        table[name] = machine.entry(name)
-        for w in table[name][0]:
-            if len(w) > 1 or any(sign < 0 for _, sign in w):
-                raise ValueError(f"state {name} has a composite section; export recursions instead")
-            yield from (nxt for nxt, _ in w)
+    def successors(c: int):  # one section at a time, so a composite one is reported in order
+        for sec, _ in rows[c] or machine._row(c):
+            if len(sec) > 1 or sec and sec[0] & 1:
+                raise ValueError(f"state {names[c >> 1]} has a composite section; export recursions instead")
+            yield from sec
 
-    if closure(machine.generators, successors, MAX_STATES)[1]:
+    found, more = closure([machine._codes[g] for g in machine.generators], successors, MAX_STATES)
+    if more:
         raise ValueError(f"state closure exceeded {MAX_STATES} states; not exportable")
-    return TableMachine(machine.alphabet_size, table)
+    return TableMachine(machine.alphabet_size, {names[c >> 1]: machine.entry(names[c >> 1]) for c in found})

@@ -323,10 +323,11 @@ def _level(machine: SelfSimilarMachine, codes: Codes, k: int) -> bytes:
                 table = bytearray()
                 # string x r, in the order of x's entries in the row, goes to the
                 # image of x followed by the image of r under the section at x: the
-                # identity rotated by image m^(k-1) adds that to each byte of below
+                # identity rotated by image m^(k-1) adds that to each byte of below,
+                # and an empty section's below is the identity: the rotation's prefix
                 for sec, image in machine._rows[c] or machine._row(c):
-                    below = _level(machine, sec, k - 1)
-                    table += below.translate(_IDENTITY[image * n :] + _IDENTITY[: image * n])
+                    rotated = _IDENTITY[image * n :] + _IDENTITY[: image * n]
+                    table += _level(machine, sec, k - 1).translate(rotated) if sec else rotated[:n]
             table = tables[c] = bytes(table) + _IDENTITY[len(table) :]
         action = action.translate(table)
     return action
@@ -603,8 +604,9 @@ def inflate(machine: SelfSimilarMachine, k: int) -> TableMachine:
 
     Blocks are ordered big-endian: block (y_1..y_k) is letter sum(y_i * m^(k-i)).
     The table holds the generators and every state their block sections
-    reach; raises when m^k or k exceeds ``MAX_LETTERS`` (for m = 1 every m^k
-    is 1) or the closure ``MAX_STATES``.
+    reach: the closure runs over state codes, keeping each state's walks, and
+    only the returned table is decoded.  Raises when m^k or k exceeds
+    ``MAX_LETTERS`` (for m = 1 every m^k is 1) or the closure ``MAX_STATES``.
     """
     if k < 1:
         raise ValueError("inflation level must be at least 1")
@@ -615,17 +617,18 @@ def inflate(machine: SelfSimilarMachine, k: int) -> TableMachine:
         raise ValueError(f"blocks of {k} letters exceed the limit of {MAX_LETTERS}")
     blocks = list(product(range(m), repeat=k))
     index = {b: i for i, b in enumerate(blocks)}
-    table: dict[str, tuple[list[GroupWord], Perm]] = {}
+    walks: dict[int, list[tuple[Codes, String]]] = {}  # state code -> its walk along each block
 
-    def successors(name: str) -> list[str]:
-        codes = machine.encode(GroupWord.gen(name))
-        walks = [_walk(machine, codes, b) for b in blocks]
-        sections = [machine.decode(sec) for sec, _ in walks]
-        table[name] = (sections, Perm(index[image] for _, image in walks))
-        return [sym for w in sections for sym, _ in w]
+    def successors(c: int) -> list[int]:
+        walks[c] = [_walk(machine, (c,), b) for b in blocks]
+        return [x & ~1 for sec, _ in walks[c] for x in sec]
 
-    if closure(machine.generators, successors, MAX_STATES)[1]:
+    if closure([machine._codes[g] for g in machine.generators], successors, MAX_STATES)[1]:
         raise ValueError(f"state closure exceeded {MAX_STATES} states; not inflatable")
+    table = {}
+    for c, walk in walks.items():
+        sections = [machine.decode(sec) for sec, _ in walk]
+        table[machine._names[c >> 1]] = (sections, Perm(index[image] for _, image in walk))
     return TableMachine(m**k, table)
 
 

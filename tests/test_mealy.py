@@ -1,10 +1,14 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfsim import mealy
+from selfsim.gdata_engine import build_representation
 from selfsim.perm_word import GroupWord, Perm, parse_word
-from selfsim.tree_core import TableMachine, states
+from selfsim.tree_core import MAX_STATES, TableMachine, _walk, closure, inflate, states
+from selfsim.wreath_models import data_by_selector
 
 DIAGRAM1_FILE = """\
 alphabet 3
@@ -291,3 +295,82 @@ def test_machine_to_mealy_round_trip():
 def test_machine_to_mealy_rejects_composite_sections():
     with pytest.raises(ValueError, match="composite"):
         mealy.machine_to_mealy(mealy.builtin_machine("thmD(2)"))
+
+
+# reference exports that walk state names: each state is decoded into its
+# table entry as the closure reaches it
+def _mealy_by_names(machine):
+    table = {}
+
+    def successors(name):
+        table[name] = machine.entry(name)
+        for w in table[name][0]:
+            if len(w) > 1 or any(sign < 0 for _, sign in w):
+                raise ValueError(f"state {name} has a composite section; export recursions instead")
+            yield from (nxt for nxt, _ in w)
+
+    if closure(machine.generators, successors, MAX_STATES)[1]:
+        raise ValueError(f"state closure exceeded {MAX_STATES} states; not exportable")
+    return TableMachine(machine.alphabet_size, table)
+
+
+def _inflate_by_names(machine, k):
+    blocks = list(product(range(machine.alphabet_size), repeat=k))
+    index = {b: i for i, b in enumerate(blocks)}
+    table = {}
+
+    def successors(name):
+        codes = machine.encode(GroupWord.gen(name))
+        walks = [_walk(machine, codes, b) for b in blocks]
+        sections = [machine.decode(sec) for sec, _ in walks]
+        table[name] = (sections, Perm(index[image] for _, image in walks))
+        return [sym for w in sections for sym, _ in w]
+
+    if closure(machine.generators, successors, MAX_STATES)[1]:
+        raise ValueError(f"state closure exceeded {MAX_STATES} states; not inflatable")
+    return TableMachine(machine.alphabet_size**k, table)
+
+
+# every built-in, every selector that the CLI tests build and a table whose
+# sections hold inverse states: finite-state machines, composite sections
+# (thmD, the inverse table), closures past MAX_STATES (thmD-engine, cp-wr-z2,
+# lamplighter:B=256) and more generators than MAX_STATES (zomega:n=600)
+_EXPORT_BUILTINS = [
+    "adding", "diagram1", "diagram2(1)", "diagram2(4)", "diagram3", "brunner_sidki", "thmD(2)", "thmD(3)",
+    "thmD(300)", "thmD-engine(2)", "thmD-engine(3)", "prop31(1,1)", "prop31(2,2)", "prop31(2,3)",
+]
+_EXPORT_SELECTORS = [
+    "z", "zomega", "zomega:n=3", "zomega:n=7", "zomega:n=600", "zl-wr-zd:l=1,d=1", "zl-wr-zd:l=2,d=1",
+    "zl-wr-zd:l=1,d=2", "zl-wr-zd:l=2,d=2", "zl-wr-zd:l=1,d=3", "cp-wr-z2:p=2", "cp-wr-z2:p=3",
+    "cp-wr-z2:p=5", "cp-wr-z2:p=7", "cp-wr-z2:p=13", "zwrz", "zwrz-wr-c2", "lamplighter:B=2",
+    "lamplighter:B=3", "lamplighter:B=2,3", "lamplighter:B=2,2,2", "lamplighter:B=11", "lamplighter:B=256",
+    "concat:lamplighter:B=2+zwrz", "concat:zwrz+zwrz", "concat:zwrz+zwrz+zwrz+zwrz",
+]
+
+
+def _export_outcome(export, machine):
+    """The emitted text or the error of an export, then the machine's state
+    names and compiled rows."""
+    try:
+        text = mealy.emit(export(machine))
+    except ValueError as err:
+        text = f"error: {err}"
+    return text, machine._names, machine._rows
+
+
+@pytest.mark.parametrize("name", _EXPORT_BUILTINS + _EXPORT_SELECTORS + ["inverse sections"])
+def test_table_exports_match_the_name_level_walks(name):
+    def make():
+        if name == "inverse sections":  # a = (e, b^-1)(0 1), b = (a, e)
+            table = {"a": ((_E, parse_word("b^-1")), _SWAP), "b": ((parse_word("a"), _E), Perm.identity(2))}
+            return TableMachine(2, table)
+        if name in _EXPORT_BUILTINS:
+            return mealy.builtin_machine(name)
+        return build_representation(data_by_selector(name))
+
+    assert _export_outcome(mealy.machine_to_mealy, make()) == _export_outcome(_mealy_by_names, make())
+    m = make().alphabet_size
+    for k in (1, 2):
+        if m**k <= 256:
+            got = _export_outcome(lambda machine: inflate(machine, k), make())
+            assert got == _export_outcome(lambda machine: _inflate_by_names(machine, k), make()), k

@@ -796,6 +796,42 @@ def test_alphabet_past_256_letters_decides_every_depth_by_records():
     assert machine._triv
 
 
+def _recursive_level(machine, codes, k):
+    """A reference ``_level`` that rotates the level-(k-1) table of every
+    section, the empty word's included."""
+    n = machine.alphabet_size ** (k - 1)
+    action = tree_core._IDENTITY[: n * machine.alphabet_size]
+    tables = machine._levels[k]
+    for c in codes:
+        table = tables.get(c)
+        if table is None:
+            if k == 1:
+                table = bytes(machine._perm(c))
+            else:
+                table = bytearray()
+                for sec, image in machine._rows[c] or machine._row(c):
+                    below = _recursive_level(machine, sec, k - 1)
+                    table += below.translate(tree_core._IDENTITY[image * n :] + tree_core._IDENTITY[: image * n])
+            table = tables[c] = bytes(table) + tree_core._IDENTITY[len(table) :]
+        action = action.translate(table)
+    return action
+
+
+@pytest.mark.parametrize("name", [
+    "adding", "diagram1", "diagram2(4)", "diagram3", "brunner_sidki", "thmD(2)", "thmD(3)",
+    "thmD-engine(2)", "thmD-engine(3)", "prop31(1,1)", "prop31(2,2)", "prop31(2,3)",
+])
+def test_level_tables_match_the_recursive_form(name):
+    # every level table of each generator and its inverse, built cold on one
+    # machine and through a section call per letter on another
+    fresh, recursive = mealy.builtin_machine(name), mealy.builtin_machine(name)
+    assert fresh._leaf > 0
+    for k, g, bit in product(range(1, fresh._leaf + 1), fresh.generators, (0, 1)):
+        codes = (fresh._codes[g] | bit,)
+        assert _level(fresh, codes, k) == _recursive_level(recursive, codes, k), (g, bit, k)
+    assert fresh._levels == recursive._levels and fresh._names == recursive._names
+
+
 def test_engine_memo_keys_never_equal_code_tuples():
     # on Z^omega the element of a1^6 is the tuple (6,), the code tuple of a4
     machine = build_representation(data_by_selector("zomega"))
