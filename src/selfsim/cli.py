@@ -4,8 +4,9 @@ Exit codes: 0 success, 1 a requested check failed, 2 usage or input error,
 a search too deep for the interpreter's recursion limit, or any other
 exception, each reported as one ``error:`` line on stderr.
 Identical inputs always produce byte-identical output: help and usage wrap at
-78 columns whatever the terminal's width.  A run builds only the parser of the
-command it names, from one table of commands.
+78 columns whatever the terminal's width.  A run that names a command builds
+that command's parser alone, from one table of commands; help, no command, an
+unknown command or arguments left over build the full parser.
 """
 
 from __future__ import annotations
@@ -263,29 +264,42 @@ _COMMANDS = {
 _FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
 
 
+def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    _, handler, *flags = _COMMANDS[name]
+    for names, kwargs in flags:
+        parser.add_argument(*names, **kwargs)
+    parser.set_defaults(func=globals()[handler])
+    return parser
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of ``selfsim``, with the subparser of ``command`` alone where
-    it names a command and of every command otherwise; its usage line and
-    errors name every command either way, so both print the same text."""
+    """The parser of ``selfsim command`` alone where ``command`` names one,
+    with prog ``selfsim command`` so that its help and errors read as those of
+    the full parser's subparser; otherwise the full parser of ``selfsim``,
+    with a subparser for every command."""
+    if command in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"selfsim {command}", formatter_class=_FORMATTER)
+        return _add_command(parser, command)
     parser = argparse.ArgumentParser(
         prog="selfsim",
         description="Build and probe self-similar group actions on rooted m-trees.",
         formatter_class=_FORMATTER,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in [command] if command in _COMMANDS else _COMMANDS:
-        help_text, handler, *flags = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text, formatter_class=_FORMATTER)
-        for names, kwargs in flags:
-            p.add_argument(*names, **kwargs)
-        p.set_defaults(func=globals()[handler])
-    sub.choices = _COMMANDS  # usage and errors name every command
+    for name, (help_text, *_) in _COMMANDS.items():
+        _add_command(sub.add_parser(name, help=help_text, formatter_class=_FORMATTER), name)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = extra = None
+    if argv and argv[0] in _COMMANDS:
+        args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
+    if args is None or extra:
+        # help, no command or an unknown one, or arguments left over: the
+        # full parser's usage and errors name every command
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, RecursionError) as exc:
