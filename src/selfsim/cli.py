@@ -25,7 +25,6 @@ from .tree_core import (
     SelfSimilarMachine,
     closure,
     find_moving_string,
-    format_orbit_type,
     inflate,
     orbit_type,
     portrait,
@@ -146,7 +145,7 @@ def _cmd_act(args) -> int:
 
 def _cmd_orbit_type(args) -> int:
     machine = _load_machine(args.machine)
-    print(format_orbit_type(orbit_type(machine)))
+    print("(" + ",".join(str(s) for s in orbit_type(machine)) + ")")
     return 0
 
 

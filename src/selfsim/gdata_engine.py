@@ -111,10 +111,6 @@ class GData:
     def degree(self) -> int:
         return sum(e.index for e in self.endos)
 
-    @property
-    def orbit_sizes(self) -> tuple[int, ...]:
-        return tuple(e.index for e in self.endos)
-
 
 def schreier(endo: VirtualEndo, g, t) -> tuple[object, int]:
     """The cocycle value ``t g t_j^-1`` and the index j of the coset of ``t g``.
@@ -725,41 +721,26 @@ def lamp_data(model: SupportModel, data: GData, cosets: Sequence[CosetSpace]) ->
 # ---------------------------------------------------------------------------
 
 
-class WitnessReport(NamedTuple):
-    """Moved strings for sampled nontrivial elements of a represented group."""
-
-    entries: list  # (element, witness-or-None)
-
-    @property
-    def all_witnessed(self) -> bool:
-        return all(w is not None for _, w in self.entries)
-
-    @property
-    def sampled(self) -> int:
-        return len(self.entries)
-
-
 def fcore_witness_check(
     data: GData,
     samples: int,
     max_depth: int,
     rng,
     machine: Optional[EngineMachine] = None,
-) -> WitnessReport:
+) -> list[tuple[object, Optional[tuple[int, ...]]]]:
     """Sample canonically nontrivial elements and find strings they move.
 
-    A sample with no witness within ``max_depth`` is flagged, not raised; the
-    report says whether every sampled element was witnessed.
+    Returns one ``(element, witness)`` pair per sample; a sample with no
+    witness within ``max_depth`` has witness None, which is flagged, not raised.
     """
     if machine is None:
         machine = build_representation(data)
-    report = WitnessReport([])
+    entries = []
     attempts = 0
-    while len(report.entries) < samples and attempts < samples * 20:
+    while len(entries) < samples and attempts < samples * 20:
         attempts += 1
         g = data.model.random_element(rng)
         if data.model.is_identity(g):
             continue
-        witness = find_moving_string(machine.automorphism_of(g), max_depth)
-        report.entries.append((g, witness))
-    return report
+        entries.append((g, find_moving_string(machine.automorphism_of(g), max_depth)))
+    return entries

@@ -323,11 +323,10 @@ def _level(machine: SelfSimilarMachine, codes: Codes, k: int) -> bytes:
                 table = bytearray()
                 # string x r, in the order of x's entries in the row, goes to the
                 # image of x followed by the image of r under the section at x: the
-                # identity rotated by image m^(k-1) adds that to each byte of below,
-                # and an empty section's below is the identity: the rotation's prefix
+                # identity rotated by image m^(k-1) adds that to each byte of below
                 for sec, image in machine._rows[c] or machine._row(c):
                     rotated = _IDENTITY[image * n :] + _IDENTITY[: image * n]
-                    table += _level(machine, sec, k - 1).translate(rotated) if sec else rotated[:n]
+                    table += _level(machine, sec, k - 1).translate(rotated)
             table = tables[c] = bytes(table) + _IDENTITY[len(table) :]
         action = action.translate(table)
     return action
@@ -593,10 +592,6 @@ def orbit_type(machine: SelfSimilarMachine) -> tuple[int, ...]:
             seen.update(orbit)
             sizes.append(len(orbit))
     return tuple(sizes)
-
-
-def format_orbit_type(sizes: Sequence[int]) -> str:
-    return "(" + ",".join(str(s) for s in sizes) + ")"
 
 
 def inflate(machine: SelfSimilarMachine, k: int) -> TableMachine:

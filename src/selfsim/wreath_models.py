@@ -191,7 +191,8 @@ def concatenate(d1: GData, d2: GData) -> GData:
 
         def embed(g):
             base, top = g
-            return model.norm_base((vec, up(coeff)) for vec, coeff in base), top
+            # ``up`` only adds zero slots: the points stay sorted, no coefficient zero
+            return tuple([(vec, up(coeff)) for vec, coeff in base]), top
 
         for name, g in data.model.generators.items():
             lifted = embed(g)
@@ -484,12 +485,6 @@ def lamplighter_data(orders: Sequence[int]) -> GData:
     so ``lamp_data`` builds the same endomorphisms as for the generic carrier.
     """
     return lamp_data(WreathModel(0, orders, 1), z_data(), [z_coset_space()])
-
-
-def mixed_base_data(orders: Sequence[int], l: int) -> GData:
-    """Data of degree 2|B| + 4 for ``(Z^l + B) wr Z``: the lamp data over Z
-    concatenated with the free-base data over the same top group."""
-    return concatenate(lamplighter_data(orders), prop31_endos(l, 1))
 
 
 # ---------------------------------------------------------------------------

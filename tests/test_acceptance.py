@@ -28,8 +28,8 @@ from selfsim.wreath_models import (
     lamplighter_data,
     lamplighter_extension_data,
     prop31_endos,
-    mixed_base_data,
     cp_wr_z2_data,
+    data_by_selector,
     z_data,
     zomega_data,
     zwrz_data,
@@ -177,11 +177,12 @@ def test_criterion_6_lamp_extension_over_z():
 
 
 def test_criterion_7_concatenated_mixed_base():
-    data = mixed_base_data((2,), 1)
+    data = data_by_selector("concat:lamplighter:B=2+zl-wr-zd:l=1,d=1")
     ok = data.degree == 8  # 2|B| + 4 with |B| = 2
     machine = build_representation(data)
-    report = fcore_witness_check(data, 100, 20, random.Random(77), machine)
-    ok &= report.sampled == 100 and report.all_witnessed
+    entries = fcore_witness_check(data, 100, 20, random.Random(77), machine)
+    ok &= len(entries) == 100
+    ok &= all(w is not None and machine.automorphism_of(g).apply(w) != w for g, w in entries)
     for name in machine.generators:
         closure = states(machine.automorphism(name), 64, 12)
         ok &= not closure.truncated and len(closure) <= 64
@@ -201,7 +202,7 @@ def test_criterion_8_algebraic_property_suites():
         zwrz_wr_c2_data,
         lambda: lamplighter_data((2,)),
         lambda: lamplighter_extension_data((2,)),
-        lambda: mixed_base_data((2,), 1),
+        lambda: data_by_selector("concat:lamplighter:B=2+zl-wr-zd:l=1,d=1"),
     )
     for build in data_builders:
         data = build()

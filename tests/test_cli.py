@@ -621,7 +621,8 @@ ARGPARSE_DIGESTS = {
 # differently; these entries replace the ones above there.  They do not all
 # hold on 3.13.0, which still quotes the choices of an invalid-choice error:
 # there `bogus`, `build --data zwrz --emit bogus`, `-- act` and `ac` differ,
-# as they did while every run still built the parsers of all nine commands
+# as they did while every run still built the parsers of all nine commands,
+# and ARGPARSE_DIGESTS_3130 replaces them
 ARGPARSE_DIGESTS_313 = {
     "-h": "86416ac8dd755b8e4f2032ce7047f23ab54f41a4de6f3f001c1490930299c379",
     "--help": "86416ac8dd755b8e4f2032ce7047f23ab54f41a4de6f3f001c1490930299c379",
@@ -641,6 +642,27 @@ ARGPARSE_DIGESTS_313 = {
     "check -h": "961d324171593006dd0c4c598cb51f15ea40735caed83c4cea892d636e3f1982",
     "inflate -h": "82efe8a5c4262313029db602e6876bb5f1d41b4a8383d490788fbcb7bc3ecdd2",
 }
+# Python 3.13.0, which quotes the choices of an invalid-choice error and reads
+# a leading `--` as the command: recorded there at every width
+ARGPARSE_DIGESTS_3130 = {
+    "bogus": "88dfbe58d1a4933d20758df8258257e28287e7d584cda4c194e50325ef9d3cbb",
+    "build --data zwrz --emit bogus": "66b846b3672b023e0252fcc44d09dac1383ce4e119ef5c942930f04e6064cc80",
+    "-- act": "eaef259ebb9e81002a82bfe814337e46db77026b0d808e548f3217809ebc87be",
+    "ac": "1b4e4c067c3dff6bad67c1b5de0053c3d49536ddb1e670f3dbbb5d51b58af099",
+}
+
+
+def _quotes_invalid_choices() -> bool:
+    """Whether this argparse quotes the choices of an invalid-choice error."""
+    parser = argparse.ArgumentParser(exit_on_error=False)
+    parser.add_argument("x", choices=["a"])
+    try:
+        parser.parse_args(["b"])
+    except argparse.ArgumentError as err:
+        return "'a'" in str(err)
+
+
+QUOTES_INVALID_CHOICES = _quotes_invalid_choices()
 
 
 @pytest.mark.parametrize("columns", ["80", "40", "200", None])
@@ -648,6 +670,8 @@ def test_argparse_surface_is_pinned_at_every_width(columns, monkeypatch):
     if sys.version_info >= (3, 14):
         pytest.skip("argparse's text is pinned for Python 3.10-3.13")
     digests = {**ARGPARSE_DIGESTS, **(ARGPARSE_DIGESTS_313 if sys.version_info >= (3, 13) else {})}
+    if sys.version_info >= (3, 13) and QUOTES_INVALID_CHOICES:
+        digests.update(ARGPARSE_DIGESTS_3130)
     if columns is None:
         monkeypatch.delenv("COLUMNS", raising=False)
     else:

@@ -34,7 +34,6 @@ from selfsim.wreath_models import (
     fibonacci_states,
     lamplighter_data,
     lamplighter_extension_data,
-    mixed_base_data,
     prop31_endos,
     z_coset_space,
     z_data,
@@ -63,8 +62,11 @@ def test_z_wr_c2_has_degree_four():
 
 
 def test_prime_wreath_witnesses():
-    report = fcore_witness_check(cp_wr_z2_data(2), 100, 20, random.Random(41))
-    assert report.sampled == 100 and report.all_witnessed
+    data = cp_wr_z2_data(2)
+    machine = build_representation(data)
+    entries = fcore_witness_check(data, 100, 20, random.Random(41), machine)
+    assert len(entries) == 100
+    assert all(w is not None and machine.automorphism_of(g).apply(w) != w for g, w in entries)
 
 
 def test_prime_wreath_engine_machine_is_not_finite_state():
@@ -91,7 +93,6 @@ def test_diagram3_relation_invariants():
 def test_two_coordinate_lamp_extension():
     # two copies of the halving data; the rotation map permutes the coordinates
     data = lamp_extension_data((2,), _two_orbit_z(), [z_coset_space(), z_coset_space()])
-    assert data.orbit_sizes == (8, 1)
     model = data.model
     rng = random.Random(6)
     for _ in range(300):
@@ -116,8 +117,8 @@ def test_two_coordinate_lamp_extension():
         h = model.random_element(rng)
         lhs = machine.automorphism_of(g) * machine.automorphism_of(h)
         assert equal_to_depth(lhs, machine.automorphism_of(model.multiply(g, h)), 5)
-    report = fcore_witness_check(data, 30, 16, rng, machine)
-    assert report.all_witnessed
+    entries = fcore_witness_check(data, 30, 16, rng, machine)
+    assert all(w is not None and machine.automorphism_of(g).apply(w) != w for g, w in entries)
 
 
 def _two_orbit_z() -> GData:
@@ -146,7 +147,7 @@ LAMP_GENERATORS = [
     (lambda: lamp_extension_data((2, 3), z_data(), [z_coset_space()]), [
         ("b1", ((((0,), (1, 0)),), (0,))), ("b2", ((((0,), (0, 1)),), (0,))), ("z", ((), (1,))),
     ]),
-    (lambda: mixed_base_data((2,), 1), [
+    (lambda: data_by_selector("concat:lamplighter:B=2+zl-wr-zd:l=1,d=1"), [
         ("b", ((((0,), (0, 1)),), (0,))), ("z", ((), (1,))), ("g1", ((((0,), (1, 0)),), (0,))),
     ]),
     (lambda: data_by_selector("concat:lamplighter:B=2+zwrz"), [
@@ -171,12 +172,12 @@ def test_lamp_generators_by_name_element_and_order(build, generators):
         (zwrz_wr_c2_data, (4,)),
         (lambda: lamplighter_data((2,)), (4, 1)),
         (lambda: lamplighter_extension_data((2,)), (4, 1)),
-        (lambda: mixed_base_data((2,), 1), (4, 1, 2, 1)),
+        (lambda: data_by_selector("concat:lamplighter:B=2+zl-wr-zd:l=1,d=1"), (4, 1, 2, 1)),
     ],
 )
 def test_representation_orbit_type_matches_data(build, sizes):
     data = build()
-    assert data.orbit_sizes == sizes
+    assert tuple(e.index for e in data.endos) == sizes
     assert orbit_type(build_representation(data)) == sizes
 
 
@@ -208,7 +209,6 @@ def test_direct_power_of_a_wreath_model():
     from selfsim.gdata_engine import direct_power_data
 
     data = direct_power_data(zwrz_data(), named_copies=2)
-    assert data.orbit_sizes == (2, 1, 1)
     model = data.model
     rng = random.Random(18)
     for _ in range(200):
@@ -222,8 +222,8 @@ def test_direct_power_of_a_wreath_model():
         h = model.random_element(rng)
         lhs = machine.automorphism_of(g) * machine.automorphism_of(h)
         assert equal_to_depth(lhs, machine.automorphism_of(model.multiply(g, h)), 5)
-    report = fcore_witness_check(data, 25, 16, rng, machine)
-    assert report.all_witnessed
+    entries = fcore_witness_check(data, 25, 16, rng, machine)
+    assert all(w is not None and machine.automorphism_of(g).apply(w) != w for g, w in entries)
 
 
 @pytest.mark.parametrize("l,d", [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (2, 3)])

@@ -407,7 +407,6 @@ def test_direct_power_machine_matches_chain():
 def test_direct_power_degree_and_orbits():
     data = zomega_data(3)
     assert data.degree == 3
-    assert data.orbit_sizes == (2, 1)
     assert orbit_type(build_representation(data)) == (2, 1)
 
 
@@ -596,7 +595,6 @@ def test_wreath_identity_element_has_trivial_action():
 def test_lamp_extension_degree_and_orbit_type():
     data = lamplighter_extension_data((2,))
     assert data.degree == 5
-    assert data.orbit_sizes == (4, 1)
     assert orbit_type(build_representation(data)) == (4, 1)
 
 
@@ -667,15 +665,14 @@ def test_coset_space_translation_invariant():
 
 def test_fcore_witnesses_zwrz():
     data = zwrz_data()
-    report = fcore_witness_check(data, 100, 20, random.Random(23))
-    assert report.sampled == 100
-    assert report.all_witnessed
+    machine = build_representation(data)
+    entries = fcore_witness_check(data, 100, 20, random.Random(23), machine)
+    assert len(entries) == 100
+    assert all(w is not None and machine.automorphism_of(g).apply(w) != w for g, w in entries)
 
 
 def test_concatenated_endos_fix_the_identity():
-    from selfsim.wreath_models import mixed_base_data
-
-    data = mixed_base_data((2,), 1)
+    data = data_by_selector("concat:lamplighter:B=2+zl-wr-zd:l=1,d=1")
     ident = data.model.identity()
     for endo in data.endos:
         assert endo.contains(ident)
@@ -684,9 +681,10 @@ def test_concatenated_endos_fix_the_identity():
 
 def test_fcore_witness_skips_identity_samples():
     data = z_data()
-    report = fcore_witness_check(data, 25, 16, random.Random(4))
-    assert all(not data.model.is_identity(g) for g, _ in report.entries)
-    assert report.all_witnessed
+    machine = build_representation(data)
+    entries = fcore_witness_check(data, 25, 16, random.Random(4), machine)
+    assert all(not data.model.is_identity(g) for g, _ in entries)
+    assert all(w is not None and machine.automorphism_of(g).apply(w) != w for g, w in entries)
 
 
 def test_norm_support_and_total():

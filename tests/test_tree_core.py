@@ -26,7 +26,6 @@ from selfsim.tree_core import (
     closure,
     equal_to_depth,
     find_moving_string,
-    format_orbit_type,
     inflate,
     orbit_type,
     portrait,
@@ -196,7 +195,6 @@ def test_orbit_type_examples(diagram1):
     single = mealy.parse("alphabet 3\nstate t: 0->0 e, 1->1 e, 2->2 e\n")
     assert orbit_type(single) == (1, 1, 1)
     assert orbit_type(diagram1) == (2, 1)
-    assert format_orbit_type(orbit_type(diagram1)) == "(2,1)"
     assert orbit_type(mealy.builtin_machine("thmD(3)")) == (3, 1)
 
 

@@ -14,7 +14,7 @@ from selfsim.gdata_engine import (
     build_representation,
     reduce_coeff,
 )
-from selfsim.tree_core import equal_to_depth
+from selfsim.tree_core import equal_to_depth, orbit_type
 from selfsim.wreath_models import (
     WreathModel,
     _divide_linear,
@@ -26,7 +26,6 @@ from selfsim.wreath_models import (
     lamplighter_data,
     lamplighter_extension_data,
     prop31_endos,
-    mixed_base_data,
     cp_wr_z2_data,
     thmD_transversal_comparison,
     z_coset_space,
@@ -45,7 +44,7 @@ ALL_DATA = {
     "zwrz-wr-c2": zwrz_wr_c2_data,
     "lamplighter": lambda: lamplighter_data((2,)),
     "lamp-ext": lambda: lamplighter_extension_data((2,)),
-    "mixed-base": lambda: mixed_base_data((2,), 1),
+    "mixed-base": lambda: data_by_selector("concat:lamplighter:B=2+zl-wr-zd:l=1,d=1"),
 }
 
 
@@ -387,9 +386,9 @@ def test_prop31_f3_total_exponent():
 
 
 def test_prop31_d1_has_two_orbits():
-    assert prop31_endos(1, 1).orbit_sizes == (2, 1)
-    assert prop31_endos(3, 1).orbit_sizes == (2, 1)
-    assert prop31_endos(1, 2).orbit_sizes == (2, 1, 1)
+    assert orbit_type(build_representation(prop31_endos(1, 1))) == (2, 1)
+    assert orbit_type(build_representation(prop31_endos(3, 1))) == (2, 1)
+    assert orbit_type(build_representation(prop31_endos(1, 2))) == (2, 1, 1)
 
 
 # -- Laurent decomposition ----------------------------------------------------
@@ -544,8 +543,8 @@ def test_prime_wreath_membership_counts_total_exponent():
 
 
 def test_prime_wreath_orbit_sizes():
-    assert cp_wr_z2_data(2).orbit_sizes == (2, 1)
-    assert cp_wr_z2_data(5).orbit_sizes == (5, 1)
+    assert orbit_type(build_representation(cp_wr_z2_data(2))) == (2, 1)
+    assert orbit_type(build_representation(cp_wr_z2_data(5))) == (5, 1)
 
 
 def test_prime_wreath_engine_matches_table_for_p2():
@@ -657,7 +656,7 @@ def test_lamplighter_multiple_torsion_orders():
 
 
 def test_mixed_base_degree_and_generators():
-    data = mixed_base_data((2,), 1)
+    data = data_by_selector("concat:lamplighter:B=2+zl-wr-zd:l=1,d=1")
     assert data.degree == 8
     machine = build_representation(data)
     assert set(machine.generators) == {"b", "z", "g1"}
