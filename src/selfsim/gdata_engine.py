@@ -149,6 +149,9 @@ class EngineMachine(SelfSimilarMachine):
     section is first read, so each state's model arithmetic runs once per
     machine and a depth-1 answer names no state.  ``entry`` decodes the row.
     ``cache_key`` keeps the element of each code tuple it is asked for.
+    ``_chains_exceed`` bounds the closure from below by the chains of the
+    index-1 endomorphisms, so a Mealy export refuses a machine they carry
+    past the state bound before naming any state.
     """
 
     def __init__(self, data: GData):
@@ -237,6 +240,30 @@ class EngineMachine(SelfSimilarMachine):
         section at letter (i, j) is f_i(h) as a code tuple (``_word_of``)."""
         cells = self._kept.pop(c, None) or self._cells(c)
         return tuple((self._word_of(image(h)), target) for image, h, target in cells)
+
+    def _chains_exceed(self, limit: int) -> bool:
+        """Whether the generators and their chains g, f(g), f(f(g)), .. under
+        the index-1 endomorphisms f hold more than ``max(limit, generators)``
+        elements.  The cell of such an f at its one letter is
+        ``schreier(f, g, identity) = (g, 0)``, so the section of state g there
+        is f(g): every chain element short of the identity is a state of the
+        closure under sections.  A chain stops at the identity or at an element
+        already counted; no state is named and no row compiled."""
+        limit = max(limit, len(self.generators))
+        ident = self.model.identity()
+        starts = [self._elements[self._codes[name]] for name in self.generators]
+        seen = set(starts)
+        for endo in self.data.endos:
+            if endo.index == 1:
+                for g in starts:
+                    while True:
+                        g = endo.image(schreier(endo, g, endo.transversal[0])[0])
+                        if g == ident or g in seen:
+                            break
+                        if len(seen) == limit:
+                            return True
+                        seen.add(g)
+        return False
 
     def element_of(self, word: GroupWord):
         """Exact model element of a word over this machine's states."""

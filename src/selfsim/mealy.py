@@ -250,8 +250,12 @@ def machine_to_mealy(machine: SelfSimilarMachine) -> TableMachine:
     returned table are decoded (``entry``).  Requires every section to be a
     single state or the identity; raises for composite sections and when a
     state beyond the generators would take the closure past ``MAX_STATES``
-    (expected for non-finite-state machines).
+    (expected for non-finite-state machines).  On an engine the chains of its
+    index-1 endomorphisms are counted first (``_chains_exceed``): where they
+    alone pass the bound, it raises before any state is named or row compiled.
     """
+    if machine.model is not None and machine._chains_exceed(MAX_STATES):
+        raise ValueError(f"state closure exceeded {MAX_STATES} states; not exportable")
     rows, names = machine._rows, machine._names
 
     def successors(c: int):  # one section at a time, so a composite one is reported in order

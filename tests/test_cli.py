@@ -396,8 +396,13 @@ def test_exit_codes_for_errors(tmp_path):
     code, out, err = run_cli(["act", "--machine", str(huge), "--word", "a", "--string", "0"])
     assert (code, out) == (2, "") and err.startswith("error:") and err.count("\n") == 1
     # a non-finite-state machine cannot be exported in the line format
-    code, out, err = run_cli(["build", "--data", "cp-wr-z2:p=2", "--emit", "file"])
-    assert (code, out, err) == (2, "", "error: state closure exceeded 512 states; not exportable\n")
+    refused = (2, "", "error: state closure exceeded 512 states; not exportable\n")
+    assert run_cli(["build", "--data", "cp-wr-z2:p=2", "--emit", "file"]) == refused
+    # nor as a DOT graph, nor into a file, which is then not written
+    assert run_cli(["build", "--data", "cp-wr-z2:p=2", "--emit", "dot"]) == refused
+    unwritten = tmp_path / "cp-wr-z2.txt"
+    assert run_cli(["build", "--data", "cp-wr-z2:p=2", "--emit", "file", "-o", str(unwritten)]) == refused
+    assert not unwritten.exists()
     # nor printed as recursions once sections leave the searchable ball
     code, _, err = run_cli(["build", "--data", "cp-wr-z2:p=13", "--emit", "recursions"])
     assert code == 2 and "closure exceeded" in err

@@ -201,6 +201,9 @@ def test_prime_wreath_data_are_not_finite_state(p):
         assert g[1] != (0, 0)
         section = section_word(machine, GroupWord.gen(name), last)
         assert machine.element_of(section) == f2.image(g)
-    # so the export's verdict is exact, not a budget running out
+    # so the export's verdict is exact, not a budget running out: it follows
+    # the f2 chains alone and compiles no row of a fresh engine
+    fresh = build_representation(data)
     with pytest.raises(ValueError, match="exceeded 512 states"):
-        mealy.machine_to_mealy(machine)
+        mealy.machine_to_mealy(fresh)
+    assert fresh._names == ["s", "a", "b"] and not any(fresh._rows)
