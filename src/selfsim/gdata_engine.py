@@ -749,25 +749,18 @@ def lamp_data(model: SupportModel, data: GData, cosets: Sequence[CosetSpace]) ->
 
 
 def fcore_witness_check(
-    data: GData,
-    samples: int,
-    max_depth: int,
-    rng,
-    machine: Optional[EngineMachine] = None,
+    machine: EngineMachine, samples: int, max_depth: int, rng
 ) -> list[tuple[object, Optional[tuple[int, ...]]]]:
-    """Sample canonically nontrivial elements and find strings they move.
-
-    Returns one ``(element, witness)`` pair per sample; a sample with no
-    witness within ``max_depth`` has witness None, which is flagged, not raised.
-    """
-    if machine is None:
-        machine = build_representation(data)
+    """One ``(element, witness)`` pair per sampled canonically nontrivial
+    element of ``machine.model``: a string it moves, or None (flagged, not
+    raised) where it moves none within ``max_depth``."""
+    model = machine.model
     entries = []
     attempts = 0
     while len(entries) < samples and attempts < samples * 20:
         attempts += 1
-        g = data.model.random_element(rng)
-        if data.model.is_identity(g):
+        g = model.random_element(rng)
+        if model.is_identity(g):
             continue
         entries.append((g, find_moving_string(machine.automorphism_of(g), max_depth)))
     return entries

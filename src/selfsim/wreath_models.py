@@ -33,7 +33,7 @@ from .gdata_engine import (
     wreath_by_regular_data,
 )
 from .perm_word import GroupWord, Perm
-from .tree_core import Automorphism, TableMachine, equal_to_depth
+from .tree_core import Automorphism, TableMachine
 
 
 class ZModel(GroupModel):
@@ -345,7 +345,7 @@ def decompose(s: Poly2, p: int) -> tuple[Poly2, Poly2, Poly2]:
 # ---------------------------------------------------------------------------
 
 
-def cp_wr_z2_data(p: int, inverse_transversal: bool = False) -> GData:
+def cp_wr_z2_data(p: int) -> GData:
     """Data for C_p wr Z^2 at any p from 2 to MAX_THMD_P; the paper's Theorem
     D takes p prime, and nothing here checks faithfulness at a composite p.
 
@@ -353,10 +353,9 @@ def cp_wr_z2_data(p: int, inverse_transversal: bool = False) -> GData:
     the first map keeps only the q(y)-part of the ideal decomposition, the
     second substitutes (x, y) -> (y, xy).  Generator names follow the states
     of the degree p+1 machine they produce: s (lamp), a (second top
-    coordinate), b (first top coordinate).
-
-    ``inverse_transversal`` switches the coset representatives from powers of
-    the lamp to powers of its inverse (see ``thmD_transversal_comparison``).
+    coordinate), b (first top coordinate).  The first map's transversal is
+    the powers of the lamp, so the coset of g is its total exponent mod p;
+    another transversal only relabels the letters of that orbit.
     """
     if not 2 <= p <= MAX_THMD_P:
         raise ValueError(f"cp-wr-z2 needs 2 <= p <= {MAX_THMD_P}")
@@ -383,18 +382,16 @@ def cp_wr_z2_data(p: int, inverse_transversal: bool = False) -> GData:
         return (tuple(entries), (0, top[1]))
 
     lamp = model.base_generator(0)
-    step = model.invert(lamp) if inverse_transversal else lamp
     transversal = [model.identity()]
     for k in range(1, p):
-        transversal.append(model.multiply(transversal[-1], step))
-    sign = -1 if inverse_transversal else 1
+        transversal.append(model.multiply(transversal[-1], lamp))
 
     f1 = VirtualEndo(
         model,
         contains=lambda g: sum([c for _, (c,) in g[0]]) % p == 0,
         image=f1_image,
         transversal=transversal,
-        coset_index=lambda g: (sign * sum([c for _, (c,) in g[0]])) % p,
+        coset_index=lambda g: sum([c for _, (c,) in g[0]]) % p,
     )
 
     def f2_image(g):
@@ -426,26 +423,6 @@ def thmD(p: int) -> TableMachine:
 
 def thmD_engine_machine(p: int) -> EngineMachine:
     return build_representation(cp_wr_z2_data(p))
-
-
-def thmD_transversal_comparison(p: int, depth: int = 12) -> dict[str, bool]:
-    """Per-ordering agreement of the engine-derived machine with the explicit
-    degree p+1 table, state by state to the given depth.
-
-    The table and the data describe the same group but a priori could realise
-    different labelled actions; this reports the facts instead of reconciling
-    them.  Under the standard ordering (powers of the lamp) the two agree; the
-    inverted ordering relabels the lamp block and disagrees for p > 2.
-    """
-    table = thmD(p)
-    out = {}
-    for key, flag in (("standard", False), ("inverse", True)):
-        engine = build_representation(cp_wr_z2_data(p, inverse_transversal=flag))
-        out[key] = all(
-            equal_to_depth(engine.automorphism(name), Automorphism(table, GroupWord.gen(name)), depth)
-            for name in ("s", "a", "b")
-        )
-    return out
 
 
 def fibonacci_states(p: int, n: int, machine=None) -> list[Automorphism]:

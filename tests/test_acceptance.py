@@ -180,7 +180,7 @@ def test_criterion_7_concatenated_mixed_base():
     data = data_by_selector("concat:lamplighter:B=2+zl-wr-zd:l=1,d=1")
     ok = data.degree == 8  # 2|B| + 4 with |B| = 2
     machine = build_representation(data)
-    entries = fcore_witness_check(data, 100, 20, random.Random(77), machine)
+    entries = fcore_witness_check(machine, 100, 20, random.Random(77))
     ok &= len(entries) == 100
     ok &= all(w is not None and machine.automorphism_of(g).apply(w) != w for g, w in entries)
     for name in machine.generators:

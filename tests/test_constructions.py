@@ -62,9 +62,8 @@ def test_z_wr_c2_has_degree_four():
 
 
 def test_prime_wreath_witnesses():
-    data = cp_wr_z2_data(2)
-    machine = build_representation(data)
-    entries = fcore_witness_check(data, 100, 20, random.Random(41), machine)
+    machine = build_representation(cp_wr_z2_data(2))
+    entries = fcore_witness_check(machine, 100, 20, random.Random(41))
     assert len(entries) == 100
     assert all(w is not None and machine.automorphism_of(g).apply(w) != w for g, w in entries)
 
@@ -117,7 +116,7 @@ def test_two_coordinate_lamp_extension():
         h = model.random_element(rng)
         lhs = machine.automorphism_of(g) * machine.automorphism_of(h)
         assert equal_to_depth(lhs, machine.automorphism_of(model.multiply(g, h)), 5)
-    entries = fcore_witness_check(data, 30, 16, rng, machine)
+    entries = fcore_witness_check(machine, 30, 16, rng)
     assert all(w is not None and machine.automorphism_of(g).apply(w) != w for g, w in entries)
 
 
@@ -222,7 +221,7 @@ def test_direct_power_of_a_wreath_model():
         h = model.random_element(rng)
         lhs = machine.automorphism_of(g) * machine.automorphism_of(h)
         assert equal_to_depth(lhs, machine.automorphism_of(model.multiply(g, h)), 5)
-    entries = fcore_witness_check(data, 25, 16, rng, machine)
+    entries = fcore_witness_check(machine, 25, 16, rng)
     assert all(w is not None and machine.automorphism_of(g).apply(w) != w for g, w in entries)
 
 

@@ -35,7 +35,6 @@ from selfsim.tree_core import (
 from selfsim.wreath_models import (
     CosetSpace,
     WreathModel,
-    cp_wr_z2_data,
     data_by_selector,
     lamplighter_data,
     lamplighter_extension_data,
@@ -48,7 +47,7 @@ from selfsim.wreath_models import (
 )
 
 from test_constructions import _z_orbits
-from test_wreath_models import ALL_DATA
+from test_wreath_models import ALL_DATA, cp_wr_z2_inverse_data
 
 
 def assert_entry(machine, name, section_texts, perm):
@@ -99,8 +98,8 @@ ENGINE_DATA = {
             "concat:lamplighter:B=2+zwrz",
         )
     },
-    "cp-wr-z2:p=2 inverse": lambda: cp_wr_z2_data(2, True),
-    "cp-wr-z2:p=3 inverse": lambda: cp_wr_z2_data(3, True),
+    "cp-wr-z2:p=2 inverse": lambda: cp_wr_z2_inverse_data(2),
+    "cp-wr-z2:p=3 inverse": lambda: cp_wr_z2_inverse_data(3),
 }
 
 
@@ -664,9 +663,8 @@ def test_coset_space_translation_invariant():
 
 
 def test_fcore_witnesses_zwrz():
-    data = zwrz_data()
-    machine = build_representation(data)
-    entries = fcore_witness_check(data, 100, 20, random.Random(23), machine)
+    machine = build_representation(zwrz_data())
+    entries = fcore_witness_check(machine, 100, 20, random.Random(23))
     assert len(entries) == 100
     assert all(w is not None and machine.automorphism_of(g).apply(w) != w for g, w in entries)
 
@@ -680,10 +678,9 @@ def test_concatenated_endos_fix_the_identity():
 
 
 def test_fcore_witness_skips_identity_samples():
-    data = z_data()
-    machine = build_representation(data)
-    entries = fcore_witness_check(data, 25, 16, random.Random(4), machine)
-    assert all(not data.model.is_identity(g) for g, _ in entries)
+    machine = build_representation(z_data())
+    entries = fcore_witness_check(machine, 25, 16, random.Random(4))
+    assert all(not machine.model.is_identity(g) for g, _ in entries)
     assert all(w is not None and machine.automorphism_of(g).apply(w) != w for g, w in entries)
 
 

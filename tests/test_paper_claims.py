@@ -4,7 +4,9 @@ Theorem D's relations: certify the degree p+1 table ``thmD(p)`` against the
 engine of ``cp_wr_z2_data(p)`` (``_certified``), then read each relation's
 element in the engine's group model.  A relation whose element is the identity
 holds on the table at every depth, where criterion 4 of
-``tests/test_acceptance.py`` checks the same relations to depth 8 to 12.
+``tests/test_acceptance.py`` checks the same relations to depth 8 to 12.  The
+table certifies against the lamp-power transversal at p = 2..7 and against the
+powers of the lamp's inverse only at p = 2.
 
 Faithfulness on generator balls: every nontrivial element of a ball is either
 witnessed by a string it moves or an exact kernel element (``_ball_check``).
@@ -21,7 +23,9 @@ from selfsim import mealy
 from selfsim.gdata_engine import GData, build_representation
 from selfsim.perm_word import GroupWord, commutator
 from selfsim.tree_core import MAX_STATES, closure, find_moving_string, section_word, states
-from selfsim.wreath_models import cp_wr_z2_data, data_by_selector, thmD, thmD_transversal_comparison
+from selfsim.wreath_models import cp_wr_z2_data, data_by_selector, thmD
+
+from test_wreath_models import cp_wr_z2_inverse_data
 
 
 def _certified(table, engine) -> bool:
@@ -73,14 +77,18 @@ def test_theorem_d_relations_hold_at_every_depth(p):
     assert not model.is_identity(engine.element_of(commutator(s, a)))
 
 
-@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("p", range(2, 8))
 def test_the_inverse_transversal_certifies_only_at_p_2(p):
-    # a lamp of order 2 is its own inverse, so only at p = 2 do the powers of
-    # the lamp's inverse give the table's coset representatives; the
-    # depth-bounded comparison agrees
-    engine = build_representation(cp_wr_z2_data(p, inverse_transversal=True))
-    assert _certified(thmD(p), engine) is (p == 2)
-    assert thmD_transversal_comparison(p, 4) == {"standard": True, "inverse": p == 2}
+    # the powers of the lamp certify at p = 2..7, composite ones included.  A
+    # lamp of order 2 is its own inverse, so only at p = 2 do the powers of
+    # its inverse give the table's coset representatives; past p = 2 some
+    # generator's root permutation differs, so the two machines disagree at
+    # depth 1 and hence at every depth
+    table = thmD(p)
+    assert _certified(table, build_representation(cp_wr_z2_data(p)))
+    inverse = build_representation(cp_wr_z2_inverse_data(p))
+    assert _certified(table, inverse) is (p == 2)
+    assert any(table.entry(name)[1] != inverse.entry(name)[1] for name in table.generators) is (p > 2)
 
 
 # -- faithfulness on generator balls ------------------------------------------

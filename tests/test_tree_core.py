@@ -1295,3 +1295,19 @@ def test_identity_elements_end_a_witness_search_at_once(name):
             string = tuple(rng.randrange(machine.alphabet_size) for _ in range(40))
             assert apply_word(machine, word, string) == string, str(word)
     assert (words > 0) is (name != "z")
+
+
+def test_commutator_depth_ladder():
+    # the lamps s^(a^2 b^-1) and s^(a^-1 b^2) of thmD(2) commute at each
+    # depth of CI's "Commutator depth ladder", each on a fresh machine
+    s, a, b = (GroupWord.gen(n) for n in "sab")
+    word = commutator(s.conjugate_by(a**2 * b**-1), s.conjugate_by(a**-1 * b**2))
+    for depth in (12, 14, 16, 18):
+        assert trivial_to_depth(mealy.builtin_machine("thmD(2)"), word, depth) is True
+
+
+def test_deep_engine_search():
+    # a^27 moves no string of 12 letters on a fresh cp-wr-z2:p=3 engine, as
+    # in CI's "Deep engine search"
+    machine = build_representation(data_by_selector("cp-wr-z2:p=3"))
+    assert find_moving_string(Automorphism(machine, GroupWord.gen("a") ** 27), 12) is None

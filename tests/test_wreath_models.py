@@ -11,6 +11,8 @@ from selfsim import mealy
 from selfsim.gdata_engine import (
     CosetSpace,
     ExtensionModel,
+    GData,
+    VirtualEndo,
     build_representation,
     reduce_coeff,
 )
@@ -27,7 +29,6 @@ from selfsim.wreath_models import (
     lamplighter_extension_data,
     prop31_endos,
     cp_wr_z2_data,
-    thmD_transversal_comparison,
     z_coset_space,
     z_data,
     zomega_data,
@@ -449,6 +450,19 @@ def test_decompose_recompose_identity(p):
 # -- C_p wr Z^2 ---------------------------------------------------------------
 
 
+def cp_wr_z2_inverse_data(p: int) -> GData:
+    """``cp_wr_z2_data(p)`` with the powers of the lamp's inverse as the first
+    map's transversal: the same group, its first orbit's letters relabelled."""
+    data = cp_wr_z2_data(p)
+    model, f1 = data.model, data.endos[0]
+    step = model.invert(model.generators["s"])
+    transversal = [model.identity()]
+    for _ in range(1, p):
+        transversal.append(model.multiply(transversal[-1], step))
+    inverse = VirtualEndo(model, f1.contains, f1.image, transversal, lambda g: -f1.coset_index(g) % p)
+    return GData(model, [inverse, data.endos[1]])
+
+
 def test_prime_wreath_f1_examples():
     data = cp_wr_z2_data(2)
     model = data.model
@@ -490,12 +504,12 @@ def _reference_f2_image(model, g):
     return (model.norm_base([((n, m + n), coeff) for (m, n), coeff in base]), (j, i + j))
 
 
-@pytest.mark.parametrize("inverse_transversal", [False, True])
+@pytest.mark.parametrize("inverse", [False, True])
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_prime_wreath_images_match_the_renormalising_references(p, inverse_transversal):
-    data = cp_wr_z2_data(p, inverse_transversal)
+def test_prime_wreath_images_match_the_renormalising_references(p, inverse):
+    data = cp_wr_z2_inverse_data(p) if inverse else cp_wr_z2_data(p)
     model, (f1, f2) = data.model, data.endos
-    rng = random.Random(f"images/{p}/{inverse_transversal}")
+    rng = random.Random(f"images/{p}/{inverse}")
     gapped = 0  # Q with a point between two columns of the support
     for _ in range(250):
         g = model.identity()
@@ -545,23 +559,6 @@ def test_prime_wreath_membership_counts_total_exponent():
 def test_prime_wreath_orbit_sizes():
     assert orbit_type(build_representation(cp_wr_z2_data(2))) == (2, 1)
     assert orbit_type(build_representation(cp_wr_z2_data(5))) == (5, 1)
-
-
-def test_prime_wreath_engine_matches_table_for_p2():
-    report = thmD_transversal_comparison(2, 12)
-    assert report == {"standard": True, "inverse": True}
-
-
-def test_prime_wreath_engine_matches_table_for_p3_standard_only():
-    report = thmD_transversal_comparison(3, 8)
-    assert report == {"standard": True, "inverse": False}
-
-
-@pytest.mark.parametrize("p", [4, 6])
-def test_composite_order_engine_matches_table_standard_only(p):
-    # the selector and thmD take any p in their bound; at a composite p the
-    # data and the table still agree to depth 8 with the standard transversal
-    assert thmD_transversal_comparison(p, 8) == {"standard": True, "inverse": False}
 
 
 def test_fibonacci_state_words():
