@@ -16,7 +16,8 @@ from selfsim.gdata_engine import (
     build_representation,
     reduce_coeff,
 )
-from selfsim.tree_core import equal_to_depth, orbit_type
+from selfsim.perm_word import GroupWord
+from selfsim.tree_core import Automorphism, equal_to_depth, orbit_type
 from selfsim.wreath_models import (
     WreathModel,
     _divide_linear,
@@ -29,6 +30,7 @@ from selfsim.wreath_models import (
     lamplighter_extension_data,
     prop31_endos,
     cp_wr_z2_data,
+    thmD,
     z_coset_space,
     z_data,
     zomega_data,
@@ -559,6 +561,26 @@ def test_prime_wreath_membership_counts_total_exponent():
 def test_prime_wreath_orbit_sizes():
     assert orbit_type(build_representation(cp_wr_z2_data(2))) == (2, 1)
     assert orbit_type(build_representation(cp_wr_z2_data(5))) == (5, 1)
+
+
+def _engine_matches_table(data: GData, p: int, depth: int) -> bool:
+    """Whether the engine built from ``data`` and the table ``thmD(p)`` agree
+    on each generator, state by state, to the given depth."""
+    table, engine = thmD(p), build_representation(data)
+    return all(
+        equal_to_depth(engine.automorphism(name), Automorphism(table, GroupWord.gen(name)), depth)
+        for name in ("s", "a", "b")
+    )
+
+
+def test_prime_wreath_engine_matches_table_for_p2():
+    assert _engine_matches_table(cp_wr_z2_data(2), 2, 12)
+    assert _engine_matches_table(cp_wr_z2_inverse_data(2), 2, 12)
+
+
+def test_prime_wreath_engine_matches_table_for_p3_standard_only():
+    assert _engine_matches_table(cp_wr_z2_data(3), 3, 8)
+    assert not _engine_matches_table(cp_wr_z2_inverse_data(3), 3, 8)
 
 
 def test_fibonacci_state_words():
