@@ -35,9 +35,12 @@ a permutation, which fits a byte table while m^k <= 256.  The machine's leaf is
 the deepest such k, at most 8 (5 for m = 3, 4 for m = 4, 8 for m = 2, 0 past 256
 letters).  Every depth up to it is decided by composing per-code level tables
 with ``bytes.translate`` (``_level``), each derived once: at level 1 from the
-code's root permutation (``_perm``), deeper from its row.  Records are made at
-depth ``leaf + 1`` and deeper only.  An engine of degree 7 or more keeps leaf 1
-(see ``gdata_engine.EngineMachine``).
+code's root permutation (``_perm``), deeper from its row.  Depth ``leaf + 1``
+is decided from per-code tables of sections at the leaf, its verdict kept by
+``cache_key`` of the word's cyclic core (at leaf 0, depth 1 by the root
+permutation alone, and nothing kept); records are made from depth
+``leaf + 2``.  An engine of degree 7 or more keeps leaf 1 (see
+``gdata_engine.EngineMachine``).
 """
 
 from __future__ import annotations
@@ -80,8 +83,11 @@ class SelfSimilarMachine:
     model element, which also deduplicates its ``states``.  Depths up to
     ``_leaf`` (log_m 256, at most 8; 1 for an engine of degree > 6) are
     decided by level tables derived from the root permutations at level 1 and
-    from the rows deeper, without the memo, which holds records from depth
-    ``_leaf + 1`` down.
+    from the rows deeper, without the memo.  Depth ``_leaf + 1`` is decided
+    from the level-leaf tables of each code's sections, and its verdict is
+    kept by ``cache_key`` of the cyclic core itself (at leaf 0 depth 1 is
+    decided by the root permutation and nothing is kept); the memo holds
+    records from depth ``_leaf + 2`` down.
     """
 
     model = None
@@ -96,8 +102,14 @@ class SelfSimilarMachine:
         # code -> ((section codes at y, image of y) for each letter y), or
         # None until a pass first reads the code
         self._rows: list = []
-        # cyclic core or (cache_key of its class, None) -> its record (``_trivial``)
+        # cyclic core or (cache_key of its class, None) -> its record, from
+        # depth leaf + 2 (``_trivial``)
         self._triv: dict[object, list] = {}
+        # cache_key of a cyclic core -> its depth-(leaf + 1) verdict, 0 where
+        # it moves (``_trivial``), and code -> the level-leaf table of its
+        # section at each letter, or None until first read (``_section_verdict``)
+        self._verdicts: dict[object, float] = {}
+        self._section_tables: dict[int, list] = {}
         # the deepest level whose m^k strings fit a byte table, at most 8, and
         # for each level k up to it: code -> its level-k table (``_level``)
         self._leaf = max(k for k in range(9) if alphabet_size**k <= 256)
@@ -332,17 +344,22 @@ def _level(machine: SelfSimilarMachine, codes: Codes, k: int) -> bytes:
     return action
 
 
-def root_perm(machine: SelfSimilarMachine, word: GroupWord) -> Perm:
-    """The composed root permutations of the word's codes (``_perm``): by their
-    level-1 tables where there is a leaf, else one by one.  No section is read."""
-    codes = machine.encode(word)
+def _root(machine: SelfSimilarMachine, codes: Codes) -> Sequence[int]:
+    """The image of each letter under the composed root permutations of the
+    codes (``_perm``): their level-1 table where there is a leaf, else one by
+    one.  No section is read."""
     if machine._leaf:
-        return Perm(_level(machine, codes, 1))
+        return _level(machine, codes, 1)
     images: Sequence[int] = range(machine.alphabet_size)
     for c in codes:
         perm = machine._perm(c)
         images = [perm[x] for x in images]
-    return Perm(images)
+    return images
+
+
+def root_perm(machine: SelfSimilarMachine, word: GroupWord) -> Perm:
+    """The root permutation of a word (``_root``)."""
+    return Perm(_root(machine, machine.encode(word)))
 
 
 def section_word(machine: SelfSimilarMachine, word: GroupWord, y: int) -> GroupWord:
@@ -375,8 +392,10 @@ def trivial_to_depth(machine: SelfSimilarMachine, word, depth: int) -> bool:
     ``_trivial``), rather than enumeration of all m^depth strings.  Depth 0
     holds for every word, and a depth up to the machine's leaf (log_m 256,
     at most 8, and 1 for an engine of degree > 6) is decided from the level
-    table of the word (``_level``), without a memo record; a negative depth is
-    an error.
+    table of the word (``_level``), without a memo record; depth leaf + 1
+    from the level-leaf tables of the sections of its codes, keeping only the
+    verdict (at leaf 0, depth 1 from the root permutation, keeping nothing);
+    records start at depth leaf + 2.  A negative depth is an error.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
@@ -423,16 +442,18 @@ def _trivial(machine: SelfSimilarMachine, codes: Codes, d: int) -> Optional[floa
     """The depth to which a code word is proven to fix every string, at least
     d, or None where it moves a string of length <= d (0 is an answer: test
     ``is None``): d for d <= 0, ``inf`` for the empty word, d up to the leaf
-    by level tables (``_level``), which write nothing, and deeper the depth of
-    the memo record ``[deepest depth proven trivial, section code tuples or
-    None when the root moves]`` of its class, which a word, its conjugates and
-    its inverse share, as tree automorphisms preserve levels.  A word is
-    looked up by its cyclic core; a new core keys its record by ``cache_key``
-    of its class representative (for a machine with a model, the element),
-    and expands the core, a shortest word of the class, up to the first cursor
-    pass that ends away from its start.  A new record is proven at every
-    depth (``inf``) where exact: the core fixes the root and leaves no
-    section, or its class key is the empty word's (a model's identity)."""
+    by level tables (``_level``), which write nothing.  Deeper, a word is read
+    by its cyclic core, a conjugate, as tree automorphisms preserve levels.
+    At leaf + 1 the answer is the verdict of ``_section_verdict``, kept under
+    ``cache_key`` of the core (on a machine with a model, its element).
+    Deeper, it is the depth of the memo record ``[deepest depth proven
+    trivial, section code tuples or None when the root moves]`` of its class,
+    which a word, its conjugates and its inverse share: a new core keys it by
+    ``cache_key`` of its class representative, and expands the core, a
+    shortest word of the class, up to the first cursor pass that ends away
+    from its start.  A new record is proven at every depth (``inf``) where
+    exact: the core fixes the root and leaves no section, or its class key is
+    the empty word's (a model's identity)."""
     if d <= 0:
         return d
     if not codes:
@@ -440,8 +461,17 @@ def _trivial(machine: SelfSimilarMachine, codes: Codes, d: int) -> Optional[floa
     if d <= machine._leaf:
         action = _level(machine, codes, d)
         return d if action == _IDENTITY[: len(action)] else None
-    memo = machine._triv
     core = _cyclic_core(codes)
+    if d == machine._leaf + 1:
+        verdicts = machine._verdicts
+        key = machine.cache_key(core)
+        verdict = verdicts.get(key)
+        if verdict is None:
+            verdict = _section_verdict(machine, core, key)
+            if machine._leaf:  # past 256 letters cores are long and many: keep none
+                verdicts[key] = verdict
+        return verdict or None
+    memo = machine._triv
     record = memo.get(core)
     if record is None:
         # a pair holding None never equals a code tuple
@@ -468,6 +498,45 @@ def _trivial(machine: SelfSimilarMachine, codes: Codes, d: int) -> Optional[floa
             return None
     record[0] = d
     return d
+
+
+def _section_verdict(machine: SelfSimilarMachine, core: Codes, key: object) -> float:
+    """The depth-(leaf + 1) verdict on a nonempty cyclic core of memo key
+    ``key``: 0 where it moves a string, ``inf`` where exact (the key is the
+    empty word's, or the root is fixed and every code's section along the
+    cursors is empty), else leaf + 1.  A word fixes level leaf + 1 iff it
+    fixes the root and each section fixes level leaf, so the cursor from each
+    letter composes the level-leaf tables of the codes' sections there, kept
+    per code and letter from first use: no class key, cursor pass or section
+    word.  At leaf 0 the root alone decides depth 1."""
+    if key == machine.cache_key(()):
+        return float("inf")
+    if any(y != image for y, image in enumerate(_root(machine, core))):
+        return 0
+    m, leaf = machine.alphabet_size, machine._leaf
+    if not leaf:
+        return 1
+    n = m**leaf
+    identity = _IDENTITY[:n]
+    rows, tables = machine._rows, machine._section_tables
+    exact = True
+    for y in range(m):
+        action, cur = identity, y
+        for c in core:
+            sec, image = (rows[c] or machine._row(c))[cur]
+            if sec:
+                exact = False
+                slots = tables.get(c)
+                if slots is None:
+                    slots = tables[c] = [None] * m
+                table = slots[cur]
+                if table is None:
+                    table = slots[cur] = _level(machine, sec, leaf) + _IDENTITY[n:]
+                action = action.translate(table)
+            cur = image
+        if action != identity:
+            return 0
+    return float("inf") if exact else leaf + 1
 
 
 def equal_to_depth(a: Automorphism, b: Automorphism, depth: int) -> bool:

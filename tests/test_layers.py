@@ -69,13 +69,22 @@ def _scopes_naming(tree: ast.AST, attr: str) -> set[str]:
 
 def test_only_trivial_reads_the_triviality_memo():
     # a machine makes the memo, and ``_trivial`` alone reads and writes its
-    # records; a caller learns the proven depth from ``_trivial``'s answer
+    # records and depth-(leaf + 1) verdicts, and its one helper the section
+    # tables of that depth; a caller learns the proven depth from
+    # ``_trivial``'s answer
     readers = {
-        f"{path.stem}.{scope}"
-        for path in MODULES
-        for scope in _scopes_naming(ast.parse(path.read_text(encoding="utf-8")), "_triv")
+        attr: {
+            f"{path.stem}.{scope}"
+            for path in MODULES
+            for scope in _scopes_naming(ast.parse(path.read_text(encoding="utf-8")), attr)
+        }
+        for attr in ("_triv", "_verdicts", "_section_tables")
     }
-    assert readers == {"tree_core.SelfSimilarMachine.__init__", "tree_core._trivial"}
+    assert readers == {
+        "_triv": {"tree_core.SelfSimilarMachine.__init__", "tree_core._trivial"},
+        "_verdicts": {"tree_core.SelfSimilarMachine.__init__", "tree_core._trivial"},
+        "_section_tables": {"tree_core.SelfSimilarMachine.__init__", "tree_core._section_verdict"},
+    }
 
 
 def test_only_states_reads_a_model_in_tree_core():

@@ -37,6 +37,7 @@ from selfsim.tree_core import (
 from selfsim.wreath_models import data_by_selector, thmD_engine_machine
 
 from test_gdata_engine import ENGINE_DATA
+from test_oracles import _Entries, _random_mealy, transducer_apply
 
 
 @pytest.fixture
@@ -601,8 +602,13 @@ def test_leaf_depths_make_no_record(name):
     order, g = max(pair for pair in orders if pair[0] <= 64)
     fixing = GroupWord([(g, 1)]) ** order
     assert order > 1 and trivial_to_depth(machine, fixing, leaf) and machine._triv == {}
-    deepest = _reference_trivial_depth(machine, fixing, leaf + 1, {})
-    assert trivial_to_depth(machine, fixing, leaf + 1) is (deepest == leaf + 1), str(fixing)
+    # one level deeper the verdict is kept under the core's cache_key, and
+    # records start one level deeper still
+    deepest = _reference_trivial_depth(machine, fixing, leaf + 2, {})
+    assert trivial_to_depth(machine, fixing, leaf + 1) is (deepest >= leaf + 1), str(fixing)
+    assert list(machine._verdicts) == [machine.cache_key(_cyclic_core(machine.encode(fixing)))]
+    assert machine._triv == {}
+    assert trivial_to_depth(machine, fixing, leaf + 2) is (deepest == leaf + 2), str(fixing)
     assert machine._triv
 
 
@@ -648,10 +654,11 @@ def _reference_moving_string(a, max_depth):
         return None
     k = 0
     for d in range(1, max_depth + 1):
-        if not _trivial(machine, codes, d):
+        depth = _trivial(machine, codes, d)
+        if depth is None:
             k = d
             break
-        if d == machine._leaf + 1 and machine._triv[_cyclic_core(codes)][0] >= max_depth:
+        if depth >= max_depth:
             break
     string = ()
     while k:
@@ -748,6 +755,8 @@ def test_witness_search_matches_the_walk_it_replaces(name):
             assert machine._rows == reference._rows, (str(word), depth)
             assert machine._levels == reference._levels, (str(word), depth)
             assert list(machine._triv) == list(reference._triv), (str(word), depth)
+            assert machine._verdicts == reference._verdicts, (str(word), depth)
+            assert machine._section_tables == reference._section_tables, (str(word), depth)
             lengths.add(len(got) if got else None)
     want = set(range(1, leaf + 2 if name in _NO_LEAF_PLUS_TWO else leaf + 3))
     assert want | {None} <= lengths
@@ -778,7 +787,8 @@ def test_witness_within_the_leaf_composes_each_table_once(name, monkeypatch):
 
 
 def test_alphabet_past_256_letters_decides_every_depth_by_records():
-    # 512 letters fit no byte table: depth 1 makes a record like any deeper one
+    # 512 letters fit no byte table, so the leaf is 0: depth 1 is decided by
+    # the root permutation alone and keeps nothing, and records start at depth 2
     machine = inflate(mealy.builtin_machine("adding"), 9)
     assert machine.alphabet_size == 512 and machine._leaf == 0
     a = GroupWord.gen("a")
@@ -792,6 +802,201 @@ def test_alphabet_past_256_letters_decides_every_depth_by_records():
             assert trivial_to_depth(machine, word, d) is (d <= deepest), (str(word), d)
         assert find_moving_string(Automorphism(machine, word), 3) == witness, str(word)
     assert machine._triv
+
+
+def _record_descent(machine, codes, d, memo):
+    """``_trivial`` as it was when records started one level past the leaf,
+    on a memo of its own: a word's class record, keyed by ``cache_key`` of
+    its class key, holds the sections of the core's cursor passes and the
+    depth proven, exact where the core fixes the root and leaves no section
+    or where the class key is the empty word's."""
+    if d <= 0:
+        return d
+    if not codes:
+        return math.inf
+    if d <= machine._leaf:
+        action = _level(machine, codes, d)
+        return d if action == tree_core._IDENTITY[: len(action)] else None
+    core = _cyclic_core(codes)
+    record = memo.get(core)
+    if record is None:
+        key = (machine.cache_key(_class_key(core)), None)
+        record = memo.get(key)
+        if record is None:
+            passes = [_pass(machine, core, y) for y in range(machine.alphabet_size)]
+            secs = None if any(end != y for y, (_, end) in enumerate(passes)) else [sec for sec, _ in passes]
+            exact = secs is not None and not any(secs) or key[0] == machine.cache_key(())
+            record = memo[key] = [math.inf if exact else 0, secs]
+        memo[core] = record
+    if record[0] >= d:
+        return record[0]
+    if record[1] is None or any(_record_descent(machine, sec, d - 1, memo) is None for sec in record[1]):
+        return None
+    record[0] = d
+    return d
+
+
+def _shortest_moved(moved, m, depth):
+    """The length of the shortest string of length <= depth that ``moved``
+    holds for, or None, level by level over the strings it does not hold for:
+    a string moved by a tree automorphism (or told apart by two) is moved by
+    every longer one it begins."""
+    frontier = [()]
+    for k in range(1, depth + 1):
+        frontier = [s + (y,) for s in frontier for y in range(m)]
+        if any(moved(s) for s in frontier):
+            return k
+    return None
+
+
+# the transducer runs a question of at most 64 letters to the deepest depth
+# whose strings number at most this
+_TRANSDUCER_STRINGS = 2048
+# a Mealy file and a copy with its states renamed
+_PAIR_TEXT = (_MEALY_TEXT, _MEALY_TEXT.replace("x", "u").replace("y", "v"))
+# random Mealy files, the thmD tables (their sections are words, so the
+# transducer does not run there), every engine data set, and two unions
+# through equal_to_depth: the Mealy pair, and thmD(2) against the engine that
+# it realises, whose words agree at every depth
+LEAF_PLUS_ONE_CASES = [
+    *(f"mealy/{seed}" for seed in range(6)), "thmD(2)", "thmD(3)", *sorted(ENGINE_DATA),
+    "mealy pair", "thmD(2) ~ cp-wr-z2:p=2",
+]
+
+
+def _leaf_plus_one_case(name):
+    """``(make, questions)``: ``make()`` builds fresh machines, a list of one
+    or of the two sides of a union, and each question is a word for each
+    side: random words and commutators, powers of generators and of random
+    words by the order of their action on levels leaf and leaf + 1, on an
+    engine words for its identity element that do not cancel freely, on thmD
+    commutators of lamps s^u, and on a union one such word on both sides, or
+    on the second side times one of those powers."""
+    rng = random.Random(f"leaf-plus-one/{name}")
+    if name.startswith("mealy/"):
+        m, n = rng.choice((2, 3, 4)), rng.randint(2, 4)
+        seed = rng.random()
+        # where every section is empty, every check past the root is exact
+        while not any(sec for row in _random_mealy(random.Random(seed), m, n)._rows if row for sec, _ in row):
+            seed = rng.random()
+
+        def make():
+            return [_random_mealy(random.Random(seed), m, n)]
+    elif name == "mealy pair":
+        def make():
+            return [mealy.parse(text) for text in _PAIR_TEXT]
+    elif " ~ " in name:
+        def make():
+            return [_cross_check_machine(side)[0] for side in name.split(" ~ ")]
+    else:
+        def make():
+            return [_cross_check_machine(name)[0]]
+    machine = make()[0]
+    names, leaf = list(machine.generators), machine._leaf
+    words = [_random_word(rng, names, 8) for _ in range(6)]
+    words += [commutator(_random_word(rng, names, 3), _random_word(rng, names, 3)) for _ in range(3)]
+    if name.startswith("thmD"):
+        s = GroupWord.gen("s")
+        for _ in range(4):
+            u, v = _random_word(rng, ["a", "b"], 4), _random_word(rng, ["a", "b"], 4)
+            words.append(commutator(s.conjugate_by(u), s.conjugate_by(v)))
+    bases = [GroupWord.gen(g) for g in names[:3]] + [_random_word(rng, names, 3) for _ in range(3)]
+    powers = []
+    for base, k in product(bases, (leaf, leaf + 1)):
+        if base.letters:
+            order = _level_order(machine, base, k)
+            powers += [base**order] if order * len(base.letters) <= 1024 else []
+    words += powers
+    if machine.model is not None:
+        for _ in range(6):
+            u = _random_word(rng, names, 6)
+            v = machine.short_word(machine.element_of(u))
+            if v is not None and (u * v.inverse()).letters:
+                words.append(u * v.inverse())
+    if len(make()) == 1:
+        return make, [(w,) for w in words]
+    # on a union a word on both sides, or on the second side times a power
+    # that fixes level leaf or leaf + 1, with the states renamed in the pair
+    rename = {"x": "u", "y": "v"} if name == "mealy pair" else dict(zip(names, names))
+    questions = []
+    for i, w in enumerate(words):
+        v = w * rng.choice(powers) if i % 2 else w
+        questions.append((w, GroupWord([(rename[q], e) for q, e in v.letters])))
+    return make, questions
+
+
+@pytest.mark.parametrize("name", LEAF_PLUS_ONE_CASES)
+def test_leaf_plus_one_matches_the_record_descent_and_the_transducer(name):
+    # one machine (or union) answers every question at depths leaf to leaf + 3
+    # in shuffled order, so verdicts and records made by other questions are
+    # read.  The record descent answers on machines of its own: the same
+    # verdict at every depth, and the same proven depth except at leaf + 1,
+    # where a verdict proves leaf + 1 where the descent may have proved more.
+    # The transducer, where it runs, moves a string of length <= d exactly
+    # where the verdict at d is None
+    make, questions = _leaf_plus_one_case(name)
+    sides, reference = make(), make()
+    machine = _UnionMachine(sides) if len(sides) == 2 else sides[0]
+    descent = _UnionMachine(reference) if len(sides) == 2 else reference[0]
+    leaf, m = machine._leaf, machine.alphabet_size
+    entries = [_Entries(side) for side in make()] if not name.startswith("thmD") else None
+    rng = random.Random(f"leaf-plus-one-order/{name}")
+    asked = [(q, d) for q in questions for d in range(leaf, leaf + 4)]
+    rng.shuffle(asked)
+    oracle_depth = max(d for d in range(leaf + 4) if m**d <= _TRANSDUCER_STRINGS)
+    memo, kinds, shortest, oracle_kinds = {}, set(), {}, set()
+    for q, d in asked:
+        word = q[0] if len(q) == 1 else _lift(0, q[0]) * _lift(1, q[1]).inverse()
+        got = _trivial(machine, machine.encode(word), d)
+        want = _record_descent(descent, descent.encode(word), d, memo)
+        if got is None or d != leaf + 1:
+            assert got == want, (str(word), d)
+        else:
+            assert want is not None and got in (leaf + 1, want), (str(word), d, got, want)
+        if len(q) == 2:
+            a, b = (Automorphism(side, w) for side, w in zip(make(), q))
+            assert equal_to_depth(a, b, d) is (got is not None), (str(word), d)
+        if entries is not None and d <= oracle_depth and len(word.letters) <= 64:
+            if q not in shortest:
+                if len(q) == 1:
+                    moved = lambda s: transducer_apply(entries[0], q[0], s) != s
+                else:
+                    moved = lambda s: transducer_apply(entries[0], q[0], s) != transducer_apply(entries[1], q[1], s)
+                shortest[q] = _shortest_moved(moved, m, oracle_depth)
+            assert (got is None) is (shortest[q] is not None and shortest[q] <= d), (str(word), d)
+            oracle_kinds.add((d, got is None))
+        if d == leaf + 1:
+            kinds.add("moved" if got is None else "exact" if got == math.inf else "leaf + 1")
+    assert {"moved", "leaf + 1"} <= kinds, kinds
+    assert entries is None or {(leaf + 1, True), (leaf + 1, False)} <= oracle_kinds, oracle_kinds
+
+
+def test_a_fresh_leaf_plus_one_check_makes_no_class_key_pass_or_record(monkeypatch):
+    # on thmD(3) (leaf 4) a check at depth 5 composes section tables along
+    # the cursors: no class key, no cursor pass and no record.  The verdict is
+    # kept under the core's cache_key, so a conjugate of the word, which has
+    # the same cyclic core, is answered without building a table
+    machine = mealy.builtin_machine("thmD(3)")
+    leaf = machine._leaf
+    s, a, b = (GroupWord.gen(n) for n in "sab")
+    trivial = commutator(s.conjugate_by(a**2 * b**-1), s.conjugate_by(a**-1 * b**2))
+    moving = b**3  # fixes level 4 and moves a string of length 5
+    calls = []
+    for target in ("_class_key", "_pass", "_level"):
+        real = getattr(tree_core, target)
+        monkeypatch.setattr(tree_core, target, lambda *args, real=real, target=target: calls.append(target) or real(*args))
+    for word, verdict in ((trivial, True), (moving, False)):
+        calls.clear()
+        assert trivial_to_depth(machine, word, leaf) and trivial_to_depth(machine, word, leaf + 1) is verdict
+        assert "_class_key" not in calls and "_pass" not in calls and "_level" in calls, str(word)
+    assert machine._triv == {} and len(machine._verdicts) == 2 and machine._section_tables
+    tables = {c: list(slots) for c, slots in machine._section_tables.items()}
+    t = a * b**-1 * s
+    for word, verdict in ((trivial, True), (moving, False)):
+        calls.clear()
+        assert trivial_to_depth(machine, t * word * t.inverse(), leaf + 1) is verdict, str(word)
+        assert calls == [], str(word)
+    assert machine._section_tables == tables and len(machine._verdicts) == 2
 
 
 def _recursive_level(machine, codes, k):
@@ -1249,8 +1454,8 @@ def test_states_from_rows_match_the_cursor_passes(name, monkeypatch):
     # and rows compiled, each side on machines of its own.  The starts are one
     # state, one inverse state, the identity and words of two to four letters.
     # thmD(300) stops at 48 states, as in the leaf-zero test above: past about
-    # 100, the closure of a^3 makes memo records of 300 sections of some 300
-    # codes each, and exhausts memory on either expansion
+    # 100, the closure of a^3 checks words of some 300 codes against each
+    # other at depth 1, which takes minutes on either expansion
     machine, names = _cross_check_machine(name)
     leaf, model = machine._leaf, machine.model
     top = 48 if leaf == 0 else 120
