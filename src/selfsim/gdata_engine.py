@@ -550,7 +550,9 @@ def reduce_coeff(values, mods) -> tuple[int, ...]:
 
 
 class SupportModel(GroupModel):
-    """The group law of finitely supported maps extended by a top group.
+    """Finitely supported maps extended by a top group: the canonical form
+    and the support merge that ``wreath_models.WreathModel`` and
+    ``ExtensionModel`` share.
 
     An element is a ``(support, tops)`` pair: ``support`` holds canonical
     ``(point, coeff)`` entries (``norm_base`` under ``mods``: points
@@ -560,11 +562,11 @@ class SupportModel(GroupModel):
 
         (phi1, t1) (phi2, t2) = (phi1 + shift(phi2, t1^-1), t1 t2).
 
-    Subclasses set ``mods`` and ``top_identity`` and give the top group law
-    (``top_multiply``, ``top_invert``) and its action (``shift``), which must
-    return a sorted tuple: ``multiply`` then joins two supports whose point
-    ranges are apart and adds others by one merge, and ``invert`` negates a
-    shifted support, neither renormalising.
+    Subclasses set ``mods`` and ``top_identity`` and own ``multiply`` and
+    ``invert``: each carrier applies its top law and translates the points
+    itself, into a sorted tuple, joins two supports whose point ranges are
+    apart, and passes overlapping ones to the one merge, ``_merge``; neither
+    law renormalises.
     """
 
     def identity(self):
@@ -586,47 +588,39 @@ class SupportModel(GroupModel):
             return (0,) * len(self.mods)
         return reduce_coeff(map(sum, zip(*(c for _, c in a[0]))), self.mods)
 
-    def multiply(self, a, b):
-        (phi1, t1), (phi2, t2) = a, b
-        tops = self.top_multiply(t1, t2)
-        if not phi2:
-            return (phi1, tops)
-        moved = phi2 if t1 == self.top_identity else self.shift(phi2, self.top_invert(t1))
-        if not phi1:
-            return (moved, tops)
-        if phi1[-1][0] < moved[0][0]:
-            return (phi1 + moved, tops)
-        if moved[-1][0] < phi1[0][0]:
-            return (moved + phi1, tops)
+    def _merge(self, phi1, phi2) -> tuple:
+        """The canonical sum of two canonical supports whose point ranges
+        overlap, by one linear merge: a shared point adds its coefficients
+        (one slot without ``reduce_coeff``) and drops a zero sum."""
+        mods = self.mods
         out, i, j = [], 0, 0
-        while i < len(phi1) and j < len(moved):
-            (p, c), (q, d) = phi1[i], moved[j]
+        while i < len(phi1) and j < len(phi2):
+            (p, c), (q, d) = phi1[i], phi2[j]
             if p < q:
                 out.append(phi1[i])
                 i += 1
             elif q < p:
-                out.append(moved[j])
+                out.append(phi2[j])
                 j += 1
-            else:  # a shared point: add the coefficients and drop a zero sum
-                coeff = reduce_coeff(map(add, c, d), self.mods)
+            else:
+                if len(c) == 1:
+                    v, k = c[0] + d[0], mods[0]
+                    coeff = (v % k if k else v,)
+                else:
+                    coeff = reduce_coeff(map(add, c, d), mods)
                 if any(coeff):
                     out.append((p, coeff))
                 i += 1
                 j += 1
-        return (tuple(out) + phi1[i:] + moved[j:], tops)
-
-    def invert(self, a):
-        phi, tops = a
-        negated = [(p, tuple([-v % k if k else -v for v, k in zip(c, self.mods)])) for p, c in phi]
-        if tops == self.top_identity:
-            return (tuple(negated), tops)
-        return (self.shift(negated, tops), self.top_invert(tops))
+        return tuple(out) + phi1[i:] + phi2[j:]
 
 
 class ExtensionModel(SupportModel):
     """Finitely supported maps from s-tuples of coset labels into a finite
     abelian group, extended by s-tuples of inner elements that translate the
-    labels coordinate by coordinate."""
+    labels coordinate by coordinate.  Its law is ``SupportModel``'s formula
+    through the inner model (``top_multiply``, ``top_invert``) and the coset
+    spaces (``shift``)."""
 
     def __init__(self, inner: GroupModel, orders: Sequence[int], cosets: Sequence[CosetSpace]):
         super().__init__()
@@ -648,6 +642,27 @@ class ExtensionModel(SupportModel):
             (tuple(c.translate(lab, g) for c, lab, g in zip(self.cosets, labs, tops)), coeff)
             for labs, coeff in support
         ))
+
+    def multiply(self, a, b):
+        (phi1, t1), (phi2, t2) = a, b
+        tops = self.top_multiply(t1, t2)
+        if not phi2:
+            return (phi1, tops)
+        moved = phi2 if t1 == self.top_identity else self.shift(phi2, self.top_invert(t1))
+        if not phi1:
+            return (moved, tops)
+        if phi1[-1][0] < moved[0][0]:
+            return (phi1 + moved, tops)
+        if moved[-1][0] < phi1[0][0]:
+            return (moved + phi1, tops)
+        return (self._merge(phi1, moved), tops)
+
+    def invert(self, a):
+        phi, tops = a
+        negated = [(p, tuple([-v % k if k else -v for v, k in zip(c, self.mods)])) for p, c in phi]
+        if tops == self.top_identity:
+            return (tuple(negated), tops)
+        return (self.shift(negated, tops), self.top_invert(tops))
 
     def random_element(self, rng):
         entries = []

@@ -8,14 +8,14 @@ on the right: ``(a^w)^{x^v} = a^{w x^v}``, so multiplication reads
 
     (w1, t1) (w2, t2) = (w1 + w2 x^{-t1}, t1 + t2).
 
-``gdata_engine.SupportModel`` holds this law; ``WreathModel`` gives its top
-group.  All elements are canonical (zero coefficients dropped, residues
+``WreathModel`` owns this law and shares the canonical form and the support
+merge of ``gdata_engine.SupportModel`` with the lamp carrier.  All elements are canonical (zero coefficients dropped, residues
 reduced), so ``==`` is exact group equality.
 """
 
 from __future__ import annotations
 
-from operator import add, neg
+from operator import add, neg, sub
 from typing import Sequence
 
 from .gdata_engine import (
@@ -98,12 +98,11 @@ def zomega_data(named_copies: int) -> GData:
     return direct_power_data(z_data(), named_copies)
 
 
-TopVector = tuple[int, ...]
-
-
 class WreathModel(SupportModel):
     """Exact arithmetic in ``(Z^free_rank + torsion) wr Z^top_dim``: supports
-    map points of Z^top_dim to coefficients, and tops translate the points."""
+    map points of Z^top_dim to coefficients, and tops translate the points.
+    Its own ``multiply`` and ``invert`` add the tops and translate the points
+    inside the product; overlapping supports go to ``SupportModel._merge``."""
 
     def __init__(self, free_rank: int, torsion: Sequence[int], top_dim: int):
         super().__init__()
@@ -120,21 +119,53 @@ class WreathModel(SupportModel):
         self.mods = (0,) * free_rank + self.torsion
         self.top_identity = (0,) * top_dim
 
-    def top_multiply(self, t1: TopVector, t2: TopVector) -> TopVector:
-        return tuple(map(add, t1, t2))
+    def multiply(self, a, b):
+        # the right support moves by -t1; a translation keeps the points in
+        # order, so the product needs no renormalising
+        (phi1, t1), (phi2, t2) = a, b
+        if self.top_dim == 2:
+            (x, y), (x2, y2) = t1, t2
+            tops = (x + x2, y + y2)
+            if phi2 and (x or y):
+                phi2 = tuple([((u - x, v - y), c) for (u, v), c in phi2])
+        elif self.top_dim == 1:
+            (x,), (x2,) = t1, t2
+            tops = (x + x2,)
+            if phi2 and x:
+                phi2 = tuple([((u - x,), c) for (u,), c in phi2])
+        else:
+            tops = tuple(map(add, t1, t2))
+            if phi2 and any(t1):
+                phi2 = tuple([(tuple(map(sub, p, t1)), c) for p, c in phi2])
+        if not phi2:
+            return (phi1, tops)
+        if not phi1:
+            return (phi2, tops)
+        if phi1[-1][0] < phi2[0][0]:
+            return (phi1 + phi2, tops)
+        if phi2[-1][0] < phi1[0][0]:
+            return (phi2 + phi1, tops)
+        return (self._merge(phi1, phi2), tops)
 
-    def top_invert(self, top: TopVector) -> TopVector:
-        return tuple(map(neg, top))
-
-    def shift(self, support, top: TopVector) -> tuple:
-        # a translation keeps the order of the points; tuple displays move short ones
+    def invert(self, a):
+        # (phi, t)^-1 = (-phi moved by +t, -t)
+        phi, top = a
+        if self.width == 1:
+            k = self.mods[0]
+            phi = [(p, (-v % k if k else -v,)) for p, (v,) in phi]
+        else:
+            phi = [(p, tuple([-v % k if k else -v for v, k in zip(c, self.mods)])) for p, c in phi]
         if self.top_dim == 2:
             x, y = top
-            return tuple([((u + x, v + y), coeff) for (u, v), coeff in support])
-        if self.top_dim == 1:
+            if x or y:
+                return (tuple([((u + x, v + y), c) for (u, v), c in phi]), (-x, -y))
+        elif self.top_dim == 1:
             (x,) = top
-            return tuple([((u + x,), coeff) for (u,), coeff in support])
-        return tuple([(tuple(map(add, point, top)), coeff) for point, coeff in support])
+            if x:
+                return (tuple([((u + x,), c) for (u,), c in phi]), (-x,))
+        elif any(top):
+            return (tuple([(tuple(map(add, p, top)), c) for p, c in phi]), tuple(map(neg, top)))
+        return (tuple(phi), top)
 
     def base_generator(self, slot: int):
         unit = tuple(int(i == slot) for i in range(self.width))
@@ -371,15 +402,21 @@ def cp_wr_z2_data(p: int) -> GData:
         columns: dict[int, int] = {}
         for (_, n), (c,) in base:
             columns[n] = columns.get(n, 0) + c
-        ys = sorted(columns)
-        entries, q = [], 0
-        for n, following in zip(ys, ys[1:]):
-            q = (q - columns[n]) % p
+        entries, q, prev = [], 0, 0
+        for n in sorted(columns):
             if q:
-                entries.extend([((0, k), (q,)) for k in range(n, following)])
-        if ys and (q - columns[ys[-1]]) % p:
+                entries.extend([((0, k), (q,)) for k in range(prev, n)])
+            q, prev = (q - columns[n]) % p, n
+        if q:
             raise ValueError("polynomial is not in the augmentation ideal")
         return (tuple(entries), (0, top[1]))
+
+    def total(g) -> int:
+        """The total base exponent mod p: the coset of g, 0 on the subgroup."""
+        n = 0
+        for _, (c,) in g[0]:
+            n += c
+        return n % p
 
     lamp = model.base_generator(0)
     transversal = [model.identity()]
@@ -388,10 +425,10 @@ def cp_wr_z2_data(p: int) -> GData:
 
     f1 = VirtualEndo(
         model,
-        contains=lambda g: sum([c for _, (c,) in g[0]]) % p == 0,
+        contains=lambda g: not total(g),
         image=f1_image,
         transversal=transversal,
-        coset_index=lambda g: sum([c for _, (c,) in g[0]]) % p,
+        coset_index=total,
     )
 
     def f2_image(g):

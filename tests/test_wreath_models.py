@@ -84,8 +84,8 @@ def test_group_axioms_randomized(name):
 
 
 def _parent_wreath_law(model):
-    """``WreathModel.multiply`` and ``invert`` as written before the shared
-    ``SupportModel`` law: the reference the shared law must match."""
+    """``WreathModel.multiply`` and ``invert`` as written before the
+    carriers' laws over ``SupportModel._merge``: a reference they must match."""
 
     def shift_base(base, vec):
         return [(tuple(p + v for p, v in zip(point, vec)), coeff) for point, coeff in base]
@@ -107,7 +107,8 @@ def _parent_wreath_law(model):
 
 
 def _parent_extension_law(model):
-    """``ExtensionModel.multiply`` and ``invert`` as written before the shared law."""
+    """``ExtensionModel.multiply`` and ``invert`` as written before the
+    carriers' laws over ``SupportModel._merge``."""
 
     def translate_point(labs, tops):
         return tuple(c.translate(lab, g) for c, lab, g in zip(model.cosets, labs, tops))
@@ -189,9 +190,9 @@ def _support_model_operands(draw):
 @settings(derandomize=True, deadline=None, max_examples=300, database=None)
 @given(_support_model_operands())
 def test_merge_law_matches_renormalising_law(operands):
-    """``SupportModel``'s merge against the law that renormalises every
-    product, also with an empty support on either side or an identity top on
-    the left.  A ``WreathModel`` is checked against ``_parent_wreath_law``,
+    """``SupportModel._merge``, through each carrier's law, against the law
+    that renormalises every product, also with an empty support on either
+    side or an identity top on the left.  A ``WreathModel`` is checked against ``_parent_wreath_law``,
     which translates and negates with its own arithmetic; a lamp carrier,
     whose coset labels only the model translates, against its own ``shift``
     with every product renormalised."""
@@ -270,6 +271,105 @@ def test_merge_law_on_fixed_supports(left, right):
         assert model.multiply(x, y) == multiply(x, y)
         assert_canonical(model.multiply(x, y))
         assert model.invert(x) == invert(x)
+
+
+# the carriers whose laws the differential below checks: top dimension 1, 2
+# and 3, width 1 and 2, free and torsion slots, and both carrier classes
+LAW_CARRIERS = [
+    "cp-wr-z2:p=3", "zwrz", "lamplighter:B=2,3", "zl-wr-zd:l=2,d=2", "zl-wr-zd:l=1,d=3",
+    "concat:lamplighter:B=2+zwrz", "lamplighter_extension_data((2,))",
+]
+
+
+def _law_carrier(name):
+    if name == "lamplighter_extension_data((2,))":
+        return lamplighter_extension_data((2,)).model
+    return data_by_selector(name).model
+
+
+def _formula_law(model):
+    """The group law written from the formula of the ``SupportModel``
+    docstring, (phi1, t1) (phi2, t2) = (norm(phi1 + shift(phi2, t1^-1)), t1 t2),
+    with this file's own translation, top arithmetic and ``_reference_norm``;
+    the inverse of (phi, t) is (norm(shift(-phi, t)), t^-1)."""
+    if isinstance(model, ExtensionModel):
+        inner = model.inner
+
+        def shift(phi, tops):
+            return [
+                (tuple(c.translate(lab, g) for c, lab, g in zip(model.cosets, labs, tops)), coeff)
+                for labs, coeff in phi
+            ]
+
+        def top_mul(t1, t2):
+            return tuple(inner.multiply(x, y) for x, y in zip(t1, t2))
+
+        def top_inv(t):
+            return tuple(inner.invert(x) for x in t)
+    else:
+
+        def shift(phi, top):
+            return [(tuple(u + x for u, x in zip(point, top)), coeff) for point, coeff in phi]
+
+        def top_mul(t1, t2):
+            return tuple(x + y for x, y in zip(t1, t2))
+
+        def top_inv(t):
+            return tuple(-x for x in t)
+
+    def multiply(a, b):
+        (phi1, t1), (phi2, t2) = a, b
+        return (_reference_norm(list(phi1) + shift(phi2, top_inv(t1)), model), top_mul(t1, t2))
+
+    def invert(a):
+        phi, t = a
+        negated = [(point, tuple(-v for v in coeff)) for point, coeff in phi]
+        return (_reference_norm(shift(negated, t), model), top_inv(t))
+
+    return multiply, invert
+
+
+@pytest.mark.parametrize("name", LAW_CARRIERS)
+def test_carrier_laws_match_the_formula(name):
+    """Each carrier's own ``multiply`` and ``invert`` against ``_formula_law``
+    on seeded random elements, on products that cancel to an empty support,
+    and on products with an identity element on either side."""
+    model = _law_carrier(name)
+    multiply, invert = _formula_law(model)
+    rng = random.Random(f"carrier-law/{name}")
+    e = model.identity()
+    cancelled = 0
+    for _ in range(400):
+        a, b = model.random_element(rng), model.random_element(rng)
+        assert model.multiply(a, b) == multiply(a, b), (a, b)
+        assert model.invert(a) == invert(a), a
+        assert model.multiply(a, e) == a == model.multiply(e, a)
+        # the right factor's support is the inverse's, under b's top
+        c = (invert(a)[0], b[1])
+        for x, y in ((a, c), (c, a)):
+            product = model.multiply(x, y)
+            assert product == multiply(x, y), (x, y)
+            cancelled += not product[0] and bool(a[0])
+    assert cancelled > 50
+
+
+# the carriers of the model-arithmetic gate: ``LAW_CARRIERS`` and two with
+# other models, each gated on 2,000 seeded pairs
+GATE_CARRIERS = [*LAW_CARRIERS, "zwrz-wr-c2", "zomega"]
+
+
+@pytest.mark.parametrize("name", GATE_CARRIERS)
+def test_model_arithmetic_gate(name):
+    """Inverses on 2,000 pairs drawn by ``random.Random(1)`` and associativity
+    on 100 triples of them, as the model-arithmetic timing probe draws them."""
+    model = _law_carrier(name)
+    rng = random.Random(1)
+    pairs = [(model.random_element(rng), model.random_element(rng)) for _ in range(2000)]
+    assert all(model.is_identity(model.multiply(a, model.invert(a))) for a, _ in pairs)
+    assert all(
+        model.multiply(model.multiply(a, b), c) == model.multiply(a, model.multiply(b, c))
+        for (a, b), (c, _) in zip(pairs[::20], pairs[1::20])
+    )
 
 
 def _subgroup_samples(model, endo, rng, want):
