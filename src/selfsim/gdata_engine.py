@@ -564,9 +564,8 @@ class SupportModel(GroupModel):
 
     Subclasses set ``mods`` and ``top_identity`` and own ``multiply`` and
     ``invert``: each carrier applies its top law and translates the points
-    itself, into a sorted tuple, joins two supports whose point ranges are
-    apart, and passes overlapping ones to the one merge, ``_merge``; neither
-    law renormalises.
+    itself, into a sorted tuple, and passes two nonempty supports to the one
+    merge, ``_merge``; neither law renormalises.
     """
 
     def identity(self):
@@ -589,9 +588,16 @@ class SupportModel(GroupModel):
         return reduce_coeff(map(sum, zip(*(c for _, c in a[0]))), self.mods)
 
     def _merge(self, phi1, phi2) -> tuple:
-        """The canonical sum of two canonical supports whose point ranges
-        overlap, by one linear merge: a shared point adds its coefficients
-        (one slot without ``reduce_coeff``) and drops a zero sum."""
+        """The canonical sum of a canonical support and a nonempty one: an
+        empty ``phi1`` or point ranges that are apart join, others go through
+        one linear merge, where a shared point adds its coefficients (one slot
+        without ``reduce_coeff``) and drops a zero sum."""
+        if not phi1:
+            return phi2
+        if phi1[-1][0] < phi2[0][0]:
+            return phi1 + phi2
+        if phi2[-1][0] < phi1[0][0]:
+            return phi2 + phi1
         mods = self.mods
         out, i, j = [], 0, 0
         while i < len(phi1) and j < len(phi2):
@@ -649,12 +655,6 @@ class ExtensionModel(SupportModel):
         if not phi2:
             return (phi1, tops)
         moved = phi2 if t1 == self.top_identity else self.shift(phi2, self.top_invert(t1))
-        if not phi1:
-            return (moved, tops)
-        if phi1[-1][0] < moved[0][0]:
-            return (phi1 + moved, tops)
-        if moved[-1][0] < phi1[0][0]:
-            return (moved + phi1, tops)
         return (self._merge(phi1, moved), tops)
 
     def invert(self, a):

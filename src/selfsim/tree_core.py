@@ -395,16 +395,11 @@ def trivial_to_depth(machine: SelfSimilarMachine, word, depth: int) -> bool:
     table of the word (``_level``), without a memo record; depth leaf + 1
     from the level-leaf tables of the sections of its codes, keeping only the
     verdict (at leaf 0, depth 1 from the root permutation, keeping nothing);
-    records start at depth leaf + 2.  A word whose ``cache_key`` is the empty
-    word's (on a machine with a model, an identity element) holds at once,
-    before any level table.  A negative depth is an error.
+    records start at depth leaf + 2.  A negative depth is an error.
     """
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    codes = machine.encode(word)
-    if machine.cache_key(codes) == machine.cache_key(()):
-        return True
-    return _trivial(machine, codes, depth) is not None
+    return _trivial(machine, machine.encode(word), depth) is not None
 
 
 def _cyclic_core(codes: Codes) -> Codes:
@@ -708,14 +703,11 @@ def find_moving_string(a: Automorphism, max_depth: int) -> Optional[String]:
     exactly trivial word (``inf``) costs the same at any depth.  A string of
     length k <= leaf is the big-endian digits of the first moved byte of the
     level-k table that ``proven`` keeps; a longer one walks down to the leaf,
-    taking the first letter that moves or whose section moves a string.  A
-    word whose ``cache_key`` is the empty word's moves nothing: None at once."""
+    taking the first letter that moves or whose section moves a string."""
     if max_depth < 1:
         raise ValueError("max_depth must be at least 1")
     machine = a.machine
     codes = machine.encode(a.word)
-    if machine.cache_key(codes) == machine.cache_key(()):
-        return None
     m, leaf = machine.alphabet_size, machine._leaf
     action = b""
 

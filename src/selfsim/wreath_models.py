@@ -9,8 +9,9 @@ on the right: ``(a^w)^{x^v} = a^{w x^v}``, so multiplication reads
     (w1, t1) (w2, t2) = (w1 + w2 x^{-t1}, t1 + t2).
 
 ``WreathModel`` owns this law and shares the canonical form and the support
-merge of ``gdata_engine.SupportModel`` with the lamp carrier.  All elements are canonical (zero coefficients dropped, residues
-reduced), so ``==`` is exact group equality.
+merge of ``gdata_engine.SupportModel`` with the lamp carrier.  All elements
+are canonical (zero coefficients dropped, residues reduced), so ``==`` is
+exact group equality.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ class WreathModel(SupportModel):
     """Exact arithmetic in ``(Z^free_rank + torsion) wr Z^top_dim``: supports
     map points of Z^top_dim to coefficients, and tops translate the points.
     Its own ``multiply`` and ``invert`` add the tops and translate the points
-    inside the product; overlapping supports go to ``SupportModel._merge``."""
+    inside the product; two nonempty supports go to ``SupportModel._merge``."""
 
     def __init__(self, free_rank: int, torsion: Sequence[int], top_dim: int):
         super().__init__()
@@ -139,12 +140,6 @@ class WreathModel(SupportModel):
                 phi2 = tuple([(tuple(map(sub, p, t1)), c) for p, c in phi2])
         if not phi2:
             return (phi1, tops)
-        if not phi1:
-            return (phi2, tops)
-        if phi1[-1][0] < phi2[0][0]:
-            return (phi1 + phi2, tops)
-        if phi2[-1][0] < phi1[0][0]:
-            return (phi2 + phi1, tops)
         return (self._merge(phi1, phi2), tops)
 
     def invert(self, a):

@@ -132,11 +132,19 @@ def _parent_extension_law(model):
     return multiply, invert
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["lamplighter", "lamp-ext", "mixed-base", "c3-wr-z2", "z2-wr-z2", "lamp-ext-s2", "zl-wr-zd:l=1,d=3"],
-)
+# carriers of top dimension 1, 2 and 3, width 1 and 2, free and torsion
+# slots, and both carrier classes: every shape the carriers' laws tell apart
+LAW_CARRIERS = [
+    "lamplighter", "lamp-ext", "mixed-base", "c3-wr-z2", "z2-wr-z2", "lamp-ext-s2",
+    "zl-wr-zd:l=1,d=3", "zwrz", "lamplighter:B=2,3", "zl-wr-zd:l=2,d=2", "concat:lamplighter:B=2+zwrz",
+]
+
+
+@pytest.mark.parametrize("name", LAW_CARRIERS)
 def test_shared_law_matches_parent_laws(name):
+    """Each carrier's own ``multiply`` and ``invert`` against the parent laws
+    on seeded random elements, on products with the identity on either side,
+    and on products that cancel to an empty support."""
     if name == "lamp-ext-s2":  # the carrier of test_two_coordinate_lamp_extension
         model = ExtensionModel(z_data().model, (2,), [z_coset_space(), z_coset_space()])
     elif name not in ALL_DATA:
@@ -146,10 +154,18 @@ def test_shared_law_matches_parent_laws(name):
     law = _parent_extension_law if isinstance(model, ExtensionModel) else _parent_wreath_law
     multiply, invert = law(model)
     rng = random.Random(zlib.crc32(name.encode()))
+    e, cancelled = model.identity(), 0
     for _ in range(300):
         a, b = model.random_element(rng), model.random_element(rng)
         assert model.multiply(a, b) == multiply(a, b)
         assert model.invert(a) == invert(a)
+        assert model.multiply(a, e) == a == model.multiply(e, a)
+        # the support of a^-1 under b's top cancels a's on either side
+        c = (invert(a)[0], b[1])
+        for x, y in ((a, c), (c, a)):
+            assert model.multiply(x, y) == multiply(x, y), (x, y)
+            cancelled += bool(a[0]) and not model.multiply(x, y)[0]
+    assert cancelled > 50
 
 
 def _zigzag(n):
@@ -273,96 +289,21 @@ def test_merge_law_on_fixed_supports(left, right):
         assert model.invert(x) == invert(x)
 
 
-# the carriers whose laws the differential below checks: top dimension 1, 2
-# and 3, width 1 and 2, free and torsion slots, and both carrier classes
-LAW_CARRIERS = [
+# the models of the CI model-arithmetic step, each gated on 2,000 seeded pairs
+GATE_MODELS = [
     "cp-wr-z2:p=3", "zwrz", "lamplighter:B=2,3", "zl-wr-zd:l=2,d=2", "zl-wr-zd:l=1,d=3",
-    "concat:lamplighter:B=2+zwrz", "lamplighter_extension_data((2,))",
+    "concat:lamplighter:B=2+zwrz", "zwrz-wr-c2", "zomega", "lamplighter_extension_data((2,))",
 ]
 
 
-def _law_carrier(name):
-    if name == "lamplighter_extension_data((2,))":
-        return lamplighter_extension_data((2,)).model
-    return data_by_selector(name).model
-
-
-def _formula_law(model):
-    """The group law written from the formula of the ``SupportModel``
-    docstring, (phi1, t1) (phi2, t2) = (norm(phi1 + shift(phi2, t1^-1)), t1 t2),
-    with this file's own translation, top arithmetic and ``_reference_norm``;
-    the inverse of (phi, t) is (norm(shift(-phi, t)), t^-1)."""
-    if isinstance(model, ExtensionModel):
-        inner = model.inner
-
-        def shift(phi, tops):
-            return [
-                (tuple(c.translate(lab, g) for c, lab, g in zip(model.cosets, labs, tops)), coeff)
-                for labs, coeff in phi
-            ]
-
-        def top_mul(t1, t2):
-            return tuple(inner.multiply(x, y) for x, y in zip(t1, t2))
-
-        def top_inv(t):
-            return tuple(inner.invert(x) for x in t)
-    else:
-
-        def shift(phi, top):
-            return [(tuple(u + x for u, x in zip(point, top)), coeff) for point, coeff in phi]
-
-        def top_mul(t1, t2):
-            return tuple(x + y for x, y in zip(t1, t2))
-
-        def top_inv(t):
-            return tuple(-x for x in t)
-
-    def multiply(a, b):
-        (phi1, t1), (phi2, t2) = a, b
-        return (_reference_norm(list(phi1) + shift(phi2, top_inv(t1)), model), top_mul(t1, t2))
-
-    def invert(a):
-        phi, t = a
-        negated = [(point, tuple(-v for v in coeff)) for point, coeff in phi]
-        return (_reference_norm(shift(negated, t), model), top_inv(t))
-
-    return multiply, invert
-
-
-@pytest.mark.parametrize("name", LAW_CARRIERS)
-def test_carrier_laws_match_the_formula(name):
-    """Each carrier's own ``multiply`` and ``invert`` against ``_formula_law``
-    on seeded random elements, on products that cancel to an empty support,
-    and on products with an identity element on either side."""
-    model = _law_carrier(name)
-    multiply, invert = _formula_law(model)
-    rng = random.Random(f"carrier-law/{name}")
-    e = model.identity()
-    cancelled = 0
-    for _ in range(400):
-        a, b = model.random_element(rng), model.random_element(rng)
-        assert model.multiply(a, b) == multiply(a, b), (a, b)
-        assert model.invert(a) == invert(a), a
-        assert model.multiply(a, e) == a == model.multiply(e, a)
-        # the right factor's support is the inverse's, under b's top
-        c = (invert(a)[0], b[1])
-        for x, y in ((a, c), (c, a)):
-            product = model.multiply(x, y)
-            assert product == multiply(x, y), (x, y)
-            cancelled += not product[0] and bool(a[0])
-    assert cancelled > 50
-
-
-# the carriers of the model-arithmetic gate: ``LAW_CARRIERS`` and two with
-# other models, each gated on 2,000 seeded pairs
-GATE_CARRIERS = [*LAW_CARRIERS, "zwrz-wr-c2", "zomega"]
-
-
-@pytest.mark.parametrize("name", GATE_CARRIERS)
+@pytest.mark.parametrize("name", GATE_MODELS)
 def test_model_arithmetic_gate(name):
     """Inverses on 2,000 pairs drawn by ``random.Random(1)`` and associativity
     on 100 triples of them, as the model-arithmetic timing probe draws them."""
-    model = _law_carrier(name)
+    if name == "lamplighter_extension_data((2,))":
+        model = lamplighter_extension_data((2,)).model
+    else:
+        model = data_by_selector(name).model
     rng = random.Random(1)
     pairs = [(model.random_element(rng), model.random_element(rng)) for _ in range(2000)]
     assert all(model.is_identity(model.multiply(a, model.invert(a))) for a, _ in pairs)
