@@ -49,17 +49,6 @@ class GroupModel:
     def is_identity(self, g) -> bool:
         return g == self.identity()
 
-    def power(self, g, n: int):
-        out = self.identity()
-        base = g if n >= 0 else self.invert(g)
-        for _ in range(abs(n)):
-            out = self.multiply(out, base)
-        return out
-
-    def conjugate(self, g, by):
-        """Right conjugation ``by^-1 g by``."""
-        return self.multiply(self.multiply(self.invert(by), g), by)
-
     def random_element(self, rng):
         raise NotImplementedError
 
@@ -163,10 +152,11 @@ class EngineMachine(SelfSimilarMachine):
         # multiplies out a model element (``cache_key``): on cp-wr-z2:p=3,
         # ``find_moving_string(a^27, 12)`` takes 0.75 s and 1,904 memo keys
         # against 4.9 s and 50,036 at leaf 1, with the same states and rows.
-        # Past degree 6 the rows cost more than the records they save
-        # (``witness --model lamplighter:B=2,3``, degree 13: 7 rows compiled
-        # and 2.7 ms at leaf 2 against 3 rows and 1.2 ms at leaf 1), so only
-        # depth 1 is decided by tables there (leaf 2 is degree 7 to 16)
+        # Past degree 6 the level-2 tables cost more than they save (medians
+        # of 200 in-process ``witness`` runs at leaf 1 and 2: 0.66 against
+        # 1.11 ms on ``lamplighter:B=2,3``, degree 13, and 0.27 against 0.37
+        # ms on ``cp-wr-z2:p=7 --word 'a a a a' --max-depth 8``, degree 8), so
+        # only depth 1 is decided by tables there (leaf 2 is degree 7 to 16)
         if self._leaf == 2:
             self._leaf = 1
         self.data = data
@@ -557,10 +547,11 @@ class SupportModel(GroupModel):
     An element is a ``(support, tops)`` pair: ``support`` holds canonical
     ``(point, coeff)`` entries (``norm_base`` under ``mods``: points
     strictly increasing, no zero coefficient) and ``tops`` lies in the top
-    group, which moves the points.  With ``shift(phi, t)`` the support ``phi``
-    with every point moved by ``t``,
+    group, which moves the points.  With ``t.phi`` the support ``phi`` with
+    every point moved by ``t``,
 
-        (phi1, t1) (phi2, t2) = (phi1 + shift(phi2, t1^-1), t1 t2).
+        (phi1, t1) (phi2, t2) = (phi1 + t1^-1.phi2, t1 t2),
+        (phi, t)^-1 = (-(t.phi), t^-1).
 
     Subclasses set ``mods`` and ``top_identity`` and own ``multiply`` and
     ``invert``: each carrier applies its top law and translates the points
@@ -624,9 +615,9 @@ class SupportModel(GroupModel):
 class ExtensionModel(SupportModel):
     """Finitely supported maps from s-tuples of coset labels into a finite
     abelian group, extended by s-tuples of inner elements that translate the
-    labels coordinate by coordinate.  Its law is ``SupportModel``'s formula
-    through the inner model (``top_multiply``, ``top_invert``) and the coset
-    spaces (``shift``)."""
+    labels coordinate by coordinate.  Its own law multiplies the tops
+    through the inner model and translates the labels through the coset
+    spaces."""
 
     def __init__(self, inner: GroupModel, orders: Sequence[int], cosets: Sequence[CosetSpace]):
         super().__init__()
@@ -636,13 +627,7 @@ class ExtensionModel(SupportModel):
         self.s = len(cosets)
         self.top_identity = (inner.identity(),) * self.s
 
-    def top_multiply(self, t1, t2) -> tuple:
-        return tuple(self.inner.multiply(x, y) for x, y in zip(t1, t2))
-
-    def top_invert(self, tops) -> tuple:
-        return tuple(self.inner.invert(g) for g in tops)
-
-    def shift(self, support, tops) -> tuple:
+    def _translate(self, support, tops) -> tuple:
         # ``translate`` need not keep the order of the labels
         return tuple(sorted(
             (tuple(c.translate(lab, g) for c, lab, g in zip(self.cosets, labs, tops)), coeff)
@@ -651,18 +636,20 @@ class ExtensionModel(SupportModel):
 
     def multiply(self, a, b):
         (phi1, t1), (phi2, t2) = a, b
-        tops = self.top_multiply(t1, t2)
+        inner = self.inner
+        tops = tuple([inner.multiply(x, y) for x, y in zip(t1, t2)])
         if not phi2:
             return (phi1, tops)
-        moved = phi2 if t1 == self.top_identity else self.shift(phi2, self.top_invert(t1))
-        return (self._merge(phi1, moved), tops)
+        if t1 != self.top_identity:
+            phi2 = self._translate(phi2, [inner.invert(g) for g in t1])
+        return (self._merge(phi1, phi2), tops)
 
     def invert(self, a):
         phi, tops = a
         negated = [(p, tuple([-v % k if k else -v for v, k in zip(c, self.mods)])) for p, c in phi]
         if tops == self.top_identity:
             return (tuple(negated), tops)
-        return (self.shift(negated, tops), self.top_invert(tops))
+        return (self._translate(negated, tops), tuple([self.inner.invert(g) for g in tops]))
 
     def random_element(self, rng):
         entries = []

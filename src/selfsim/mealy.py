@@ -19,7 +19,8 @@ import re
 
 from .perm_word import _NAME_RE, GroupWord, Perm
 from .tree_core import MAX_STATES, SelfSimilarMachine, TableMachine, closure
-from .wreath_models import MAX_NAMED_COPIES, thmD, thmD_engine_machine
+from .gdata_engine import build_representation
+from .wreath_models import MAX_NAMED_COPIES, cp_wr_z2_data, thmD
 
 _ITEM_RE = re.compile(r"(\d+)\s*->\s*(\d+)\s+([A-Za-z_][A-Za-z0-9_]*)\Z")
 
@@ -220,7 +221,7 @@ _BUILTINS = {
     "diagram3": (diagram3, None),
     "brunner_sidki": (brunner_sidki_pair, None),
     "thmD": (thmD, "thmD(p)"),
-    "thmD-engine": (thmD_engine_machine, "thmD-engine(p)"),
+    "thmD-engine": (lambda p: build_representation(cp_wr_z2_data(p)), "thmD-engine(p)"),
     "prop31": (prop31, "prop31(l,d)"),
 }
 

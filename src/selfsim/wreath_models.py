@@ -21,12 +21,10 @@ from typing import Sequence
 
 from .gdata_engine import (
     CosetSpace,
-    EngineMachine,
     GData,
     GroupModel,
     SupportModel,
     VirtualEndo,
-    build_representation,
     direct_power_data,
     lamp_data,
     lamp_extension_data,
@@ -451,10 +449,6 @@ def thmD(p: int) -> TableMachine:
         "b": ([e] * p + [a], ident),
     }
     return TableMachine(m, table)
-
-
-def thmD_engine_machine(p: int) -> EngineMachine:
-    return build_representation(cp_wr_z2_data(p))
 
 
 def fibonacci_states(p: int, n: int, machine=None) -> list[Automorphism]:

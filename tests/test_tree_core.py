@@ -34,7 +34,7 @@ from selfsim.tree_core import (
     states,
     trivial_to_depth,
 )
-from selfsim.wreath_models import data_by_selector, thmD_engine_machine
+from selfsim.wreath_models import data_by_selector
 
 from test_gdata_engine import ENGINE_DATA
 from test_oracles import _Entries, _random_mealy, transducer_apply
@@ -1181,8 +1181,8 @@ def test_machines_are_freed_without_the_cycle_collector():
     word = GroupWord.gen("a") * GroupWord.gen("b") * GroupWord.gen("s", -1)
     gc.disable()
     try:
-        for build in (lambda: mealy.builtin_machine("thmD(2)"), lambda: thmD_engine_machine(2)):
-            machine = build()
+        for name in ("thmD(2)", "thmD-engine(2)"):
+            machine = mealy.builtin_machine(name)
             trivial_to_depth(machine, commutator(word, GroupWord.gen("s")), 6)
             ref = weakref.ref(machine)
             del machine

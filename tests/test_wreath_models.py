@@ -133,9 +133,10 @@ def _parent_extension_law(model):
 
 
 # carriers of top dimension 1, 2 and 3, width 1 and 2, free and torsion
-# slots, and both carrier classes: every shape the carriers' laws tell apart
+# slots, both carrier classes and labels whose translation does not keep
+# their order: every shape the carriers' laws tell apart
 LAW_CARRIERS = [
-    "lamplighter", "lamp-ext", "mixed-base", "c3-wr-z2", "z2-wr-z2", "lamp-ext-s2",
+    "lamplighter", "lamp-ext", "mixed-base", "c3-wr-z2", "z2-wr-z2", "lamp-ext-s2", "lamp-ext-zigzag",
     "zl-wr-zd:l=1,d=3", "zwrz", "lamplighter:B=2,3", "zl-wr-zd:l=2,d=2", "concat:lamplighter:B=2+zwrz",
 ]
 
@@ -147,6 +148,8 @@ def test_shared_law_matches_parent_laws(name):
     and on products that cancel to an empty support."""
     if name == "lamp-ext-s2":  # the carrier of test_two_coordinate_lamp_extension
         model = ExtensionModel(z_data().model, (2,), [z_coset_space(), z_coset_space()])
+    elif name == "lamp-ext-zigzag":
+        model = ExtensionModel(z_data().model, (3,), [ZIGZAG_COSETS])
     elif name not in ALL_DATA:
         model = data_by_selector(name).model
     else:
@@ -206,28 +209,14 @@ def _support_model_operands(draw):
 @settings(derandomize=True, deadline=None, max_examples=300, database=None)
 @given(_support_model_operands())
 def test_merge_law_matches_renormalising_law(operands):
-    """``SupportModel._merge``, through each carrier's law, against the law
-    that renormalises every product, also with an empty support on either
-    side or an identity top on the left.  A ``WreathModel`` is checked against ``_parent_wreath_law``,
-    which translates and negates with its own arithmetic; a lamp carrier,
-    whose coset labels only the model translates, against its own ``shift``
-    with every product renormalised."""
+    """``SupportModel._merge``, through each carrier's law, against the
+    parent law of its class, which renormalises every product: also with an
+    empty support on either side or an identity top on the left.  A lamp
+    carrier's labels are translated through its coset spaces, whose order the
+    zigzag labels do not keep."""
     model, a, b = operands
-    mods = model.mods
-
-    def multiply(x, y):
-        (phi1, t1), (phi2, t2) = x, y
-        moved = model.shift(phi2, model.top_invert(t1))
-        return (model.norm_base(list(phi1) + list(moved)), model.top_multiply(t1, t2))
-
-    def invert(x):
-        phi, tops = x
-        negated = [(point, reduce_coeff(map(neg, coeff), mods)) for point, coeff in phi]
-        return (model.norm_base(model.shift(negated, tops)), model.top_invert(tops))
-
-    if isinstance(model, WreathModel):
-        multiply, invert = _parent_wreath_law(model)
-
+    law = _parent_extension_law if isinstance(model, ExtensionModel) else _parent_wreath_law
+    multiply, invert = law(model)
     for x in (a, ((), a[1]), (a[0], model.top_identity)):
         for y in (b, ((), b[1])):
             assert model.multiply(x, y) == multiply(x, y)
@@ -386,10 +375,22 @@ def test_combine_requires_matching_top_groups():
 # -- the Z^l wr Z^d endomorphisms --------------------------------------------
 
 
+def power(model, g, n):
+    """``g^n`` for ``n >= 0``."""
+    out = model.identity()
+    for _ in range(n):
+        out = model.multiply(out, g)
+    return out
+
+
+def conjugate(model, g, by):
+    """Right conjugation ``by^-1 g by``."""
+    return model.multiply(model.multiply(model.invert(by), g), by)
+
+
 def conj_power(model, g, top_coord, n):
     """g conjugated by the n-th power of a top generator."""
-    t = model.power(model.top_generator(top_coord), n)
-    return model.conjugate(g, t)
+    return conjugate(model, g, power(model, model.top_generator(top_coord), n))
 
 
 def test_prop31_f1_even_odd_rule():
@@ -410,10 +411,10 @@ def test_prop31_f2_rotates_variables():
     model = data.model
     f2 = data.endos[1]
     a1 = model.base_generator(0)
-    lamp = model.conjugate(a1, model.multiply(model.power(model.top_generator(0), 2), model.top_generator(1)))
+    lamp = conjugate(model, a1, model.multiply(power(model, model.top_generator(0), 2), model.top_generator(1)))
     rotated = f2.image(lamp)
-    assert rotated == model.conjugate(
-        a1, model.multiply(model.top_generator(0), model.power(model.top_generator(1), 2))
+    assert rotated == conjugate(
+        model, a1, model.multiply(model.top_generator(0), power(model, model.top_generator(1), 2))
     )
     assert f2.image(model.top_generator(0)) == model.top_generator(1)
 
@@ -423,8 +424,8 @@ def test_prop31_f3_total_exponent():
     model = data.model
     f3 = data.endos[2]
     a1 = model.base_generator(0)
-    spread = model.multiply(model.conjugate(a1, model.top_generator(0)), model.conjugate(a1, model.top_generator(1)))
-    assert f3.image(spread) == model.power(model.top_generator(0), 2)
+    spread = model.multiply(conjugate(model, a1, model.top_generator(0)), conjugate(model, a1, model.top_generator(1)))
+    assert f3.image(spread) == power(model, model.top_generator(0), 2)
     assert model.is_identity(f3.image(model.base_generator(1)))
     assert model.is_identity(f3.image(model.top_generator(1)))
 
@@ -583,8 +584,8 @@ def test_prime_wreath_f2_example():
     f2 = data.endos[1]
     lamp, y, x = model.generators["s"], model.generators["a"], model.generators["b"]
     # a^x x  |->  a^y y
-    src = model.multiply(model.conjugate(lamp, x), x)
-    dst = model.multiply(model.conjugate(lamp, y), y)
+    src = model.multiply(conjugate(model, lamp, x), x)
+    dst = model.multiply(conjugate(model, lamp, y), y)
     assert f2.image(src) == dst
 
 
@@ -594,8 +595,8 @@ def test_prime_wreath_membership_counts_total_exponent():
     f1 = data.endos[0]
     lamp = model.base_generator(0)
     assert not f1.contains(lamp)
-    assert f1.contains(model.power(lamp, 3))
-    spread = model.multiply(lamp, model.invert(model.conjugate(lamp, model.generators["b"])))
+    assert f1.contains(power(model, lamp, 3))
+    spread = model.multiply(lamp, model.invert(conjugate(model, lamp, model.generators["b"])))
     assert f1.contains(spread)
 
 
