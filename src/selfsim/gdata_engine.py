@@ -565,7 +565,11 @@ class SupportModel(GroupModel):
     def norm_base(self, entries) -> tuple:
         """The canonical support of ``(point, coeff)`` entries with canonical
         coefficients under ``mods``: entries at one point add slot by slot,
-        zero coefficients are dropped, and the points are sorted."""
+        zero coefficients are dropped, and the points are sorted.  Only maps
+        whose entries may share a point call it: the ``random_element`` of
+        both carriers, and ``lamp_data``'s contraction, whose coset map need
+        not be injective; maps that cannot merge two points build the
+        canonical support directly."""
         acc: dict = {}
         for point, coeff in entries:
             prev = acc.get(point)
@@ -737,9 +741,10 @@ def lamp_data(model: SupportModel, data: GData, cosets: Sequence[CosetSpace]) ->
         if s == 1:
             return a
         # the value at x comes from rot(x) = (x_2..x_s, x_1), so a support
-        # point y lands at (y_s, y_1, .., y_{s-1})
-        entries = [((labs[-1:] + labs[:-1]), coeff) for labs, coeff in phi]
-        return (model.norm_base(entries), tops[1:] + tops[:1])
+        # point y lands at (y_s, y_1, .., y_{s-1}); a rotation is a bijection
+        # on points, so it only reorders them
+        entries = [(labs[-1:] + labs[:-1], coeff) for labs, coeff in phi]
+        return (tuple(sorted(entries)), tops[1:] + tops[:1])
 
     endo1 = VirtualEndo(model, contains, chi1, transversal, coset_index)
     return GData(model, [endo1, VirtualEndo.whole(model, chi2)])

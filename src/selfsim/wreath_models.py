@@ -188,10 +188,12 @@ def concatenate(d1: GData, d2: GData) -> GData:
 
     The combined base holds the free slots of both sides, then their torsion
     slots.  Each endomorphism of one side extends to the combined group by
-    killing the other side's base component; transversals and coset indices
-    carry over.  Generators keep their names (a name already taken gains the
-    first free suffix ``_2``, ``_3``, ..), and one that equals an earlier
-    generator is dropped.
+    killing the other side's base component: a projection keeps its side's
+    slots and drops the entries whose coefficient becomes zero, and since it
+    merges no two points it needs no renormalising.  Transversals and coset
+    indices carry over.  Generators keep their names (a name already taken
+    gains the first free suffix ``_2``, ``_3``, ..), and one that equals an
+    earlier generator is dropped.
     """
     m1, m2 = d1.model, d2.model
     if not isinstance(m1, WreathModel) or not isinstance(m2, WreathModel):
@@ -211,7 +213,7 @@ def concatenate(d1: GData, d2: GData) -> GData:
 
         def project(g):
             base, top = g
-            return data.model.norm_base((vec, down(coeff)) for vec, coeff in base), top
+            return tuple([(vec, c) for vec, coeff in base if any(c := down(coeff))]), top
 
         def embed(g):
             base, top = g
@@ -266,11 +268,11 @@ def prop31_endos(l: int, d: int) -> GData:
 
     def f1_image(g):
         base, top = g
-        entries = []
-        for vec, coeff in base:
-            if vec[0] % 2 == 0:
-                entries.append(((vec[0] // 2,) + vec[1:], coeff[1:] + coeff[:1]))
-        return (model.norm_base(entries), (top[0] // 2,) + top[1:])
+        # halving the even first coordinates is increasing: the points stay in order
+        phi = tuple([
+            ((vec[0] // 2,) + vec[1:], coeff[1:] + coeff[:1]) for vec, coeff in base if vec[0] % 2 == 0
+        ])
+        return (phi, (top[0] // 2,) + top[1:])
 
     f1 = VirtualEndo(
         model,
@@ -282,9 +284,10 @@ def prop31_endos(l: int, d: int) -> GData:
 
     def f2_image(g):
         base, top = g
-        # rotating the support vectors changes their order, so renormalise
+        # rotating the support vectors is a bijection on points: it only
+        # reorders them, so sort
         entries = [(vec[1:] + vec[:1], coeff) for vec, coeff in base]
-        return (model.norm_base(entries), top[1:] + top[:1])
+        return (tuple(sorted(entries)), top[1:] + top[:1])
 
     def f3_image(g):
         return ((), (model.coeff_total(g)[0],) + (0,) * (d - 1))

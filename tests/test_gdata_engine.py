@@ -662,9 +662,15 @@ def test_coset_space_translation_invariant():
 # -- witness checks ----------------------------------------------------------
 
 
-def test_fcore_witnesses_zwrz():
-    machine = build_representation(zwrz_data())
-    entries = fcore_witness_check(machine, 100, 20, random.Random(23))
+# the selectors of the CI step "Witness searches", with its seed, sample
+# count and depth
+@pytest.mark.parametrize(
+    "selector",
+    ["zwrz", "zwrz-wr-c2", "zomega", "concat:lamplighter:B=2+zwrz", "lamplighter:B=2,3", "cp-wr-z2:p=3"],
+)
+def test_fcore_witnesses_zwrz(selector):
+    machine = build_representation(data_by_selector(selector))
+    entries = fcore_witness_check(machine, 100, 20, random.Random(1))
     assert len(entries) == 100
     assert all(w is not None and machine.automorphism_of(g).apply(w) != w for g, w in entries)
 

@@ -14,6 +14,7 @@ from selfsim.gdata_engine import (
     GData,
     VirtualEndo,
     build_representation,
+    lamp_extension_data,
     reduce_coeff,
 )
 from selfsim.perm_word import GroupWord
@@ -434,6 +435,113 @@ def test_prop31_d1_has_two_orbits():
     assert orbit_type(build_representation(prop31_endos(1, 1))) == (2, 1)
     assert orbit_type(build_representation(prop31_endos(3, 1))) == (2, 1)
     assert orbit_type(build_representation(prop31_endos(1, 2))) == (2, 1, 1)
+
+
+# -- maps that build canonical supports directly -------------------------------
+#
+# The prop31 images, the lamp rotation and a concatenation's projections move
+# no two points onto one, so they skip ``norm_base``.  Each reference below
+# builds the same entries and renormalises them.
+
+
+def _random_product(model, rng):
+    g = model.identity()
+    for _ in range(rng.randint(1, 3)):
+        g = model.multiply(g, model.random_element(rng))
+    return g
+
+
+def _reference_prop31_f1(model, g):
+    base, top = g
+    entries = [((v[0] // 2,) + v[1:], c[1:] + c[:1]) for v, c in base if v[0] % 2 == 0]
+    return (model.norm_base(entries), (top[0] // 2,) + top[1:])
+
+
+def _reference_prop31_f2(model, g):
+    base, top = g
+    return (model.norm_base((v[1:] + v[:1], c) for v, c in base), top[1:] + top[:1])
+
+
+def _reference_chi2(model, g):
+    base, top = g
+    return (model.norm_base((p[-1:] + p[:-1], c) for p, c in base), top[1:] + top[:1])
+
+
+@pytest.mark.parametrize("selector", ["zl-wr-zd:l=2,d=2", "zl-wr-zd:l=1,d=3", "zwrz"])
+def test_prop31_images_match_the_renormalising_reference(selector):
+    data = data_by_selector(selector)
+    model, f1 = data.model, data.endos[0]
+    rng = random.Random(f"prop31/{selector}")
+    reordered = 0  # f2 images whose rotated points are out of order
+    for _ in range(300):
+        g = _random_product(model, rng)
+        h = model.multiply(g, model.invert(f1.transversal[f1.coset_index(g)]))
+        assert f1.image(h) == _reference_prop31_f1(model, h)
+        if model.top_dim > 1:
+            image = data.endos[1].image(g)
+            assert image == _reference_prop31_f2(model, g)
+            reordered += [p for p, _ in image[0]] != [v[1:] + v[:1] for v, _ in g[0]]
+    assert model.top_dim == 1 or reordered > 50
+
+
+def test_lamp_rotation_matches_the_renormalising_reference():
+    # the two-coordinate carrier of test_two_coordinate_lamp_extension
+    z = z_data()
+    data = lamp_extension_data((2,), GData(z.model, [z.endos[0]] * 2), [z_coset_space()] * 2)
+    model, chi2 = data.model, data.endos[1]
+    rng = random.Random("lamp-rotation")
+    reordered = 0
+    for _ in range(300):
+        g = _random_product(model, rng)
+        image = chi2.image(g)
+        assert image == _reference_chi2(model, g)
+        reordered += [p for p, _ in image[0]] != [p[::-1] for p, _ in g[0]]
+    assert reordered > 50
+
+
+@pytest.mark.parametrize(
+    "left,right", [("lamplighter:B=2", "zwrz"), ("lamplighter:B=2,3", "lamplighter:B=2")]
+)
+def test_concatenated_endos_match_the_renormalising_reference(left, right):
+    sides = data_by_selector(left), data_by_selector(right)
+    data = data_by_selector(f"concat:{left}+{right}")
+    model = data.model
+    # the combined slots: both sides' free slots, then both sides' torsion slots
+    (l1, r1), (l2, _) = [(d.model.free_rank, len(d.model.torsion)) for d in sides]
+    free, torsion = range(l1 + l2), range(l1 + l2, model.width)
+    slots = [[*free[:l1], *torsion[:r1]], [*free[l1:], *torsion[r1:]]]
+
+    def project(side, at, g):
+        base, top = g
+        return (side.model.norm_base((p, tuple(c[i] for i in at)) for p, c in base), top)
+
+    def embed(at, g):
+        base, top = g
+        entries = []
+        for p, c in base:
+            coeff = [0] * model.width
+            for i, v in zip(at, c):
+                coeff[i] = v
+            entries.append((p, tuple(coeff)))
+        return (model.norm_base(entries), top)
+
+    lifted = iter(data.endos)
+    rng = random.Random(f"concat/{left}/{right}")
+    dropped = 0  # projections that drop an entry
+    for side, at in zip(sides, slots):
+        for endo in side.endos:
+            lift = next(lifted)
+            for _ in range(150):
+                g = _random_product(model, rng)
+                j = lift.coset_index(g)
+                assert j == endo.coset_index(project(side, at, g))
+                assert lift.contains(g) == endo.contains(project(side, at, g))
+                h = model.multiply(g, model.invert(lift.transversal[j]))
+                assert lift.contains(h) and endo.contains(project(side, at, h))
+                assert lift.image(h) == embed(at, endo.image(project(side, at, h)))
+                dropped += len(project(side, at, h)[0]) < len(h[0])
+    assert next(lifted, None) is None
+    assert dropped > 100
 
 
 # -- Laurent decomposition ----------------------------------------------------
