@@ -4,9 +4,12 @@ Exit codes: 0 success, 1 a requested check failed, 2 usage or input error,
 a search too deep for the interpreter's recursion limit, or any other
 exception, each reported as one ``error:`` line on stderr.
 Identical inputs always produce byte-identical output: help and usage wrap at
-78 columns whatever the terminal's width.  A run that names a command builds
-that command's parser alone, from one table of commands; help, no command, an
-unknown command or arguments left over build the full parser.
+78 columns whatever the terminal's width.  A run whose arguments after the
+command are whole ``flag value`` pairs is read straight from one table of
+commands and builds no parser; every other run (help, no command or an
+unknown one, abbreviations, ``=``, repeated or missing flags, bad values or
+values that start with ``-``) goes to the full argparse parser, built from the
+same table, which parses it or prints its help or error.
 """
 
 from __future__ import annotations
@@ -217,8 +220,9 @@ def _cmd_concat(args) -> int:
 
 
 def _flag(*names, **kwargs):
-    """A flag as (names, ``add_argument`` keywords), required unless said otherwise."""
-    return names, {"required": True, **kwargs}
+    """A flag as (names, ``add_argument`` keywords), required unless said
+    otherwise, with argparse's own dest: the long name, which comes last."""
+    return names, {"required": True, "dest": names[-1].lstrip("-").replace("-", "_"), **kwargs}
 
 
 _MACHINE = _flag("--machine", help="automaton file or builtin:NAME")
@@ -230,7 +234,7 @@ _EMIT = (
 )
 
 # name -> (help, handler, *flags); the handler is looked up by its name when a
-# parser is built, so that a replaced module-level handler takes effect
+# command line is read, so that a replaced module-level handler takes effect
 _COMMANDS = {
     "act": ("apply a word to a string", "_cmd_act", _MACHINE, _WORD, _flag("--string")),
     "orbit-type": ("orbit sizes on the first level", "_cmd_orbit_type", _MACHINE),
@@ -263,41 +267,53 @@ _COMMANDS = {
 _FORMATTER = functools.partial(argparse.HelpFormatter, width=78)
 
 
-def _add_command(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
-    _, handler, *flags = _COMMANDS[name]
-    for names, kwargs in flags:
-        parser.add_argument(*names, **kwargs)
-    parser.set_defaults(func=globals()[handler])
-    return parser
-
-
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of ``selfsim command`` alone where ``command`` names one,
-    with prog ``selfsim command`` so that its help and errors read as those of
-    the full parser's subparser; otherwise the full parser of ``selfsim``,
-    with a subparser for every command."""
-    if command in _COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"selfsim {command}", formatter_class=_FORMATTER)
-        return _add_command(parser, command)
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser of ``selfsim``, with a subparser for every command."""
     parser = argparse.ArgumentParser(
         prog="selfsim",
         description="Build and probe self-similar group actions on rooted m-trees.",
         formatter_class=_FORMATTER,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, *_) in _COMMANDS.items():
-        _add_command(sub.add_parser(name, help=help_text, formatter_class=_FORMATTER), name)
+    for name, (help_text, handler, *flags) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text, formatter_class=_FORMATTER)
+        for names, kwargs in flags:
+            command.add_argument(*names, **kwargs)
+        command.set_defaults(func=globals()[handler])
     return parser
+
+
+def _plain(argv) -> argparse.Namespace | None:
+    """``command flag value ...`` read from ``_COMMANDS``, or None: the full
+    parser's namespace (but for ``command``) where each flag is spelled out in
+    full and given once, every required flag is given, and each value does not
+    start with ``-`` and passes its flag's type and choices."""
+    if not argv or argv[0] not in _COMMANDS or len(argv) % 2 == 0:
+        return None
+    _, handler, *flags = _COMMANDS[argv[0]]
+    spelled = {name: kwargs for names, kwargs in flags for name in names}
+    values = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        kwargs = spelled.get(flag)
+        if kwargs is None or kwargs["dest"] in values or text.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(text)
+        except ValueError:
+            return None
+        if value not in kwargs.get("choices", (value,)):  # a flag without choices takes any
+            return None
+        values[kwargs["dest"]] = value
+    if any(kwargs["required"] and kwargs["dest"] not in values for _, kwargs in flags):
+        return None
+    defaults = {kwargs["dest"]: kwargs.get("default") for _, kwargs in flags}
+    return argparse.Namespace(**{**defaults, **values}, func=globals()[handler])
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = extra = None
-    if argv and argv[0] in _COMMANDS:
-        args, extra = build_parser(argv[0]).parse_known_args(argv[1:])
-    if args is None or extra:
-        # help, no command or an unknown one, or arguments left over: the
-        # full parser's usage and errors name every command
+    args = _plain(argv)
+    if args is None:
         args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -451,9 +451,12 @@ def _trivial(machine: SelfSimilarMachine, codes: Codes, d: int) -> Optional[floa
     which a word, its conjugates and its inverse share: a new core keys it by
     ``cache_key`` of its class representative, and expands the core, a
     shortest word of the class, up to the first cursor pass that ends away
-    from its start.  A new record is proven at every depth (``inf``) where
-    exact: the core fixes the root and leaves no section, or its class key is
-    the empty word's (a model's identity)."""
+    from its start.  A record keeps only the nonempty sections other than the
+    core itself: a core that fixes the root fixes level d iff its other
+    sections fix level d - 1 (by induction on d, a section equal to the core
+    fixes level d - 1).  So a new record is proven at every depth (``inf``)
+    where exact: the core fixes the root and leaves no section other than
+    itself, or its class key is the empty word's (a model's identity)."""
     if d <= 0:
         return d
     if not codes:
@@ -484,9 +487,9 @@ def _trivial(machine: SelfSimilarMachine, codes: Codes, d: int) -> Optional[floa
                 if end != y:
                     secs = None
                     break
-                secs.append(sec)
-            exact = secs is not None and not any(secs)
-            exact = exact or key[0] == machine.cache_key(())
+                if sec and sec != core:
+                    secs.append(sec)
+            exact = secs == [] or key[0] == machine.cache_key(())
             record = memo[key] = [float("inf") if exact else 0, secs]
         memo[core] = record
     if record[0] >= d:

@@ -492,19 +492,37 @@ def _odometer_pair_check(tmp_path, depth: int):
 
 
 def test_deep_check_is_an_error_not_a_failure(tmp_path):
-    code, out, err = _odometer_pair_check(tmp_path, 5000)
+    # a descent that cycles through two records recurses once per level; the
+    # word moves a string of length 3
+    relations = tmp_path / "bs.rel"
+    relations.write_text("a^-1 at a at^-1 at^-1\n", encoding="utf-8")
+    argv = ["check", "--machine", "builtin:brunner_sidki", "--relations", str(relations), "--depth", "1500"]
+    code, out, err = run_cli(argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="_trivial recurses once per level, so a proof past about 990 levels "
-    "exits 2 with 'maximum recursion depth exceeded' (ROADMAP item 3)",
-)
 def test_deep_check_of_the_odometer_pair_passes(tmp_path):
+    # a record keeps no section equal to its own core, so this relation is
+    # proven at every depth at once
     assert _odometer_pair_check(tmp_path, 5000) == (0, "PASS a b^-1\n", "")
+
+
+@pytest.mark.parametrize(
+    "machine, word, depth, expected",
+    [
+        ("builtin:thmD(2)", "s s", 5000, (0, "PASS s s\n", "")),
+        ("builtin:diagram3", "a^-1 g a", 1500, (1, "FAIL a^-1 g a\n", "")),
+    ],
+)
+def test_deep_checks_end_without_reaching_the_recursion_limit(machine, word, depth, expected, tmp_path):
+    # s s fixes the root with sections e, e and s s; the cyclic core g of
+    # a^-1 g a is one of its own sections, and the other one moves a string
+    relations = tmp_path / "w.rel"
+    relations.write_text(word + "\n", encoding="utf-8")
+    argv = ["check", "--machine", machine, "--relations", str(relations), "--depth", str(depth)]
+    assert run_cli(argv) == expected
 
 
 @pytest.mark.parametrize("cmd", GOLDEN, ids=[f"{i:02d}-{c['argv'][0]}" for i, c in enumerate(GOLDEN)])
@@ -686,6 +704,10 @@ def test_argparse_surface_is_pinned_at_every_width(columns, monkeypatch):
 
 
 def test_a_run_builds_only_the_parser_of_its_command(monkeypatch, tmp_path):
+    # a plain run, whole flag value pairs after the command, is read from the
+    # command table and builds no parser; every other run builds the full
+    # parser, the top one and the nine commands', whose usage and errors name
+    # every command
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -710,36 +732,12 @@ def test_a_run_builds_only_the_parser_of_its_command(monkeypatch, tmp_path):
     for argv in runs:
         built.clear()
         assert run_cli(argv)[0] == 0, argv
-        assert [p.prog for p in built] == [f"selfsim {argv[0]}"], argv
-    # help, a missing command and an unknown one list every command
-    for argv in (["-h"], [], ["bogus"], ["-h", "act"]):
+        assert built == [], argv
+    # help, a missing command, an unknown one and arguments left over
+    for argv, code in (["-h"], 0), ([], 2), (["bogus"], 2), (["-h", "act"], 0), (runs[0] + ["extra"], 2):
         built.clear()
-        run_cli(argv)
+        assert run_cli(argv)[0] == code, argv
         assert len(built) == 10, argv
-    # arguments left over: the command's parser, then the full one for the error
-    built.clear()
-    assert run_cli(runs[0] + ["extra"])[0] == 2
-    assert len(built) == 1 + 10
-
-
-def _subparser(parser, command):
-    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    return sub.choices[command]
-
-
-@pytest.mark.parametrize("columns", ["40", "80", "200", None])
-def test_a_command_parser_prints_the_help_of_its_subparser(columns, monkeypatch):
-    # the parser that a named command builds, against the full parser's
-    # subparser of that command, which it replaces
-    if columns is None:
-        monkeypatch.delenv("COLUMNS", raising=False)
-    else:
-        monkeypatch.setenv("COLUMNS", columns)
-    for command in cli._COMMANDS:
-        alone, sub = cli.build_parser(command), _subparser(cli.build_parser(), command)
-        assert alone.prog == sub.prog == f"selfsim {command}"
-        assert alone.format_help() == sub.format_help(), command
-        assert alone.format_usage() == sub.format_usage(), command
 
 
 # each command's flags with a value each; no handler runs, so no file is read
@@ -764,6 +762,11 @@ _PARSE_EXTRA = {
     "inflate": [["-k2"], ["-k", "x"], ["-k=2"], ["-oout.txt"], ["--emit=file"]],
     "concat": [["-o", "a.txt", "--output", "b.txt"]],
 }
+# values put in place of a flag's value where the command has that flag: an
+# empty value, one that spells a flag's name, ints that int() reads past
+# their digits, and a short flag's value apart (its attached form is a
+# variant of every command)
+_PARSE_VALUES = [("--word", ""), ("--word", "machine"), ("--depth", " 3"), ("--depth", "1_0"), ("-k", "2")]
 
 
 def _parse_variants(command):
@@ -777,8 +780,10 @@ def _parse_variants(command):
         [x for f, v in pairs for x in (f[:6] if f.startswith("--") else f, v)],  # --mach
         [x for f, v in pairs for x in ((f, v) if f.startswith("--") else (f + v,))],  # -k2
         [flag, "other", *flat],  # a repeated flag: the last one counts
+        [*flat, flag, "other"],
         [*flat, flag],  # a flag without its value
         flat[2:],  # a required flag missing
+        flat[:-2],  # the last flag left out: its default, or an error where required
         [],
         [*flat, "extra"],
         ["extra", *flat],
@@ -789,12 +794,18 @@ def _parse_variants(command):
         [*flat[:2], "-h", *flat[2:]],
         [*flat, "--help"],
     ]
+    variants += [
+        [x for f, v in pairs for x in (f, value if f == name else v)]
+        for name, value in _PARSE_VALUES
+        if name in dict(pairs)
+    ]
     return variants + [flat + extra for extra in _PARSE_EXTRA.get(command, [])]
 
 
 def test_a_command_parser_parses_as_its_subparser(monkeypatch):
-    # main's parse of ``command ...`` against the full parser's parse_args:
-    # the same namespace but for ``command``, or the same exit and text
+    # main's parse of ``command ...``, from the command table or by the full
+    # parser, against the full parser's parse_args: the same namespace but
+    # for ``command``, or the same exit and text
     seen = []
     for _, handler, *_ in cli._COMMANDS.values():
         monkeypatch.setattr(cli, handler, lambda args: seen.append(args) or 0)
